@@ -1,24 +1,36 @@
 """Brute-force grid verification of the closed-form designs.
 
-``oracle_solve`` scans the full square ``[0, c_max]^2`` of elastic-limit
-pairs, keeps the pairs meeting both the performance and the strength
-constraint, and returns the cheapest one under a deterministic tie-break.
+``oracle_solve`` looks for the cheapest pair of grid elastic limits in the
+square ``[0, c_max]^2`` that meets both the performance and the strength
+constraint.  On a grid of pitch ``step`` the cost of point ``(i, j)`` is
+``(i + j) * step``, so the scan walks the anti-diagonals ``i + j = s`` in
+increasing ``s``, a block of ``BLOCK_DIAGONALS`` at a time, and stops at the
+first block that holds a feasible point.  Every cheaper diagonal has been
+evaluated in full by then, so the result is the exhaustive minimum; only
+points that cost more than it are skipped.  A scan that finds nothing covers
+the whole square.  Memory stays bounded by one block, at most
+``BLOCK_DIAGONALS`` points per grid row, whatever ``c_max / step``.
+
 Constraint evaluation is shared with the model module, but the scan knows
-nothing about the one-variable reduction or the closed form, which is what
-makes it usable as an independent check on the solver.
+nothing about the one-variable reduction or the closed form: no start
+point, bound or constant comes from the solver.  That is what makes it
+usable as an independent check on the solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import SpringPair, Topology, Weights, cost, force_grid, multiperf_grid
 from .solver import solve_reduced
 
 __all__ = [
+    "BLOCK_DIAGONALS",
+    "MAX_GRID_POINTS",
     "GridSpec",
     "OracleResult",
     "VerificationVerdict",
@@ -27,23 +39,40 @@ __all__ = [
 ]
 
 
+# anti-diagonals i + j evaluated per block of the cost-ordered scan
+BLOCK_DIAGONALS = 32
+# largest square a GridSpec may describe: 10**4 points per side
+MAX_GRID_POINTS = 10**8
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Search square ``[0, c_max]^2`` scanned at pitch ``step``."""
+    """Search square ``[0, c_max]^2`` scanned at pitch ``step``.
+
+    ``size`` is the number of grid points per side.  Both numbers must be
+    finite and the square may hold at most ``MAX_GRID_POINTS`` points.
+    """
 
     c_max: float
     step: float
+    size: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.step <= self.c_max):
+        if not (math.isfinite(self.c_max) and 0.0 < self.step <= self.c_max):
             raise ValueError(
-                f"need 0 < step <= c_max, got step={self.step!r}, c_max={self.c_max!r}"
+                f"need finite 0 < step <= c_max, got step={self.step!r}, c_max={self.c_max!r}"
             )
+        ratio = self.c_max / self.step  # inf when the quotient overflows
+        size = math.floor(min(ratio, MAX_GRID_POINTS) + 1e-9) + 1
+        if size * size > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid of c_max/step={ratio:.6g} exceeds {MAX_GRID_POINTS} points; use a larger step"
+            )
+        object.__setattr__(self, "size", size)
 
     def axis(self) -> np.ndarray:
         """Grid coordinates 0, step, 2*step, ... up to and including c_max."""
-        n = int(math.floor(self.c_max / self.step + 1e-9))
-        return np.arange(n + 1) * self.step
+        return np.arange(self.size) * self.step
 
 
 @dataclass(frozen=True)
@@ -51,7 +80,8 @@ class OracleResult:
     """Cheapest feasible grid point, if any.
 
     ``truncated`` flags an argmin on the boundary of the search square, where
-    the true optimum may lie outside the scanned area.
+    the true optimum may lie outside the scanned area.  ``points_scanned``
+    counts the grid points whose constraints were evaluated.
     """
 
     feasible: bool
@@ -59,6 +89,7 @@ class OracleResult:
     best_cost: float
     argmin_gap: float | None
     truncated: bool
+    points_scanned: int = 0
 
 
 @dataclass(frozen=True)
@@ -79,36 +110,61 @@ class VerificationVerdict:
     beyond_grid: bool
 
 
+def _points_below(t: int, size: int) -> int:
+    """Number of points ``(i, j)`` of a ``size``-square with ``i + j < t``."""
+    if t <= size:
+        return t * (t + 1) // 2
+    above = 2 * size - 1 - t  # points with i + j >= t, mirrored by (i, j) -> (last - i, last - j)
+    return size * size - above * (above + 1) // 2
+
+
 def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     """Exhaustive minimum of ``c1 + c2`` over the grid, under both constraints.
 
-    Cost ties are broken toward the smaller ``|c1 - c2|``, then the smaller
-    ``c1``.  The reduction runs on integer grid indices, so ties and
-    tie-breaks are exact and independent of how the scan might be
-    partitioned.
+    Anti-diagonals ``i + j = s`` are scanned in blocks of ``BLOCK_DIAGONALS``
+    in increasing ``s``; the first block with a feasible point holds the
+    cheapest one.  Cost ties on a diagonal are broken toward the smaller
+    ``|c1 - c2|``, then the smaller ``c1``.  The reduction runs on integer
+    grid indices, so ties and tie-breaks are exact and do not depend on the
+    block size.
     """
     axis = g.axis()
-    c1 = axis[:, None]
-    c2 = axis[None, :]
-    feasible = (multiperf_grid(w, k, c1, c2) >= 1.0) & (force_grid(k, c1, c2) >= 1.0)
-    ii, jj = np.nonzero(feasible)
-    if ii.size == 0:
-        return OracleResult(False, None, math.inf, None, False)
-    sums = ii + jj
-    cheapest = sums.min()
-    ii = ii[sums == cheapest]
-    jj = jj[sums == cheapest]
-    gaps = np.abs(ii - jj)
-    i = int(ii[gaps == gaps.min()].min())
-    j = int(cheapest) - i
+    last = g.size - 1
+    width = BLOCK_DIAGONALS
+    # a block is a (width, rows) array: row d is the diagonal s0 + d and
+    # column r the point i = i_hi - r, j = s0 + d - i_hi + r, so both c1 and
+    # c2 are read from memory in order.  padded[p] = axis[p - width + 1] and
+    # NaN elsewhere, which masks every j outside [0, last]: NaN fails both
+    # constraints.  Row q of `runs` is padded[q : q + size].
+    padded = np.full(2 * last + 2 * width, np.nan)
+    padded[width - 1 : width + last] = axis
+    runs = sliding_window_view(padded, g.size)
+    descending = axis[::-1].copy()
+    for s0 in range(0, 2 * last + 1, width):
+        i_lo = max(0, s0 - last)
+        i_hi = min(last, s0 + width - 1)
+        c1 = descending[last - i_hi : last - i_lo + 1]
+        q = s0 - i_hi + width - 1
+        c2 = runs[q : q + width, : i_hi - i_lo + 1]
+        feasible = (multiperf_grid(w, k, c1, c2) >= 1.0) & (force_grid(k, c1, c2) >= 1.0)
+        diagonals = feasible.any(axis=1)
+        if diagonals.any():
+            break
+    else:
+        return OracleResult(False, None, math.inf, None, False, g.size * g.size)
+    d = int(diagonals.argmax())
+    s = s0 + d
+    ii = i_hi - np.flatnonzero(feasible[d])[::-1]  # ascending
+    i = int(ii[np.abs(2 * ii - s).argmin()])  # first minimum: the smaller c1
+    j = s - i
     pair = SpringPair(float(axis[i]), float(axis[j]))
-    last = axis.size - 1
     return OracleResult(
         feasible=True,
         best_pair=pair,
         best_cost=cost(pair),
         argmin_gap=abs(pair.c1 - pair.c2),
         truncated=(i == last or j == last),
+        points_scanned=_points_below(min(s0 + width, 2 * last + 1), g.size),
     )
 
 
@@ -158,7 +214,7 @@ def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> Verifi
         )
     if closed.feasible:
         # empty scan: legitimate iff the optimal design exceeds the square
-        top = float(g.axis()[-1])
+        top = (g.size - 1) * g.step  # == axis()[-1]
         reach = 2.0 * top if k is Topology.PARALLEL else top
         beyond = closed.x_star > reach
         return VerificationVerdict(

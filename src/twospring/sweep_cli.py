@@ -26,6 +26,7 @@ from .regions import B2_SEGMENT_A_MAX, B2_SEGMENT_A_MIN, RegionLabel, Winner, b2
 from .solver import expand, solve_reduced
 
 __all__ = [
+    "MAX_SWEEP_CELLS",
     "SweepSpec",
     "PhaseCell",
     "phase_cells",
@@ -54,9 +55,17 @@ class UsageError(Exception):
     """Invalid argument values; maps to exit status 2."""
 
 
+# largest sweep a SweepSpec may describe, na * nb
+MAX_SWEEP_CELLS = 4_000_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Inclusive rectangular sampling of the weight plane."""
+    """Inclusive rectangular sampling of the weight plane.
+
+    The bounds must be finite and the sweep may hold at most
+    ``MAX_SWEEP_CELLS`` samples.
+    """
 
     a_min: float
     a_max: float
@@ -68,8 +77,12 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not (0.0 <= self.a_min <= self.a_max) or not (0.0 <= self.b_min <= self.b_max):
             raise ValueError("need 0 <= a_min <= a_max and 0 <= b_min <= b_max")
+        if not (math.isfinite(self.a_max) and math.isfinite(self.b_max)):
+            raise ValueError("window bounds must be finite")
         if self.na < 2 or self.nb < 2:
             raise ValueError("need at least 2 samples per axis")
+        if self.na * self.nb > MAX_SWEEP_CELLS:
+            raise ValueError(f"na * nb must not exceed {MAX_SWEEP_CELLS}")
 
 
 @dataclass(frozen=True)

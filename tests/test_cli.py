@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import math
 
@@ -140,6 +141,21 @@ class TestSweepCommand:
     def test_unwritable_path_is_io_error(self):
         assert main(["sweep", "--na", "3", "--nb", "3", "--out", "/nonexistent-dir/x.csv"]) == EXIT_IO
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--a-max", "inf", "--na", "2", "--nb", "2"],
+            ["--b-max", "inf", "--na", "2", "--nb", "2"],
+            ["--na", "2001", "--nb", "2000"],
+        ],
+    )
+    def test_unbounded_window_is_usage_error(self, capsys, argv):
+        assert main(["sweep", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestBoundariesCommand:
     def test_three_polylines_with_exact_endpoints(self, capsys):
@@ -196,6 +212,23 @@ class TestVerifyCommand:
         assert main(["verify", "--samples", "0"]) == EXIT_USAGE
         assert main(["verify", "--tol", "0"]) == EXIT_USAGE
         assert main(["verify", "--step", "-1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--c-max", "inf"], ["--step", "1e-5"], ["--step", "1e-320"]],
+    )
+    def test_unbounded_grid_is_usage_error(self, capsys, argv):
+        assert main(["verify", "--samples", "1", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+    def test_summary_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--samples", "20", "--seed", "42", "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "02f8c6812df5be0f1fb082148d506dd6c97085f437c23b1b318490df8d01a38c"
 
 
 class TestFormatting:

@@ -1,17 +1,65 @@
 """Tests for the brute-force grid oracle and the agreement checker."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twospring import oracle as oracle_module
-from twospring.model import Topology, Weights
+from twospring.model import SpringPair, Topology, Weights, cost, force_grid, multiperf_grid
 from twospring.oracle import GridSpec, OracleResult, oracle_solve, verify_reduction
 from twospring.solver import solve_reduced
 
 P = Topology.PARALLEL
 S = Topology.SERIAL
+DEFAULT_GRID = GridSpec(6.0, 0.005)
+
+
+def full_square_scan(w, k, g):
+    """Reference oracle: evaluate the whole square, keep the cheapest diagonal."""
+    axis = g.axis()
+    c1 = axis[:, None]
+    c2 = axis[None, :]
+    feasible = (multiperf_grid(w, k, c1, c2) >= 1.0) & (force_grid(k, c1, c2) >= 1.0)
+    ii, jj = np.nonzero(feasible)
+    if ii.size == 0:
+        return OracleResult(False, None, math.inf, None, False, axis.size**2)
+    sums = ii + jj
+    cheapest = sums.min()
+    ii = ii[sums == cheapest]
+    jj = jj[sums == cheapest]
+    gaps = np.abs(ii - jj)
+    i = int(ii[gaps == gaps.min()].min())
+    j = int(cheapest) - i
+    pair = SpringPair(float(axis[i]), float(axis[j]))
+    last = axis.size - 1
+    return OracleResult(
+        feasible=True,
+        best_pair=pair,
+        best_cost=cost(pair),
+        argmin_gap=abs(pair.c1 - pair.c2),
+        truncated=(i == last or j == last),
+        points_scanned=axis.size**2,
+    )
+
+
+def assert_same_as_full_scan(w, k, g):
+    got = oracle_solve(w, k, g)
+    ref = full_square_scan(w, k, g)
+    assert (got.feasible, got.best_pair, got.best_cost, got.argmin_gap, got.truncated) == (
+        ref.feasible,
+        ref.best_pair,
+        ref.best_cost,
+        ref.argmin_gap,
+        ref.truncated,
+    )
+    assert 0 < got.points_scanned <= ref.points_scanned
+    if not got.feasible:
+        assert got.points_scanned == ref.points_scanned
+    return got
 
 
 class TestGridSpec:
@@ -22,6 +70,27 @@ class TestGridSpec:
             GridSpec(1.0, -0.1)
         with pytest.raises(ValueError):
             GridSpec(1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "c_max,step",
+        [(math.inf, 0.005), (6.0, math.inf), (math.nan, 0.005), (6.0, math.nan), (math.inf, math.inf)],
+    )
+    def test_rejects_non_finite(self, c_max, step):
+        with pytest.raises(ValueError):
+            GridSpec(c_max, step)
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-5, 1e-320])
+    def test_rejects_grids_above_point_cap(self, step):
+        # 1.0 / 1e-4 gives 10001 points per side, one row over the cap
+        with pytest.raises(ValueError, match="exceeds"):
+            GridSpec(1.0, step)
+
+    def test_size_is_axis_length(self):
+        assert GridSpec(0.5, 1e-4).size == 5001
+        for c_max, step in [(6.0, 0.005), (1.0, 0.3), (0.5, 0.5), (3.0, 0.07)]:
+            g = GridSpec(c_max, step)
+            assert g.size == g.axis().size
+            assert g.size**2 <= oracle_module.MAX_GRID_POINTS
 
     def test_axis_covers_square_inclusively(self):
         axis = GridSpec(6.0, 0.005).axis()
@@ -85,6 +154,86 @@ class TestOracleSolve:
             res = oracle_solve(Weights(float(a), float(b)), S, grid)
             if res.feasible:
                 assert res.argmin_gap <= grid.step + 1e-12
+
+
+# (c_max, step): a 2x2 grid, ratios that do not divide evenly, and sizes
+# around small block widths
+PARITY_GRIDS = [(0.5, 0.5), (1.0, 0.3), (2.0, 0.07), (1.6, 0.1), (3.0, 0.1), (6.0, 0.05)]
+PARITY_WIDTHS = [1, 2, 3, 7, 16, 31, 32, 33, 64]
+
+
+class TestFullScanParity:
+    """The cost-ordered scan returns what the full-square scan returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.floats(0.0, 1.5),
+        b=st.floats(0.0, 1.5),
+        k=st.sampled_from([P, S]),
+        grid=st.sampled_from(PARITY_GRIDS),
+        width=st.sampled_from(PARITY_WIDTHS),
+    )
+    def test_matches_full_scan(self, a, b, k, grid, width):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "BLOCK_DIAGONALS", width)
+            assert_same_as_full_scan(Weights(a, b), k, GridSpec(*grid))
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (0.0, 0.7),  # a = 0
+            (0.8, 0.0),  # b = 0
+            (0.0, 0.0),
+            (0.5, 0.25),  # a + 2b = 1
+            (0.2, 0.4),  # a + 2b = 1
+            (0.3, 0.7),  # a + b = 1
+            (0.4, 0.4),  # b = 2 - 4a
+            (0.35, 0.6),  # b = 2 - 4a
+            (1.0, 1.0),
+            (0.2, 0.2),
+        ],
+    )
+    @pytest.mark.parametrize("k", [P, S])
+    def test_fixed_cases_on_default_grid(self, a, b, k):
+        assert_same_as_full_scan(Weights(a, b), k, DEFAULT_GRID)
+
+    def test_truncated_argmin(self):
+        res = assert_same_as_full_scan(Weights(0.3, 0.2), P, GridSpec(1.6, 0.1))
+        assert res.truncated
+
+    @pytest.mark.parametrize("w,k", [(Weights(0.0, 0.3), P), (Weights(0.1, 0.05), S)])
+    def test_empty_scan(self, w, k):
+        res = assert_same_as_full_scan(w, k, DEFAULT_GRID)
+        assert not res.feasible
+
+
+class TestPointsScanned:
+    def test_cost_one_parallel_scans_a_corner(self):
+        res = oracle_solve(Weights(1.0, 1.0), P, DEFAULT_GRID)
+        assert res.best_cost == 1.0
+        assert res.points_scanned < 0.05 * DEFAULT_GRID.size**2
+
+    def test_empty_scan_covers_the_square(self):
+        res = oracle_solve(Weights(0.0, 0.3), P, DEFAULT_GRID)
+        assert not res.feasible
+        assert res.points_scanned == 1201**2
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+    def test_points_below_counts_lower_triangles(self, size):
+        for t in range(2 * size):
+            expected = sum(1 for i in range(size) for j in range(size) if i + j < t)
+            assert oracle_module._points_below(t, size) == expected
+
+    def test_empty_scan_memory_is_bounded(self):
+        w = Weights(0.0, 0.3)
+        oracle_solve(w, P, DEFAULT_GRID)  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            oracle_solve(w, P, DEFAULT_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestVerifyReduction:
