@@ -5,6 +5,11 @@ and ``a + b = 1`` into three bands A, B, C.  Band B splits further along the
 locus where the minimal parallel cost equals the fixed serial cost of 2; the
 serial wiring is strictly cheaper exactly on the sub-band B2, the parallel
 wiring everywhere else (up to ties on the dividing locus itself).
+
+:func:`classify` and :func:`winner` answer one weight pair and are the
+reference; :func:`winner_grid` is their array twin for whole weight grids,
+built on :func:`~twospring.solver.total_cost_grid` with the same predicates
+in the same order, so it reports the same labels, winners and costs.
 """
 
 from __future__ import annotations
@@ -13,8 +18,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Topology, Weights
-from .solver import solve_reduced
+from .solver import solve_reduced, total_cost_grid
 
 __all__ = [
     "RegionLabel",
@@ -22,6 +29,7 @@ __all__ = [
     "RegionReport",
     "classify",
     "winner",
+    "winner_grid",
     "b2_boundary",
     "B2_SEGMENT_A_MIN",
     "B2_SEGMENT_A_MAX",
@@ -59,6 +67,17 @@ B2_SEGMENT_A_MIN = 1.0 / 3.0
 B2_SEGMENT_A_MAX = 3.0 / 7.0
 
 
+def _label(w: Weights, cost_p: float) -> RegionLabel:
+    """Region of ``w``, given its minimal parallel cost ``cost_p``."""
+    if w.a + 2.0 * w.b - 1.0 < 0.0:
+        return RegionLabel.A
+    if w.a + w.b - 1.0 >= 0.0:
+        return RegionLabel.C
+    if cost_p > 2.0:
+        return RegionLabel.B2
+    return RegionLabel.B1
+
+
 def classify(w: Weights) -> RegionLabel:
     """Label a weight pair A, B1, B2, or C.
 
@@ -66,13 +85,7 @@ def classify(w: Weights) -> RegionLabel:
     2.  Extended arithmetic makes the ``a = 0`` strip of band B (parallel
     infeasible, cost ``+inf``) land in B2, matching the ``a -> 0+`` limit.
     """
-    if w.a + 2.0 * w.b - 1.0 < 0.0:
-        return RegionLabel.A
-    if w.a + w.b - 1.0 >= 0.0:
-        return RegionLabel.C
-    if solve_reduced(w, Topology.PARALLEL).total_cost > 2.0:
-        return RegionLabel.B2
-    return RegionLabel.B1
+    return _label(w, solve_reduced(w, Topology.PARALLEL).total_cost)
 
 
 def winner(w: Weights) -> RegionReport:
@@ -87,7 +100,37 @@ def winner(w: Weights) -> RegionReport:
         best = Winner.SERIAL
     else:
         best = Winner.TIE
-    return RegionReport(classify(w), best, cost_p, cost_s)
+    return RegionReport(_label(w, cost_p), best, cost_p, cost_s)
+
+
+def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`winner` at every pair of two equal-shape float64 weight arrays.
+
+    Returns ``(region, best, cost_parallel, cost_serial)``: ``region`` holds
+    indices into ``tuple(RegionLabel)`` and ``best`` indices into
+    ``tuple(Winner)``, so ``tuple(Winner)[best[i]]`` is ``winner(w).winner``
+    at the ``i``-th pair.  The first condition that holds picks each code,
+    in the order of the scalar tests.
+    """
+    labels, winners = list(RegionLabel), list(Winner)
+    cost_p = total_cost_grid(a, b, Topology.PARALLEL)
+    cost_s = total_cost_grid(a, b, Topology.SERIAL)
+    with np.errstate(over="ignore"):  # a huge b sums to inf, as in Python floats
+        region = np.select(
+            [a + 2.0 * b - 1.0 < 0.0, a + b - 1.0 >= 0.0, cost_p > 2.0],
+            [labels.index(RegionLabel.A), labels.index(RegionLabel.C), labels.index(RegionLabel.B2)],
+            labels.index(RegionLabel.B1),
+        )
+    best = np.select(
+        [np.isinf(cost_p) & np.isinf(cost_s), cost_p < cost_s, cost_s < cost_p],
+        [
+            winners.index(Winner.BOTH_INFEASIBLE),
+            winners.index(Winner.PARALLEL),
+            winners.index(Winner.SERIAL),
+        ],
+        winners.index(Winner.TIE),
+    )
+    return region, best, cost_p, cost_s
 
 
 def b2_boundary(a: float) -> float | None:

@@ -8,11 +8,18 @@ campaigns (JSON summary, nonzero exit on any disagreement).
 Numbers are formatted with the shortest representation that round-trips, and
 infinities print as the literal ``inf``, so identical invocations produce
 byte-identical output.
+
+``sweep`` evaluates its whole grid in one call of the array kernel
+:func:`~twospring.regions.winner_grid` and formats each distinct number
+once.  ``solve`` and ``classify`` answer one weight pair through the scalar
+functions, which stay the reference the array kernel is tested against and
+are about ten times faster than an array call for a single pair.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -22,11 +29,21 @@ import numpy as np
 
 from .model import Topology, Weights
 from .oracle import GridSpec, verify_reduction
-from .regions import B2_SEGMENT_A_MAX, B2_SEGMENT_A_MIN, RegionLabel, Winner, b2_boundary, winner
+from .regions import (
+    B2_SEGMENT_A_MAX,
+    B2_SEGMENT_A_MIN,
+    RegionLabel,
+    Winner,
+    b2_boundary,
+    winner,
+    winner_grid,
+)
 from .solver import expand, solve_reduced
 
 __all__ = [
     "MAX_SWEEP_CELLS",
+    "MAX_BOUNDARY_POINTS",
+    "MAX_VERIFY_SAMPLES",
     "SweepSpec",
     "PhaseCell",
     "phase_cells",
@@ -57,6 +74,10 @@ class UsageError(Exception):
 
 # largest sweep a SweepSpec may describe, na * nb
 MAX_SWEEP_CELLS = 4_000_000
+# most samples per polyline that ``boundaries --na`` accepts
+MAX_BOUNDARY_POINTS = 1_000_000
+# most weight pairs that ``verify --samples`` accepts
+MAX_VERIFY_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -125,37 +146,54 @@ def _emit_record(record: dict, out: str | None) -> None:
     _emit([json.dumps(_jsonable(record))], out)
 
 
+def _grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Both sample axes and the :func:`winner_grid` arrays over the sweep,
+    flattened in row-major order (b outer, a inner)."""
+    a_axis = np.linspace(spec.a_min, spec.a_max, spec.na)
+    b_axis = np.linspace(spec.b_min, spec.b_max, spec.nb)
+    a, b = np.meshgrid(a_axis, b_axis)
+    return a_axis, b_axis, winner_grid(a.ravel(), b.ravel())
+
+
 def phase_cells(spec: SweepSpec) -> list[PhaseCell]:
     """Winner report at every sample, in row-major order (b outer, a inner)."""
-    a_values = [float(a) for a in np.linspace(spec.a_min, spec.a_max, spec.na)]
-    b_values = [float(b) for b in np.linspace(spec.b_min, spec.b_max, spec.nb)]
-    cells = []
-    for b in b_values:
-        for a in a_values:
-            report = winner(Weights(a, b))
-            cells.append(
-                PhaseCell(a, b, report.label, report.winner, report.cost_parallel, report.cost_serial)
-            )
-    return cells
+    a_axis, b_axis, (region, best, cost_p, cost_s) = _grid(spec)
+    labels, winners = tuple(RegionLabel), tuple(Winner)
+    return [
+        PhaseCell(a, b, labels[r], winners[w], cp, cs)
+        for (b, a), r, w, cp, cs in zip(
+            itertools.product(b_axis.tolist(), a_axis.tolist()),
+            region.tolist(),
+            best.tolist(),
+            cost_p.tolist(),
+            cost_s.tolist(),
+        )
+    ]
 
 
 def sweep_lines(spec: SweepSpec) -> list[str]:
-    """CSV lines (header included) for a phase-diagram sweep."""
-    lines = [SWEEP_HEADER]
-    for cell in phase_cells(spec):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(cell.a),
-                    _fmt(cell.b),
-                    cell.label.value,
-                    cell.winner.value,
-                    _fmt(cell.cost_parallel),
-                    _fmt(cell.cost_serial),
-                )
-            )
-        )
-    return lines
+    """CSV lines (header included) for a phase-diagram sweep.
+
+    Each distinct value is formatted once: the ``na + nb`` axis samples, the
+    region/winner pairs and the distinct costs.  ``np.unique`` merges floats
+    that compare equal; costs are at least 1 or ``inf``, so there is no
+    ``-0.0`` among them to take the text of ``0.0``.
+    """
+    a_axis, b_axis, (region, best, cost_p, cost_s) = _grid(spec)
+    a_text = np.array([_fmt(a) for a in a_axis.tolist()], dtype=object)
+    b_text = np.array([_fmt(b) for b in b_axis.tolist()], dtype=object)
+    pair_text = np.array([f"{r.value},{w.value}" for r in RegionLabel for w in Winner], dtype=object)
+    costs, inverse = np.unique(np.concatenate((cost_p, cost_s)), return_inverse=True)
+    cost_text = np.array([_fmt(c) for c in costs.tolist()], dtype=object)[inverse]
+    n = cost_p.size
+    columns = (
+        np.tile(a_text, spec.nb),
+        np.repeat(b_text, spec.na),
+        pair_text[region * len(Winner) + best],
+        cost_text[:n],
+        cost_text[n:],
+    )
+    return [SWEEP_HEADER, *map(",".join, zip(*(column.tolist() for column in columns)))]
 
 
 def boundary_lines(resolution: int) -> list[str]:
@@ -163,10 +201,11 @@ def boundary_lines(resolution: int) -> list[str]:
 
     Emits the A/B line ``a + 2b = 1`` and the B/C line ``a + b = 1`` for
     ``a`` in [0, 1], plus the B1/B2 segment ``b = 2 - 4a`` between its
-    intersections with those lines.
+    intersections with those lines, each with ``resolution`` samples, at
+    most ``MAX_BOUNDARY_POINTS``.
     """
-    if resolution < 2:
-        raise UsageError("resolution must be at least 2")
+    if not 2 <= resolution <= MAX_BOUNDARY_POINTS:
+        raise UsageError(f"resolution must be between 2 and {MAX_BOUNDARY_POINTS}")
     lines = [BOUNDARY_HEADER]
     for a in np.linspace(0.0, 1.0, resolution):
         a = float(a)
@@ -241,10 +280,12 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
-    if not args.tol > 0.0:
-        raise UsageError("--tol must be positive")
+    if not 1 <= args.samples <= MAX_VERIFY_SAMPLES:
+        raise UsageError(f"--samples must be between 1 and {MAX_VERIFY_SAMPLES}")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
+    if not (args.tol > 0.0 and math.isfinite(args.tol)):
+        raise UsageError("--tol must be positive and finite")
     try:
         grid = GridSpec(args.c_max, args.step)
     except ValueError as exc:
@@ -326,16 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(handler=cmd_sweep)
 
     boundaries = sub.add_parser("boundaries", help="region boundary polylines as CSV")
-    boundaries.add_argument("--na", type=int, default=101, help="samples per polyline")
+    boundaries.add_argument(
+        "--na", type=int, default=101, help=f"samples per polyline (2 to {MAX_BOUNDARY_POINTS})"
+    )
     boundaries.add_argument("--out", default=None)
     boundaries.set_defaults(handler=cmd_boundaries)
 
     verify = sub.add_parser("verify", help="randomized closed-form vs grid-oracle campaign")
-    verify.add_argument("--samples", type=int, default=200)
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument(
+        "--samples", type=int, default=200, help=f"weight pairs (1 to {MAX_VERIFY_SAMPLES})"
+    )
+    verify.add_argument("--seed", type=int, default=42, help="nonnegative seed of the weight pairs")
     verify.add_argument("--c-max", type=float, default=6.0)
     verify.add_argument("--step", type=float, default=0.005)
-    verify.add_argument("--tol", type=float, default=0.01)
+    verify.add_argument("--tol", type=float, default=0.01, help="positive, finite cost tolerance")
     verify.add_argument("--out", default=None)
     verify.set_defaults(handler=cmd_verify)
 

@@ -1,18 +1,28 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from twospring import sweep_cli
+from twospring import oracle, sweep_cli
+from twospring.model import Weights
+from twospring.regions import winner
 from twospring.sweep_cli import (
     BOUNDARY_HEADER,
     EXIT_DISAGREEMENT,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_BOUNDARY_POINTS,
+    MAX_VERIFY_SAMPLES,
     SWEEP_HEADER,
     SweepSpec,
     boundary_lines,
@@ -20,6 +30,22 @@ from twospring.sweep_cli import (
     phase_cells,
     sweep_lines,
 )
+
+
+def reference_sweep_lines(spec):
+    """The per-cell sweep: one scalar ``winner`` call and six ``repr`` per cell.
+
+    Parity reference for the array kernel behind ``sweep_lines``.
+    """
+    a_values = [float(a) for a in np.linspace(spec.a_min, spec.a_max, spec.na)]
+    b_values = [float(b) for b in np.linspace(spec.b_min, spec.b_max, spec.nb)]
+    lines = [SWEEP_HEADER]
+    for b in b_values:
+        for a in a_values:
+            rep = winner(Weights(a, b))
+            costs = (repr(rep.cost_parallel), repr(rep.cost_serial))
+            lines.append(",".join((repr(a), repr(b), rep.label.value, rep.winner.value, *costs)))
+    return lines
 
 
 def run_json(capsys, argv):
@@ -157,6 +183,44 @@ class TestSweepCommand:
         assert "Traceback" not in captured.err
 
 
+class TestSweepParity:
+    """The array sweep writes the same bytes as the per-cell reference."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SweepSpec(0.0, 0.0, 0.0, 1.5, 2, 61),  # the a = 0 column, a_min == a_max
+            SweepSpec(1.0 / 3.0, 3.0 / 7.0, 2.0 / 7.0, 2.0 / 3.0, 41, 37),  # the B2 pocket
+            SweepSpec(0.0, 1.0, 0.0, 0.5, 11, 11),  # samples on a + 2b = 1
+            SweepSpec(0.0, 1.0, 0.0, 1.0, 11, 11),  # samples on a + b = 1
+            SweepSpec(0.25, 0.5, 0.0, 1.0, 5, 5),  # samples on b = 2 - 4a
+            SweepSpec(0.4, 0.4, 2.0 - 4.0 * 0.4, 0.4, 2, 2),  # the tie at a = 0.4
+            SweepSpec(0.0, 1.2, 0.0, 1.2, 2, 2),
+            SweepSpec(0.0, 1.2, 0.0, 1.2, 31, 29),
+            SweepSpec(0.0, 1e-322, 0.0, 1.7e308, 3, 3),  # overflow to inf
+        ],
+    )
+    def test_fixed_windows(self, spec):
+        assert sweep_lines(spec) == reference_sweep_lines(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=2, max_size=2).map(sorted),
+        b=st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=2, max_size=2).map(sorted),
+        na=st.integers(min_value=2, max_value=12),
+        nb=st.integers(min_value=2, max_value=12),
+    )
+    def test_random_windows(self, a, b, na, nb):
+        spec = SweepSpec(a[0], a[1], b[0], b[1], na, nb)
+        assert sweep_lines(spec) == reference_sweep_lines(spec)
+
+    def test_default_sweep_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "c0dc3e156f802170910603fd40ecbbda6ef46da26fa6a8de11966c7db569a19e"
+
+
 class TestBoundariesCommand:
     def test_three_polylines_with_exact_endpoints(self, capsys):
         assert main(["boundaries", "--na", "5"]) == EXIT_OK
@@ -179,6 +243,10 @@ class TestBoundariesCommand:
 
     def test_resolution_must_be_at_least_two(self):
         assert main(["boundaries", "--na", "1"]) == EXIT_USAGE
+
+    def test_resolution_cap_is_checked_before_allocating(self, capsys, monkeypatch):
+        argv = ["boundaries", "--na", str(MAX_BOUNDARY_POINTS + 1)]
+        assert_rejected_without_allocating(capsys, monkeypatch, argv)
 
 
 class TestVerifyCommand:
@@ -215,6 +283,18 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "argv",
+        [
+            ["--seed", "-1"],
+            ["--tol", "inf"],
+            ["--tol", "nan"],
+            ["--samples", str(MAX_VERIFY_SAMPLES + 1)],
+        ],
+    )
+    def test_out_of_range_flags_are_rejected_before_allocating(self, capsys, monkeypatch, argv):
+        assert_rejected_without_allocating(capsys, monkeypatch, ["verify", *argv])
+
+    @pytest.mark.parametrize(
+        "argv",
         [["--c-max", "inf"], ["--step", "1e-5"], ["--step", "1e-320"]],
     )
     def test_unbounded_grid_is_usage_error(self, capsys, argv):
@@ -229,6 +309,105 @@ class TestVerifyCommand:
         assert main(["verify", "--samples", "20", "--seed", "42", "--out", str(out)]) == EXIT_OK
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "02f8c6812df5be0f1fb082148d506dd6c97085f437c23b1b318490df8d01a38c"
+
+
+class _NumpyGuard:
+    """Stands in for numpy in ``sweep_cli``: any use fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} was reached before the input was rejected")
+
+
+def assert_rejected_without_allocating(capsys, monkeypatch, argv):
+    """``main(argv)`` exits 2 with an error line and no traceback, before it
+    touches numpy (where the sample arrays would be allocated)."""
+    monkeypatch.setattr(sweep_cli, "np", _NumpyGuard())
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+EDGE_VALUES = ("-1", "0", "nan", "inf", "-inf", "1e-320", "abc")
+
+
+def _flag(*valid):
+    """A flag value: one of ``EDGE_VALUES`` one time in four, else one of ``valid``."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(EDGE_VALUES if i == 0 else valid))
+
+
+# per subcommand, the values each flag is drawn from; sizes sit around the
+# caps that the fuzz test patches in (3 verify samples, 8 boundary points,
+# 400 sweep cells, a 101 x 101 oracle grid)
+FUZZ_FLAGS = {
+    "solve": {
+        "--a": _flag("0.2", "1e308"),
+        "--b": _flag("0.3", "1e308"),
+        "--topology": st.sampled_from(["parallel", "serial", "ring"]),
+    },
+    "classify": {"--a": _flag("0.3", "1e308"), "--b": _flag("0.5", "1e308")},
+    "sweep": {
+        "--a-min": _flag("0.2"),
+        "--a-max": _flag("1.2", "1e308"),
+        "--b-min": _flag("0.3"),
+        "--b-max": _flag("1.2", "1e308"),
+        "--na": _flag("2", "3", "19", "20", "21"),
+        "--nb": _flag("2", "3", "19", "20", "21"),
+    },
+    "boundaries": {"--na": _flag("2", "3", "7", "8", "9")},
+    "verify": {
+        "--samples": _flag("1", "2", "3", "4"),
+        "--seed": _flag("7", str(2**64)),
+        "--c-max": _flag("1.5", "3"),
+        "--step": _flag("0.5", "0.25", "0.03", "0.029"),
+        "--tol": _flag("0.01", "1e308"),
+    },
+}
+# given every time: argparse requires the first three, and the defaults of
+# the last two exceed the patched caps, so a campaign would almost never run
+ALWAYS_GIVEN = {"--a", "--b", "--topology", "--samples", "--step"}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with a random subset of its flags."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command]
+    for flag, values in FUZZ_FLAGS[command].items():
+        if flag in ALWAYS_GIVEN or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+class TestFuzzMain:
+    """No argv makes ``main`` raise; exit 1 is only a verify disagreement."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv=cli_argvs())
+    def test_exit_codes(self, argv):
+        # small caps, so that values at cap - 1 and cap + 1 stay cheap
+        caps = [
+            mock.patch.object(sweep_cli, "MAX_SWEEP_CELLS", 400),
+            mock.patch.object(sweep_cli, "MAX_BOUNDARY_POINTS", 8),
+            mock.patch.object(sweep_cli, "MAX_VERIFY_SAMPLES", 3),
+            # at c_max 3, step 0.03 fills this grid cap and step 0.029 exceeds it
+            mock.patch.object(oracle, "MAX_GRID_POINTS", 101**2),
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.ExitStack() as stack:
+            for cap in caps:
+                stack.enter_context(cap)
+            stack.enter_context(contextlib.redirect_stdout(out))
+            stack.enter_context(contextlib.redirect_stderr(err))
+            code = main(argv)
+        event(f"{argv[0]} exit {code}")
+        assert code in (EXIT_OK, EXIT_DISAGREEMENT, EXIT_USAGE, EXIT_IO)
+        if code == EXIT_DISAGREEMENT:
+            assert argv[0] == "verify"
+        if code == EXIT_USAGE:
+            assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
 
 
 class TestFormatting:

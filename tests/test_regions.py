@@ -14,6 +14,7 @@ from twospring.regions import (
     b2_boundary,
     classify,
     winner,
+    winner_grid,
 )
 from twospring.solver import roots, solve_reduced
 
@@ -136,6 +137,7 @@ def test_labels_partition_the_quadrant():
         assert sum(flags) == 1
         expected = [RegionLabel.A, RegionLabel.B2, RegionLabel.B1, RegionLabel.C][flags.index(True)]
         assert classify(w) is expected
+        assert winner(w).label is expected
 
 
 def test_serial_wins_exactly_on_b2():
@@ -195,3 +197,22 @@ def test_winner_flips_across_divider():
         assert below.label is RegionLabel.B2
         assert above.winner is Winner.PARALLEL
         assert above.label is RegionLabel.B1
+
+
+def test_winner_grid_matches_scalar_reports():
+    """winner_grid codes and costs equal winner's report at every pair."""
+    rng = np.random.default_rng(9)
+    edges = [
+        (0.0, 0.3), (0.0, 0.7), (0.0, 1.2), (0.4, b2_boundary(0.4)), (0.5, 0.5), (0.2, 0.4),
+        (B2_SEGMENT_A_MIN, 2.0 / 3.0), (B2_SEGMENT_A_MAX, 2.0 / 7.0),
+        (0.36, 0.56 - 1e-6), (0.36, 0.56 + 1e-6),
+    ]
+    a, b = np.concatenate([np.array(edges).T, rng.uniform(0.0, 1.5, size=(2, 4000))], axis=1)
+    region, best, cost_p, cost_s = winner_grid(a, b)
+    labels, winners = tuple(RegionLabel), tuple(Winner)
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        rep = winner(Weights(x, y))
+        assert (labels[region[i]], winners[best[i]]) == (rep.label, rep.winner)
+        assert (cost_p[i], cost_s[i]) == (rep.cost_parallel, rep.cost_serial)
+    assert {labels[r] for r in region.tolist()} == set(RegionLabel)
+    assert {winners[w] for w in best.tolist()} == set(Winner)

@@ -19,6 +19,7 @@ from twospring.solver import (
     expand,
     roots,
     solve_reduced,
+    total_cost_grid,
 )
 
 P = Topology.PARALLEL
@@ -126,6 +127,47 @@ class TestRoots:
     def test_ordering(self):
         x1, x2 = roots(Weights(0.1, 0.3), S)
         assert x1 <= x2
+
+
+def assert_grid_matches_scalar(a, b, k):
+    """total_cost_grid equals solve_reduced's total_cost bit for bit at every pair."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    got = total_cost_grid(a, b, k)
+    pairs = zip(a.tolist(), b.tolist())
+    want = np.array([solve_reduced(Weights(x, y), k).total_cost for x, y in pairs])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestTotalCostGrid:
+    @pytest.mark.parametrize("k", [P, S])
+    def test_branch_edges(self, k):
+        kk = k.k
+        edges = [
+            (0.0, 0.0), (0.0, 1.0 / kk), (0.0, np.nextafter(1.0 / kk, 0.0)), (0.0, 2.0),  # a = 0
+            (0.5, 0.5 / kk), (0.2, 0.8 / kk), (1.0 / 3.0, (2.0 / 3.0) / kk),  # on a + k*b = 1
+            (0.4, 2.0 - 4.0 * 0.4), (1.0 / 3.0, 2.0 / 3.0), (3.0 / 7.0, 2.0 / 7.0),  # b = 2 - 4a
+            (5e-324, 0.1), (1e-300, 0.0), (1.7e308, 1.7e308), (1.0, 0.0), (0.2, 0.2),
+        ]
+        a, b = zip(*edges)
+        assert_grid_matches_scalar(a, b, k)
+
+    def test_random_square(self):
+        ab = np.random.default_rng(13).uniform(0.0, 1.5, size=(2, 5000))
+        for k in (P, S):
+            assert_grid_matches_scalar(ab[0], ab[1], k)
+
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+            min_size=1,
+            max_size=40,
+        ),
+        k=st.sampled_from([P, S]),
+    )
+    def test_property(self, pairs, k):
+        a, b = zip(*pairs)
+        assert_grid_matches_scalar(a, b, k)
 
 
 @given(
