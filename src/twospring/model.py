@@ -10,7 +10,16 @@ extended arithmetic (a zero divisor yields ``+inf``) so every constraint can
 be evaluated on the whole closed quadrant ``c1, c2 >= 0`` without special
 cases.  The scalar functions operate on :class:`SpringPair`; the ``*_grid``
 twins apply the same formulas to numpy arrays so that exhaustive scans stay
-vectorized while reading off a single set of definitions.
+vectorized while reading off a single set of definitions.  On arrays,
+overflow saturates to ``inf`` without a warning, as Python floats do.
+
+:func:`feasible_grid` is the constraint kernel of the grid oracle: the mask
+of points that are both strong (force ``>= 1``) and performant
+(``a*force + b*resistance >= 1``).  It tests strength first and evaluates
+the performance only when some point is strong, reusing the force it
+already holds; an input with no strong point costs one force pass.
+:func:`multiperf_grid` and :func:`feasible_grid` share one private helper
+for the ``a*F + b*R`` rule, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ __all__ = [
     "force_grid",
     "resistance_grid",
     "multiperf_grid",
+    "feasible_grid",
 ]
 
 
@@ -110,21 +120,62 @@ def cost(s: SpringPair) -> float:
 def force_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`force` over coordinate arrays."""
     if k is Topology.PARALLEL:
-        return c1 + c2
+        with np.errstate(over="ignore"):  # saturates to inf, as Python floats do
+            return c1 + c2
     return np.minimum(c1, c2)
+
+
+def _inverse(x: np.ndarray) -> np.ndarray:
+    """``1 / x`` in extended arithmetic: a zero or subnormal ``x`` gives ``inf``."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / x
 
 
 def resistance_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`resistance`; 1/0 maps to ``inf``."""
-    with np.errstate(divide="ignore"):
-        if k is Topology.PARALLEL:
-            return 1.0 / (c1 + c2)
-        return 1.0 / c1 + 1.0 / c2
+    if k is Topology.PARALLEL:
+        return _inverse(force_grid(k, c1, c2))
+    with np.errstate(over="ignore"):
+        return _inverse(c1) + _inverse(c2)
+
+
+def _weigh(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The performance rule ``a*f + b*r`` at ``(c1, c2)``, given the force there.
+
+    ``f`` must be a new float array: it is overwritten with the result.  The
+    resistance is evaluated only when ``b > 0``, which is the
+    ``0 * inf == 0`` convention of :func:`multiperf`; in parallel it is
+    ``1 / f``, as in :func:`resistance_grid`.  Overflow saturates to
+    ``inf``, and an infinite force under ``a = 0`` gives NaN, which fails
+    ``>= 1`` as its limit ``b*r -> 0`` does.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = None
+        if w.b > 0.0:
+            r = _inverse(f) if k is Topology.PARALLEL else resistance_grid(k, c1, c2)
+            r *= w.b
+        f *= w.a
+        if r is not None:
+            f += r
+    return f
 
 
 def multiperf_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`multiperf`, same ``0 * inf == 0`` convention."""
-    perf = w.a * force_grid(k, c1, c2)
-    if w.b > 0.0:
-        perf = perf + w.b * resistance_grid(k, c1, c2)
-    return perf
+    """Vectorized twin of :func:`multiperf` over float coordinate arrays,
+    same ``0 * inf == 0`` convention."""
+    return _weigh(w, k, c1, c2, force_grid(k, c1, c2))
+
+
+def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Mask of the points meeting both constraints, strength and performance.
+
+    Equal, bit for bit, to ``(multiperf_grid(w, k, c1, c2) >= 1.0) &
+    (force_grid(k, c1, c2) >= 1.0)``, but the force is computed once and
+    the performance only when some point is strong: an input with no strong
+    point returns its all-False strength mask at once.
+    """
+    f = force_grid(k, c1, c2)
+    ok = f >= 1.0
+    if ok.any():
+        ok &= _weigh(w, k, c1, c2, f) >= 1.0
+    return ok

@@ -11,6 +11,13 @@ points that cost more than it are skipped.  A scan that finds nothing covers
 the whole square.  Memory stays bounded by one block, at most
 ``BLOCK_DIAGONALS`` points per grid row, whatever ``c_max / step``.
 
+Each block is tested with one call of the model kernel
+:func:`~twospring.model.feasible_grid`.  It decides strength (force
+``>= 1``) on every point of the block first and evaluates the performance
+constraint only if some point is strong, so the early blocks below the
+strength bound cost one force pass each.  The mask, and so the result, is
+the same as evaluating both constraints everywhere.
+
 Constraint evaluation is shared with the model module, but the scan knows
 nothing about the one-variable reduction or the closed form: no start
 point, bound or constant comes from the solver.  That is what makes it
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import SpringPair, Topology, Weights, cost, force_grid, multiperf_grid
+from .model import SpringPair, Topology, Weights, cost, feasible_grid
 from .solver import solve_reduced
 
 __all__ = [
@@ -81,7 +88,8 @@ class OracleResult:
 
     ``truncated`` flags an argmin on the boundary of the search square, where
     the true optimum may lie outside the scanned area.  ``points_scanned``
-    counts the grid points whose constraints were evaluated.
+    counts the grid points of the scanned blocks: strength is decided at
+    each of them, performance only in blocks that hold a strong point.
     """
 
     feasible: bool
@@ -146,7 +154,7 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
         c1 = descending[last - i_hi : last - i_lo + 1]
         q = s0 - i_hi + width - 1
         c2 = runs[q : q + width, : i_hi - i_lo + 1]
-        feasible = (multiperf_grid(w, k, c1, c2) >= 1.0) & (force_grid(k, c1, c2) >= 1.0)
+        feasible = feasible_grid(w, k, c1, c2)
         diagonals = feasible.any(axis=1)
         if diagonals.any():
             break

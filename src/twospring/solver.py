@@ -85,8 +85,10 @@ def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
 
     For ``a = 0`` the performance constraint caps ``x`` from above
     (``x <= k*b``), so the instance is feasible only when ``k*b >= 1``; the
-    strength bound then gives ``x = 1``.  Infeasibility is reported as a
-    result (cost ``+inf``), never raised.
+    strength bound then gives ``x = 1``.  A root whose cost ``k*x`` overflows
+    to ``inf`` (``a`` below about 1e-308) is reported as infeasible, so
+    ``feasible`` holds exactly when ``total_cost`` is finite.  Infeasibility
+    is reported as a result (cost ``+inf``), never raised.
     """
     a, b = w.a, w.b
     kk = float(k.k)
@@ -98,7 +100,11 @@ def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
         # a + k*b < 1 forces 4*k*a*b < 1 (AM-GM), and left-to-right float
         # evaluation keeps the computed product below 1 as well
         x_star = (1.0 + math.sqrt(1.0 - 4.0 * kk * a * b)) / (2.0 * a)
-        return ReducedSolution(True, x_star, kk * x_star, ActiveConstraint.PERFORMANCE_ROOT)
+        total = kk * x_star
+        if not math.isfinite(total):
+            # a below about 1e-308: the optimum is not representable
+            return ReducedSolution(False, None, math.inf, None)
+        return ReducedSolution(True, x_star, total, ActiveConstraint.PERFORMANCE_ROOT)
     # x = 1 already meets the performance constraint
     return ReducedSolution(True, 1.0, kk, ActiveConstraint.STRENGTH_BOUND)
 

@@ -82,6 +82,15 @@ class TestSolveCommand:
     def test_unknown_topology_is_usage_error(self, capsys):
         assert main(["solve", "--a", "1", "--b", "1", "--topology", "ring"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("a", ["5e-324", "1e-308", "2e-308"])
+    @pytest.mark.parametrize("topology", ["parallel", "serial"])
+    def test_agrees_with_classify_on_tiny_force_weight(self, capsys, a, topology):
+        _, solved = run_json(capsys, ["solve", "--a", a, "--b", "0.1", "--topology", topology])
+        _, classified = run_json(capsys, ["classify", "--a", a, "--b", "0.1"])
+        assert solved["total_cost"] == classified[f"cost_{topology}"]
+        assert solved["feasible"] == (solved["total_cost"] != "inf")
+        assert solved["feasible"] == (a == "2e-308" or (a == "1e-308" and topology == "parallel"))
+
 
 class TestClassifyCommand:
     @pytest.mark.parametrize(

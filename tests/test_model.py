@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
+from twospring import model as model_module
 from twospring.model import (
     SpringPair,
     Topology,
     Weights,
     cost,
+    feasible_grid,
     force,
     force_grid,
     multiperf,
@@ -170,3 +174,77 @@ def test_grid_twins_broadcast():
     assert r.shape == (3, 3)
     assert r[0, 0] == math.inf
     assert r[1, 1] == 1.0
+
+
+def assert_feasible_grid_matches_reference(w, k, c1, c2):
+    """``feasible_grid`` equals both constraints evaluated everywhere, bit for bit."""
+    ref = (multiperf_grid(w, k, c1, c2) >= 1.0) & (force_grid(k, c1, c2) >= 1.0)
+    got = feasible_grid(w, k, c1, c2)
+    assert got.shape == ref.shape
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    return got
+
+
+FEASIBLE_WEIGHTS = [
+    Weights(0.7, 0.3),
+    Weights(0.2, 0.2),
+    Weights(1.0, 1.0),
+    Weights(0.0, 0.7),  # a = 0
+    Weights(0.8, 0.0),  # b = 0: an infinite resistance is silenced
+    Weights(0.0, 0.0),
+    Weights(1e308, 1e308),  # a*f and b*r overflow
+]
+
+
+class TestFeasibleGrid:
+    @pytest.mark.parametrize("w", FEASIBLE_WEIGHTS)
+    @pytest.mark.parametrize("k", [P, S])
+    def test_oracle_shaped_blocks(self, w, k):
+        # c1 of shape (n,) against a (32, n) window of a NaN-padded axis,
+        # laid out as the grid oracle lays out its blocks
+        width, axis = 32, np.arange(121) * 0.05
+        n = axis.size
+        padded = np.full(2 * n + 2 * width, np.nan)
+        padded[width - 1 : width - 1 + n] = axis
+        runs = sliding_window_view(padded, n)
+        for q in range(0, runs.shape[0] - width + 1, 7):
+            assert_feasible_grid_matches_reference(w, k, axis[::-1], runs[q : q + width])
+
+    @pytest.mark.parametrize("w", FEASIBLE_WEIGHTS)
+    @pytest.mark.parametrize("k", [P, S])
+    def test_zero_row_and_column(self, w, k):
+        axis = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
+        got = assert_feasible_grid_matches_reference(w, k, axis[:, None], axis[None, :])
+        if k is S:
+            # a zero limit caps the serial force at 0, whatever 1/0 gives
+            assert not got[0].any() and not got[:, 0].any()
+
+    @pytest.mark.parametrize("w", FEASIBLE_WEIGHTS)
+    @pytest.mark.parametrize("k", [P, S])
+    def test_extreme_magnitudes(self, w, k):
+        axis = np.array([0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, 1.0, 1e300, 1e308, 1.7e308, np.nan])
+        assert_feasible_grid_matches_reference(w, k, axis[:, None], axis[None, :])
+
+    @pytest.mark.parametrize("k", [P, S])
+    def test_all_weak_block_short_circuits(self, k, monkeypatch):
+        def no_performance(*args):
+            raise AssertionError("performance evaluated on a block with no strong point")
+
+        monkeypatch.setattr(model_module, "_weigh", no_performance)
+        axis = np.arange(60) * 0.005  # every limit below 0.3: weak in both wirings
+        assert not feasible_grid(Weights(1.0, 1.0), k, axis[:, None], axis[None, :]).any()
+        monkeypatch.undo()
+        assert_feasible_grid_matches_reference(Weights(1.0, 1.0), k, axis[:, None], axis[None, :])
+
+    @given(
+        a=st.floats(0.0, 1e6),
+        b=st.floats(0.0, 1e6),
+        k=st.sampled_from([P, S]),
+        data=st.data(),
+    )
+    def test_property_matches_reference(self, a, b, k, data):
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=5))
+        limits = st.floats(min_value=0.0, allow_infinity=False) | st.just(math.nan)
+        c1, c2 = (data.draw(hnp.arrays(np.float64, shape, elements=limits)) for shape in shapes.input_shapes)
+        assert_feasible_grid_matches_reference(Weights(a, b), k, c1, c2)

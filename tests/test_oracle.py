@@ -129,6 +129,14 @@ class TestOracleSolve:
         assert res.best_pair == oracle_module.SpringPair(1.6, 1.6)
         assert res.truncated
 
+    def test_independent_of_the_solver(self, monkeypatch):
+        def no_solver(*args):
+            raise AssertionError("oracle_solve called the closed form")
+
+        monkeypatch.setattr(oracle_module, "solve_reduced", no_solver)
+        for k in (P, S):
+            assert oracle_solve(Weights(0.2, 0.2), k, GridSpec(6.0, 0.05)).feasible
+
     def test_deterministic(self):
         first = oracle_solve(Weights(0.7, 0.4), P, GridSpec(3.0, 0.02))
         second = oracle_solve(Weights(0.7, 0.4), P, GridSpec(3.0, 0.02))
@@ -197,6 +205,25 @@ class TestFullScanParity:
     def test_fixed_cases_on_default_grid(self, a, b, k):
         assert_same_as_full_scan(Weights(a, b), k, DEFAULT_GRID)
 
+    @pytest.mark.parametrize(
+        "w,k,width",
+        [
+            # parallel points are strong from diagonal 200 (c1 + c2 >= 1) on,
+            # serial ones from diagonal 400 (min(c1, c2) >= 1)
+            (Weights(1.0, 1.0), P, 32),  # 200 inside block [192, 224), feasible there
+            (Weights(1.0, 1.0), P, 8),  # 200 opens a block
+            (Weights(1.0, 1.0), P, 201),  # 200 closes block [0, 201)
+            (Weights(0.2, 0.2), P, 40),  # 200 opens a block, feasible blocks later
+            (Weights(1.0, 1.0), S, 32),  # 400 inside block [384, 416)
+            (Weights(1.0, 1.0), S, 16),  # 400 opens a block
+            (Weights(0.0, 0.7), S, 25),  # a = 0; 400 opens a block
+            (Weights(0.2, 0.2), S, 401),  # 400 closes block [0, 401), feasible later
+        ],
+    )
+    def test_first_strong_diagonal_inside_or_on_block_edge(self, w, k, width, monkeypatch):
+        monkeypatch.setattr(oracle_module, "BLOCK_DIAGONALS", width)
+        assert_same_as_full_scan(w, k, DEFAULT_GRID)
+
     def test_truncated_argmin(self):
         res = assert_same_as_full_scan(Weights(0.3, 0.2), P, GridSpec(1.6, 0.1))
         assert res.truncated
@@ -253,6 +280,14 @@ class TestVerifyReduction:
         verdict = verify_reduction(Weights(0.0, 0.3), P, GridSpec(6.0, 0.01), 0.01)
         assert verdict.agree
         assert verdict.status == "agree-infeasible"
+
+    @pytest.mark.parametrize("k", [P, S])
+    def test_overflowing_optimum_agrees_as_infeasible(self, k):
+        # the closed-form root overflows to inf: no design, not one beyond the grid
+        verdict = verify_reduction(Weights(5e-324, 0.1), k, GridSpec(6.0, 0.05), 0.01)
+        assert verdict.agree
+        assert verdict.status == "agree-infeasible"
+        assert not verdict.beyond_grid
 
     def test_optimum_beyond_grid_counts_as_agreement(self):
         # serial optimum 6.46... exceeds the diagonal reach of the square

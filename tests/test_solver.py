@@ -82,6 +82,19 @@ class TestSolveReduced:
         assert solve_reduced(Weights(1.0, 1.0), P).total_cost == 1.0
         assert solve_reduced(Weights(1.0, 1.0), S).total_cost == 2.0
 
+    @pytest.mark.parametrize("a", [5e-324, 1e-308, 2e-308])
+    @pytest.mark.parametrize("k", [P, S])
+    def test_feasible_exactly_when_cost_is_finite(self, a, k):
+        # the root (1 + sqrt(...)) / (2a) or its cost k*x overflows for a tiny a
+        sol = solve_reduced(Weights(a, 0.1), k)
+        assert sol.feasible == math.isfinite(sol.total_cost)
+        if sol.feasible:
+            assert sol.total_cost == k.k * sol.x_star
+        else:
+            assert (sol.x_star, sol.total_cost, sol.active_constraint) == (None, math.inf, None)
+        assert sol.feasible == (a == 2e-308 or (a == 1e-308 and k is P))
+        assert total_cost_grid(np.array([a]), np.array([0.1]), k)[0] == sol.total_cost
+
 
 class TestExpand:
     def test_parallel_equal_split(self):
