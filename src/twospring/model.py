@@ -17,15 +17,20 @@ overflow saturates to ``inf`` without a warning, as Python floats do.
 of points that are both strong (force ``>= 1``) and performant
 (``a*force + b*resistance >= 1``).  It tests strength first and evaluates
 the performance only when some point is strong, reusing the force it
-already holds; an input with no strong point costs one force pass.
-:func:`multiperf_grid` and :func:`feasible_grid` share one private helper
-for the ``a*F + b*R`` rule, so the two cannot drift apart.
+already holds.  :func:`box_may_be_feasible` bounds that kernel over a box
+of limits from its corners.  It rests on a monotonicity contract of the
+formulas above: force is non-decreasing and resistance non-increasing in
+each limit, for both wirings, and every rounding step keeps that order.
+:func:`multiperf_grid`, :func:`feasible_grid` and the bound share one
+private helper for the ``a*F + b*R`` rule and its ``0 * inf == 0``
+convention, so the three cannot drift apart.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +47,7 @@ __all__ = [
     "resistance_grid",
     "multiperf_grid",
     "feasible_grid",
+    "box_may_be_feasible",
 ]
 
 
@@ -139,20 +145,20 @@ def resistance_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
         return _inverse(c1) + _inverse(c2)
 
 
-def _weigh(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The performance rule ``a*f + b*r`` at ``(c1, c2)``, given the force there.
+def _weigh(w: Weights, f: np.ndarray, resist: Callable[[], np.ndarray]) -> np.ndarray:
+    """The performance rule ``a*f + b*r``, given the force ``f`` and a way to get ``r``.
 
-    ``f`` must be a new float array: it is overwritten with the result.  The
-    resistance is evaluated only when ``b > 0``, which is the
-    ``0 * inf == 0`` convention of :func:`multiperf`; in parallel it is
-    ``1 / f``, as in :func:`resistance_grid`.  Overflow saturates to
-    ``inf``, and an infinite force under ``a = 0`` gives NaN, which fails
-    ``>= 1`` as its limit ``b*r -> 0`` does.
+    ``f`` must be a new float array: it is overwritten with the result.
+    ``resist()`` must return a new array; it is called before ``f`` is
+    overwritten, and only when ``b > 0``, which is the ``0 * inf == 0``
+    convention of :func:`multiperf`.  Overflow saturates to ``inf``, and an
+    infinite force under ``a = 0`` gives NaN, which fails ``>= 1`` as its
+    limit ``b*r -> 0`` does.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         r = None
         if w.b > 0.0:
-            r = _inverse(f) if k is Topology.PARALLEL else resistance_grid(k, c1, c2)
+            r = resist()
             r *= w.b
         f *= w.a
         if r is not None:
@@ -160,10 +166,18 @@ def _weigh(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray, f: np.ndarra
     return f
 
 
+def _weigh_at(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """:func:`_weigh` at ``(c1, c2)``, where the force is ``f``: in parallel the
+    resistance is ``1 / f``, as in :func:`resistance_grid`."""
+    if k is Topology.PARALLEL:
+        return _weigh(w, f, lambda: _inverse(f))
+    return _weigh(w, f, lambda: resistance_grid(k, c1, c2))
+
+
 def multiperf_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`multiperf` over float coordinate arrays,
     same ``0 * inf == 0`` convention."""
-    return _weigh(w, k, c1, c2, force_grid(k, c1, c2))
+    return _weigh_at(w, k, c1, c2, force_grid(k, c1, c2))
 
 
 def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -177,5 +191,25 @@ def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np
     f = force_grid(k, c1, c2)
     ok = f >= 1.0
     if ok.any():
-        ok &= _weigh(w, k, c1, c2, f) >= 1.0
+        ok &= _weigh_at(w, k, c1, c2, f) >= 1.0
     return ok
+
+
+def box_may_be_feasible(
+    w: Weights, k: Topology, lo1: np.ndarray, lo2: np.ndarray, hi1: np.ndarray, hi2: np.ndarray
+) -> np.ndarray:
+    """Mask of the boxes ``[lo1, hi1] x [lo2, hi2]`` that may hold a point
+    passing :func:`feasible_grid`; False proves that none does.
+
+    Force is non-decreasing and resistance non-increasing in each limit, for
+    both wirings, and rounding keeps that order.  So ``f_hi``, the force at
+    the high corner, and ``p_hi = a*f_hi + b*r_lo``, with the resistance at
+    the low corner, bound the force and the performance of every point of
+    the box from above, computed as the kernel computes them.  A box is
+    ruled out only when ``f_hi < 1`` or ``p_hi < 1``; a NaN bound (an
+    infinite ``f_hi`` under ``a = 0``) keeps it.
+    """
+    f = force_grid(k, hi1, hi2)
+    weak = f < 1.0
+    weak |= _weigh(w, f, lambda: resistance_grid(k, lo1, lo2)) < 1.0
+    return ~weak

@@ -6,38 +6,47 @@ constraint.  On a grid of pitch ``step`` the cost of point ``(i, j)`` is
 ``(i + j) * step``, so the scan walks the anti-diagonals ``i + j = s`` in
 increasing ``s``, a block of ``BLOCK_DIAGONALS`` at a time, and stops at the
 first block that holds a feasible point.  Every cheaper diagonal has been
-evaluated in full by then, so the result is the exhaustive minimum; only
-points that cost more than it are skipped.  A scan that finds nothing covers
-the whole square.  Memory stays bounded by one block, at most
-``BLOCK_DIAGONALS`` points per grid row, whatever ``c_max / step``.
+decided in full by then, so the result is the exhaustive minimum; only
+points that cost more than it are left undecided.
 
-Each block is tested with one call of the model kernel
-:func:`~twospring.model.feasible_grid`.  It decides strength (force
-``>= 1``) on every point of the block first and evaluates the performance
-constraint only if some point is strong, so the early blocks below the
-strength bound cost one force pass each.  The mask, and so the result, is
-the same as evaluating both constraints everywhere.
+A block is split into tiles of ``TILE_COLUMNS`` grid columns.  Force is
+non-decreasing and resistance non-increasing in each limit, for both
+wirings and in rounded arithmetic, so the force at a tile's largest
+``(c1, c2)`` and the performance formed with the resistance at its smallest
+bound every point of the tile from above
+(:func:`~twospring.model.box_may_be_feasible`).  A tile whose bound is
+below 1 holds no feasible point and is not evaluated; each block is tested
+with one call of the model kernel :func:`~twospring.model.feasible_grid`
+over the columns from its first to its last remaining tile, and a block
+with none is not evaluated at all.  A scan that finds nothing has still
+decided the whole square, mostly by the bound.  The tile layout depends on
+the grid alone and is kept for the last grid scanned.  Memory stays
+bounded by one block, at most ``BLOCK_DIAGONALS`` points per grid row, plus
+four corner coordinates per tile, whatever ``c_max / step``.
 
-Constraint evaluation is shared with the model module, but the scan knows
-nothing about the one-variable reduction or the closed form: no start
-point, bound or constant comes from the solver.  That is what makes it
-usable as an independent check on the solver.
+Constraint evaluation and its bound are shared with the model module, but
+the scan knows nothing about the one-variable reduction or the closed form:
+no start point, bound or constant comes from the solver.  That is what
+makes it usable as an independent check on the solver.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import SpringPair, Topology, Weights, cost, feasible_grid
+from .model import SpringPair, Topology, Weights, box_may_be_feasible, cost, feasible_grid
 from .solver import solve_reduced
 
 __all__ = [
     "BLOCK_DIAGONALS",
     "MAX_GRID_POINTS",
+    "TILE_COLUMNS",
     "GridSpec",
     "OracleResult",
     "VerificationVerdict",
@@ -48,6 +57,8 @@ __all__ = [
 
 # anti-diagonals i + j evaluated per block of the cost-ordered scan
 BLOCK_DIAGONALS = 32
+# columns per tile, the unit a corner bound may rule out within a block
+TILE_COLUMNS = 32
 # largest square a GridSpec may describe: 10**4 points per side
 MAX_GRID_POINTS = 10**8
 
@@ -88,8 +99,9 @@ class OracleResult:
 
     ``truncated`` flags an argmin on the boundary of the search square, where
     the true optimum may lie outside the scanned area.  ``points_scanned``
-    counts the grid points of the scanned blocks: strength is decided at
-    each of them, performance only in blocks that hold a strong point.
+    counts the grid points the scan decided: every point of the blocks up to
+    the one that holds the answer, whether evaluated or ruled out by the
+    tile bound.
     """
 
     feasible: bool
@@ -126,35 +138,88 @@ def _points_below(t: int, size: int) -> int:
     return size * size - above * (above + 1) // 2
 
 
+class _Layout(NamedTuple):
+    """Arrays of the scan that depend on the grid alone (see :func:`_layout`)."""
+
+    axis: np.ndarray
+    descending: np.ndarray
+    runs: np.ndarray
+    corners: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    tiles: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
+    """Lay out the scan of grid ``g`` in blocks of ``width`` diagonals and
+    tiles of ``tile`` columns; the arrays are shared and read-only.
+
+    A block is a ``(width, columns)`` array: row ``d`` is the diagonal
+    ``s0 + d`` and column ``r`` the point ``i = i_hi - r``,
+    ``j = s0 + d - i_hi + r``, so both c1 and c2 are read from memory in
+    order.  Its c1 starts at ``descending[last - i_hi]`` and its c2 at row
+    ``s0 - i_hi + width - 1`` of ``runs``: row ``q`` of ``runs`` is
+    ``padded[q : q + size]``, where ``padded[p] = axis[p - width + 1]`` and
+    NaN elsewhere, which masks every ``j`` outside ``[0, last]`` (NaN fails
+    both constraints).
+
+    Tile ``t`` of a block holds its columns ``[t * tile, (t + 1) * tile)``:
+    over them ``i`` falls from ``i_top`` to ``i_bot`` and ``j`` spans
+    ``[s0 - i_top, s0 + width - 1 - i_bot]``, clipped to the square.
+    ``corners`` holds the coordinates ``lo1, lo2, hi1, hi2`` of that box per
+    block and tile, and ``tiles`` marks the tiles a block has: a block near
+    a corner of the square has fewer columns than ``size``.
+    """
+    axis = g.axis()
+    last = g.size - 1
+    s0 = np.arange(0, 2 * last + 1, width)[:, None]
+    i_hi = np.minimum(s0 + width - 1, last)
+    columns = i_hi - np.maximum(s0 - last, 0) + 1
+    start = np.arange(0, g.size, tile)
+    stop = np.minimum(start + tile, columns)
+    i_top = i_hi - np.minimum(start, columns - 1)  # stays in the square past a block's last tile
+    i_bot = i_hi - stop + 1
+    lo2 = axis[np.maximum(s0 - i_top, 0)]
+    hi2 = axis[np.minimum(s0 + width - 1 - i_bot, last)]
+    padded = np.full(2 * last + 2 * width, np.nan)
+    padded[width - 1 : width + last] = axis
+    layout = _Layout(
+        axis=axis,
+        descending=axis[::-1].copy(),
+        runs=sliding_window_view(padded, g.size),
+        corners=(axis[i_bot], lo2, axis[i_top], hi2),
+        tiles=start < columns,
+    )
+    for array in (axis, layout.descending, *layout.corners, layout.tiles):
+        array.flags.writeable = False
+    return layout
+
+
 def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     """Exhaustive minimum of ``c1 + c2`` over the grid, under both constraints.
 
     Anti-diagonals ``i + j = s`` are scanned in blocks of ``BLOCK_DIAGONALS``
     in increasing ``s``; the first block with a feasible point holds the
-    cheapest one.  Cost ties on a diagonal are broken toward the smaller
-    ``|c1 - c2|``, then the smaller ``c1``.  The reduction runs on integer
-    grid indices, so ties and tie-breaks are exact and do not depend on the
-    block size.
+    cheapest one.  Within a block only the columns from the first to the
+    last tile that :func:`~twospring.model.box_may_be_feasible` cannot rule
+    out are evaluated.  Cost ties on a diagonal are broken toward the
+    smaller ``|c1 - c2|``, then the smaller ``c1``.  The reduction runs on
+    integer grid indices, so ties and tie-breaks are exact and do not
+    depend on the block or tile size.
     """
-    axis = g.axis()
+    width, tile = BLOCK_DIAGONALS, TILE_COLUMNS
+    layout = _layout(g, width, tile)
     last = g.size - 1
-    width = BLOCK_DIAGONALS
-    # a block is a (width, rows) array: row d is the diagonal s0 + d and
-    # column r the point i = i_hi - r, j = s0 + d - i_hi + r, so both c1 and
-    # c2 are read from memory in order.  padded[p] = axis[p - width + 1] and
-    # NaN elsewhere, which masks every j outside [0, last]: NaN fails both
-    # constraints.  Row q of `runs` is padded[q : q + size].
-    padded = np.full(2 * last + 2 * width, np.nan)
-    padded[width - 1 : width + last] = axis
-    runs = sliding_window_view(padded, g.size)
-    descending = axis[::-1].copy()
-    for s0 in range(0, 2 * last + 1, width):
-        i_lo = max(0, s0 - last)
+    keep = box_may_be_feasible(w, k, *layout.corners)
+    keep &= layout.tiles
+    for block in np.flatnonzero(keep.any(axis=1)).tolist():
+        s0 = block * width
         i_hi = min(last, s0 + width - 1)
-        c1 = descending[last - i_hi : last - i_lo + 1]
+        kept = np.flatnonzero(keep[block])
+        r0 = int(kept[0]) * tile  # evaluated columns [r0, r1)
+        r1 = min(int(kept[-1]) * tile + tile, i_hi - max(0, s0 - last) + 1)
+        c1 = layout.descending[last - i_hi + r0 : last - i_hi + r1]
         q = s0 - i_hi + width - 1
-        c2 = runs[q : q + width, : i_hi - i_lo + 1]
-        feasible = feasible_grid(w, k, c1, c2)
+        feasible = feasible_grid(w, k, c1, layout.runs[q : q + width, r0:r1])
         diagonals = feasible.any(axis=1)
         if diagonals.any():
             break
@@ -162,10 +227,10 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
         return OracleResult(False, None, math.inf, None, False, g.size * g.size)
     d = int(diagonals.argmax())
     s = s0 + d
-    ii = i_hi - np.flatnonzero(feasible[d])[::-1]  # ascending
+    ii = i_hi - r0 - np.flatnonzero(feasible[d])[::-1]  # ascending
     i = int(ii[np.abs(2 * ii - s).argmin()])  # first minimum: the smaller c1
     j = s - i
-    pair = SpringPair(float(axis[i]), float(axis[j]))
+    pair = SpringPair(float(layout.axis[i]), float(layout.axis[j]))
     return OracleResult(
         feasible=True,
         best_pair=pair,

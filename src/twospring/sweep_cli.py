@@ -19,6 +19,7 @@ are about ten times faster than an array call for a single pair.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -337,6 +338,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the ``twospring`` command line; :func:`main` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="twospring",
         description="Cost-optimal two-spring network design: solve, classify, sweep, verify.",
@@ -387,10 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

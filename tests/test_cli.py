@@ -419,6 +419,45 @@ class TestFuzzMain:
         assert "Traceback" not in err.getvalue()
 
 
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """``main`` keeps one parser per process; reusing it changes no output."""
+
+    ARGVS = [
+        ["verify", "--samples", "3", "--step", "0.05"],
+        ["verify", "--step", "0.05"],
+        ["solve", "--a", "0.2", "--b", "0.2", "--topology", "parallel"],
+        ["sweep", "--na", "3", "--nb", "2"],
+        ["classify", "--a", "1", "--b", "1"],
+        ["solve", "--a", "0.2", "--topology", "serial"],  # usage error: no --b
+        ["boundaries", "--na", "3"],
+        ["verify", "--samples", "1", "--seed", "7", "--step", "0.05"],
+        ["--help"],
+        ["sweep", "--na", "2", "--nb", "3", "--a-max", "0.5"],
+        ["classify", "--a", "0.3", "--b", "0.5"],
+    ]
+
+    def test_alternating_calls_match_a_fresh_parser(self, monkeypatch):
+        reused = [run_captured(argv) for argv in self.ARGVS * 2]
+        assert sweep_cli._parser() is sweep_cli._parser()
+        monkeypatch.setattr(sweep_cli, "_parser", sweep_cli.build_parser)
+        fresh = [run_captured(argv) for argv in self.ARGVS * 2]
+        assert reused == fresh
+        assert sweep_cli.build_parser() is not sweep_cli.build_parser()
+
+    def test_defaults_do_not_leak(self):
+        for samples, argv in [(3, ["--samples", "3"]), (200, []), (1, ["--samples", "1"]), (200, [])]:
+            code, out, _ = run_captured(["verify", "--step", "0.05", *argv])
+            assert code == EXIT_OK
+            assert json.loads(out)["samples"] == samples
+
+
 class TestFormatting:
     def test_float_formatting_round_trips(self):
         for value in (0.1, 1.0, 4.7912878474779195, 2.0 / 3.0, math.inf):

@@ -14,6 +14,7 @@ from twospring.model import (
     SpringPair,
     Topology,
     Weights,
+    box_may_be_feasible,
     cost,
     feasible_grid,
     force,
@@ -248,3 +249,106 @@ class TestFeasibleGrid:
         limits = st.floats(min_value=0.0, allow_infinity=False) | st.just(math.nan)
         c1, c2 = (data.draw(hnp.arrays(np.float64, shape, elements=limits)) for shape in shapes.input_shapes)
         assert_feasible_grid_matches_reference(Weights(a, b), k, c1, c2)
+
+
+# limits over the whole extended range: zero, subnormals, near the largest
+# float, and infinity
+extended_limits = st.floats(min_value=0.0) | st.sampled_from(
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, math.inf]
+)
+ordered_limits = st.lists(extended_limits, min_size=2, max_size=2).map(sorted)
+
+
+@given(c1=ordered_limits, c2=ordered_limits, k=st.sampled_from([P, S]))
+def test_force_rises_and_resistance_falls_in_each_limit(c1, c2, k):
+    """The monotonicity, in rounded arithmetic, that the oracle's tile bound rests on."""
+    corners = np.array([[c1[0], c2[0]], [c1[1], c2[0]], [c1[0], c2[1]], [c1[1], c2[1]]])
+    f = force_grid(k, corners[:, 0], corners[:, 1])
+    r = resistance_grid(k, corners[:, 0], corners[:, 1])
+    # each pair raises one limit: (lo, lo) -> (hi, lo) -> (hi, hi), (lo, lo) -> (lo, hi) -> (hi, hi)
+    for low, high in ((0, 1), (0, 2), (1, 3), (2, 3)):
+        assert f[low] <= f[high]
+        assert r[low] >= r[high]
+
+
+class TestBoxBound:
+    @given(
+        a=st.floats(0.0, 1.5),
+        b=st.floats(0.0, 1.5),
+        k=st.sampled_from([P, S]),
+        c1=ordered_limits,
+        c2=ordered_limits,
+        u=hnp.arrays(np.float64, (2, 16), elements=st.floats(0.0, 1.0)),
+    )
+    def test_property_no_feasible_point_in_a_ruled_out_box(self, a, b, k, c1, c2, u):
+        """No point of a box passes ``feasible_grid`` when its corner bound rules it out."""
+        (lo1, hi1), (lo2, hi2) = c1, c2
+        with np.errstate(over="ignore", invalid="ignore"):
+            x1 = np.clip(lo1 + u[0] * (hi1 - lo1), lo1, hi1)
+            x2 = np.clip(lo2 + u[1] * (hi2 - lo2), lo2, hi2)
+        x1 = np.where(np.isnan(x1), hi1, x1)  # 0 * inf or inf - inf
+        x2 = np.where(np.isnan(x2), hi2, x2)
+        # the corners themselves, and every pairing of the drawn coordinates
+        x1 = np.concatenate([[lo1, hi1], x1])[:, None]
+        x2 = np.concatenate([[lo2, hi2], x2])[None, :]
+        box = [np.array([x]) for x in (lo1, lo2, hi1, hi2)]
+        if not box_may_be_feasible(Weights(a, b), k, *box)[0]:
+            assert not feasible_grid(Weights(a, b), k, x1, x2).any()
+
+    @pytest.mark.parametrize(
+        "w,k,lo,hi",
+        [
+            # a feasible point at (1, 1), where b*r dominates: the resistance
+            # must be taken at the low corner
+            (Weights(0.1, 0.6), S, 1.0, 5.0),
+            (Weights(0.0, 0.7), S, 1.0, 3.0),
+            (Weights(0.0, 1.0), P, 0.5, 2.0),
+        ],
+    )
+    def test_box_holding_a_performance_bound_point_is_kept(self, w, k, lo, hi):
+        axis = np.linspace(lo, hi, 9)
+        assert feasible_grid(w, k, axis[:, None], axis[None, :]).any()
+        box = [np.array([x]) for x in (lo, lo, hi, hi)]
+        assert box_may_be_feasible(w, k, *box)[0]
+
+    @pytest.mark.parametrize("w", FEASIBLE_WEIGHTS + [Weights(0.5, 0.25), Weights(1.0, 0.0)])
+    @pytest.mark.parametrize("k", [P, S])
+    def test_single_point_box_is_the_kernel(self, w, k):
+        # a box of one point bounds it exactly: equal to the kernel wherever
+        # the bound is not NaN, and it keeps every point the kernel passes
+        axis = np.array([0.0, 5e-324, 0.25, 0.5, 1.0, 2.0, 1e300, 1.7e308, math.inf])
+        c1, c2 = (np.ravel(c) for c in np.meshgrid(axis, axis))
+        kept = box_may_be_feasible(w, k, c1, c2, c1, c2)
+        feasible = feasible_grid(w, k, c1, c2)
+        assert (kept | ~feasible).all()
+        nan_bound = np.isnan(multiperf_grid(w, k, c1, c2))
+        assert np.array_equal(kept[~nan_bound], feasible[~nan_bound])
+
+    @pytest.mark.parametrize(
+        "w,k,point",
+        [
+            (Weights(0.3, 0.5), S, (1.0, 1.0)),  # force exactly 1, performance 1.3
+            (Weights(0.5, 0.0), S, (2.0, 3.0)),  # performance exactly 1, force 2
+            (Weights(0.5, 0.25), S, (1.0, 1.0)),  # both exactly 1: 0.5 + 0.25 * 2
+            (Weights(1.0, 0.0), P, (0.5, 0.5)),  # both exactly 1
+        ],
+    )
+    def test_bound_of_exactly_one_is_kept(self, w, k, point):
+        c1, c2 = np.array([point[0]]), np.array([point[1]])
+        assert feasible_grid(w, k, c1, c2)[0]
+        assert box_may_be_feasible(w, k, c1, c2, c1, c2)[0]
+
+    @pytest.mark.parametrize("k", [P, S])
+    def test_rules_out_weak_and_underperforming_boxes(self, k):
+        lo, hi = np.array([0.1, 2.0]), np.array([0.4, 4.0])
+        # [0.1, 0.4]^2 is weak in both wirings; [2, 4]^2 is strong, and under
+        # a = 0, b = 0.3 its performance is at most 0.3 * r(2, 2) < 1
+        assert not box_may_be_feasible(Weights(1.0, 1.0), k, lo[:1], lo[:1], hi[:1], hi[:1])[0]
+        assert not box_may_be_feasible(Weights(0.0, 0.3), k, lo[1:], lo[1:], hi[1:], hi[1:])[0]
+        assert box_may_be_feasible(Weights(1.0, 0.3), k, lo[1:], lo[1:], hi[1:], hi[1:])[0]
+
+    def test_nan_bound_keeps_the_box(self):
+        # a = 0 and an infinite force: 0 * inf is NaN, which rules nothing out
+        inf, one = np.array([math.inf]), np.array([1.0])
+        assert box_may_be_feasible(Weights(0.0, 0.0), P, one, one, inf, one)[0]
+        assert not feasible_grid(Weights(0.0, 0.0), P, inf, one)[0]

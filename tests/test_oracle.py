@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twospring import oracle as oracle_module
-from twospring.model import SpringPair, Topology, Weights, cost, force_grid, multiperf_grid
+from twospring.model import SpringPair, Topology, Weights, cost, feasible_grid, force_grid, multiperf_grid
 from twospring.oracle import GridSpec, OracleResult, oracle_solve, verify_reduction
 from twospring.solver import solve_reduced
 
@@ -46,9 +46,9 @@ def full_square_scan(w, k, g):
     )
 
 
-def assert_same_as_full_scan(w, k, g):
+def assert_same_as_full_scan(w, k, g, ref=None):
     got = oracle_solve(w, k, g)
-    ref = full_square_scan(w, k, g)
+    ref = ref or full_square_scan(w, k, g)
     assert (got.feasible, got.best_pair, got.best_cost, got.argmin_gap, got.truncated) == (
         ref.feasible,
         ref.best_pair,
@@ -168,6 +168,19 @@ class TestOracleSolve:
 # around small block widths
 PARITY_GRIDS = [(0.5, 0.5), (1.0, 0.3), (2.0, 0.07), (1.6, 0.1), (3.0, 0.1), (6.0, 0.05)]
 PARITY_WIDTHS = [1, 2, 3, 7, 16, 31, 32, 33, 64]
+# tile widths around the default and one wider than any row
+PARITY_TILES = [1, 2, 3, 31, 32, 33, 63, 64, 65, 10**6]
+# weights with an empty scan, a feasible corner, a truncated argmin, and an
+# optimum at force and performance exactly 1 (serial (1, 1) under 0.5, 0.25)
+TILE_WEIGHTS = [
+    Weights(0.0, 0.3),
+    Weights(0.1, 0.05),
+    Weights(1.0, 1.0),
+    Weights(0.3, 0.2),
+    Weights(0.2, 0.2),
+    Weights(0.5, 0.25),
+    Weights(1.0, 0.0),
+]
 
 
 class TestFullScanParity:
@@ -180,11 +193,25 @@ class TestFullScanParity:
         k=st.sampled_from([P, S]),
         grid=st.sampled_from(PARITY_GRIDS),
         width=st.sampled_from(PARITY_WIDTHS),
+        tile=st.sampled_from(PARITY_TILES),
     )
-    def test_matches_full_scan(self, a, b, k, grid, width):
+    def test_matches_full_scan(self, a, b, k, grid, width, tile):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle_module, "BLOCK_DIAGONALS", width)
+            mp.setattr(oracle_module, "TILE_COLUMNS", tile)
             assert_same_as_full_scan(Weights(a, b), k, GridSpec(*grid))
+
+    @pytest.mark.parametrize("tile", PARITY_TILES)
+    def test_every_tile_width_on_every_grid_and_block_width(self, tile, monkeypatch):
+        monkeypatch.setattr(oracle_module, "TILE_COLUMNS", tile)
+        for grid in PARITY_GRIDS:
+            g = GridSpec(*grid)
+            for w in TILE_WEIGHTS:
+                for k in (P, S):
+                    ref = full_square_scan(w, k, g)
+                    for width in PARITY_WIDTHS:
+                        monkeypatch.setattr(oracle_module, "BLOCK_DIAGONALS", width)
+                        assert_same_as_full_scan(w, k, g, ref)
 
     @pytest.mark.parametrize(
         "a,b",
@@ -261,6 +288,29 @@ class TestPointsScanned:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestTilePruning:
+    @pytest.mark.parametrize(
+        "w,k",
+        [
+            (Weights(0.0, 0.3), P),  # empty
+            (Weights(0.1, 0.05), S),  # empty
+            (Weights(0.2, 0.2), S),  # feasible past nine tenths of the square
+        ],
+    )
+    def test_far_scans_evaluate_a_small_share(self, w, k, monkeypatch):
+        evaluated = []
+
+        def counting(w, k, c1, c2):
+            evaluated.append(np.broadcast(c1, c2).size)
+            return feasible_grid(w, k, c1, c2)
+
+        monkeypatch.setattr(oracle_module, "feasible_grid", counting)
+        res = oracle_solve(w, k, DEFAULT_GRID)
+        # the scan still decides the points it skips
+        assert res.points_scanned > 0.85 * DEFAULT_GRID.size**2
+        assert sum(evaluated) < 0.05 * DEFAULT_GRID.size**2
 
 
 class TestVerifyReduction:
