@@ -7,9 +7,11 @@ serial wiring is strictly cheaper exactly on the sub-band B2, the parallel
 wiring everywhere else (up to ties on the dividing locus itself).
 
 :func:`classify` and :func:`winner` answer one weight pair and are the
-reference; :func:`winner_grid` is their array twin for whole weight grids,
-built on :func:`~twospring.solver.total_cost_grid` with the same predicates
-in the same order, so it reports the same labels, winners and costs.
+reference.  They read each minimal cost straight from the solver's scalar
+kernel, ``solver._reduced``, so a query builds no ``ReducedSolution``.
+:func:`winner_grid` is their array twin for whole weight grids, built on
+:func:`~twospring.solver.total_cost_grid` with the same predicates in the
+same order, so it reports the same labels, winners and costs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Topology, Weights
-from .solver import solve_reduced, total_cost_grid
+from .solver import _reduced, total_cost_grid
 
 __all__ = [
     "RegionLabel",
@@ -67,11 +69,11 @@ B2_SEGMENT_A_MIN = 1.0 / 3.0
 B2_SEGMENT_A_MAX = 3.0 / 7.0
 
 
-def _label(w: Weights, cost_p: float) -> RegionLabel:
-    """Region of ``w``, given its minimal parallel cost ``cost_p``."""
-    if w.a + 2.0 * w.b - 1.0 < 0.0:
+def _label(a: float, b: float, cost_p: float) -> RegionLabel:
+    """Region of ``(a, b)``, given its minimal parallel cost ``cost_p``."""
+    if a + 2.0 * b - 1.0 < 0.0:
         return RegionLabel.A
-    if w.a + w.b - 1.0 >= 0.0:
+    if a + b - 1.0 >= 0.0:
         return RegionLabel.C
     if cost_p > 2.0:
         return RegionLabel.B2
@@ -85,13 +87,14 @@ def classify(w: Weights) -> RegionLabel:
     2.  Extended arithmetic makes the ``a = 0`` strip of band B (parallel
     infeasible, cost ``+inf``) land in B2, matching the ``a -> 0+`` limit.
     """
-    return _label(w, solve_reduced(w, Topology.PARALLEL).total_cost)
+    return _label(w.a, w.b, _reduced(w.a, w.b, 1.0)[1])
 
 
 def winner(w: Weights) -> RegionReport:
     """Report both minimal costs, the region label, and the strict-argmin winner."""
-    cost_p = solve_reduced(w, Topology.PARALLEL).total_cost
-    cost_s = solve_reduced(w, Topology.SERIAL).total_cost
+    a, b = w.a, w.b
+    cost_p = _reduced(a, b, 1.0)[1]
+    cost_s = _reduced(a, b, 2.0)[1]
     if math.isinf(cost_p) and math.isinf(cost_s):
         best = Winner.BOTH_INFEASIBLE
     elif cost_p < cost_s:
@@ -100,7 +103,7 @@ def winner(w: Weights) -> RegionReport:
         best = Winner.SERIAL
     else:
         best = Winner.TIE
-    return RegionReport(_label(w, cost_p), best, cost_p, cost_s)
+    return RegionReport(_label(a, b, cost_p), best, cost_p, cost_s)
 
 
 def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -14,13 +14,16 @@ the minimizer is either the strength bound ``x = 1`` or the upper root of
 ``a*x**2 - x + k*b = 0``, depending on which side of the line
 ``a + k*b = 1`` the weights fall.
 
-:func:`solve_reduced` answers one weight pair and is the reference.
+One private scalar kernel, :func:`_reduced`, answers one weight pair on
+plain floats and is the reference.  :func:`solve_reduced` wraps its result
+in a :class:`ReducedSolution`; ``regions.classify`` and ``regions.winner``
+call it directly, so comparing two costs builds no intermediate object.
 :func:`total_cost_grid` is its array twin for whole weight grids: it makes
 the same branch tests in the same order and evaluates the root with the
 same operations, so every cost it returns equals the scalar one bit for bit
 (``math.sqrt`` and ``np.sqrt`` are both correctly rounded, and numpy does
 not fuse multiply-adds).  A single query stays on the scalar path, which
-costs microseconds where an array call costs about a hundred.
+costs about a microsecond where an array call costs about a hundred.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ class ActiveConstraint(enum.Enum):
     PERFORMANCE_ROOT = "performance_root"
 
 
+# module-level aliases: an enum member looked up on its class costs
+# 0.1-0.2 us on Python 3.11, a sizable share of one scalar solve
+_STRENGTH = ActiveConstraint.STRENGTH_BOUND
+_ROOT = ActiveConstraint.PERFORMANCE_ROOT
+
+
 class InfeasibleError(ValueError):
     """No design satisfies the constraints for the given weights."""
 
@@ -80,6 +89,27 @@ class DesignSolution:
     topology: Topology
 
 
+def _reduced(a: float, b: float, kk: float) -> tuple[float | None, float, ActiveConstraint | None]:
+    """``(x_star, total_cost, active_constraint)`` at weights ``(a, b)`` for
+    the topology tag ``kk`` (1.0 or 2.0), as :func:`solve_reduced` reports
+    them; ``x_star`` is ``None`` exactly when the cost is ``+inf``."""
+    if a == 0.0:
+        if kk * b >= 1.0:
+            return 1.0, kk, _STRENGTH
+        return None, math.inf, None
+    if a + kk * b - 1.0 < 0.0:
+        # a + k*b < 1 forces 4*k*a*b < 1 (AM-GM), and left-to-right float
+        # evaluation keeps the computed product below 1 as well
+        x_star = (1.0 + math.sqrt(1.0 - 4.0 * kk * a * b)) / (2.0 * a)
+        total = kk * x_star
+        if not math.isfinite(total):
+            # a below about 1e-308: the optimum is not representable
+            return None, math.inf, None
+        return x_star, total, _ROOT
+    # x = 1 already meets the performance constraint
+    return 1.0, kk, _STRENGTH
+
+
 def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
     """Minimal-cost solution of the reduced problem for topology ``k``.
 
@@ -90,32 +120,17 @@ def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
     ``feasible`` holds exactly when ``total_cost`` is finite.  Infeasibility
     is reported as a result (cost ``+inf``), never raised.
     """
-    a, b = w.a, w.b
-    kk = float(k.k)
-    if a == 0.0:
-        if kk * b >= 1.0:
-            return ReducedSolution(True, 1.0, kk, ActiveConstraint.STRENGTH_BOUND)
-        return ReducedSolution(False, None, math.inf, None)
-    if a + kk * b - 1.0 < 0.0:
-        # a + k*b < 1 forces 4*k*a*b < 1 (AM-GM), and left-to-right float
-        # evaluation keeps the computed product below 1 as well
-        x_star = (1.0 + math.sqrt(1.0 - 4.0 * kk * a * b)) / (2.0 * a)
-        total = kk * x_star
-        if not math.isfinite(total):
-            # a below about 1e-308: the optimum is not representable
-            return ReducedSolution(False, None, math.inf, None)
-        return ReducedSolution(True, x_star, total, ActiveConstraint.PERFORMANCE_ROOT)
-    # x = 1 already meets the performance constraint
-    return ReducedSolution(True, 1.0, kk, ActiveConstraint.STRENGTH_BOUND)
+    x_star, total, active = _reduced(w.a, w.b, 1.0 if k is Topology.PARALLEL else 2.0)
+    return ReducedSolution(x_star is not None, x_star, total, active)
 
 
 def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> np.ndarray:
-    """``solve_reduced(Weights(a, b), k).total_cost`` at every pair of two
-    equal-shape float64 arrays of nonnegative weights.
+    """The scalar kernel's ``total_cost`` (``_reduced(a, b, k)[1]``) at every
+    pair of two equal-shape float64 arrays of nonnegative weights.
 
-    Branches exactly as :func:`solve_reduced`: ``a == 0`` first, then the
-    sign of ``a + k*b - 1``; the root is computed only where that branch is
-    taken, with the scalar expression's operation order.
+    Branches exactly as :func:`_reduced`, its scalar reference: ``a == 0``
+    first, then the sign of ``a + k*b - 1``; the root is computed only where
+    that branch is taken, with the scalar expression's operation order.
     """
     kk = float(k.k)
     cost = np.full(a.shape, kk)

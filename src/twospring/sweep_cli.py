@@ -12,8 +12,9 @@ byte-identical output.
 ``sweep`` evaluates its whole grid in one call of the array kernel
 :func:`~twospring.regions.winner_grid` and formats each distinct number
 once.  ``solve`` and ``classify`` answer one weight pair through the scalar
-functions, which stay the reference the array kernel is tested against and
-are about ten times faster than an array call for a single pair.
+closed-form kernel, ``solver._reduced``, which stays the reference the array
+kernel is tested against and is about forty times faster than an array call
+for a single pair.
 """
 
 from __future__ import annotations

@@ -114,6 +114,31 @@ class TestClassifyCommand:
         assert rec["cost_serial"] == 2.0
 
 
+# (a, b) on every branch edge of the closed form: the a = 0 axis on either
+# side of b = 1/k, subnormal and tiny a, the tie, the three dividing lines,
+# a huge b and an infinite weight
+SINGLE_PAIR_EDGES = [
+    ("0", "0.3"), ("0", "0.49999999999999994"), ("0", "0.5"), ("0", "0.7"),
+    ("0", "0.9999999999999999"), ("0", "1"), ("0", "1.2"),
+    ("5e-324", "0.1"), ("1e-308", "0.1"), ("0.4", "0.4"),
+    ("0.2", "0.4"), ("0.42857142857142855", "0.2857142857142857"),  # a + 2b = 1
+    ("0.5", "0.5"), ("0.3", "0.7"),  # a + b = 1
+    ("0.36", "0.56"), ("0.3333333333333333", "0.6666666666666667"),  # b = 2 - 4a
+    ("0", "1e308"), ("0.5", "1e308"), ("inf", "0.5"), ("0.5", "inf"), ("0", "inf"),
+]  # fmt: skip
+
+
+def test_single_pair_bytes_are_pinned(capsys):
+    """``solve`` for both wirings and ``classify`` over the edge pairs, as one digest."""
+    out = []
+    for a, b in SINGLE_PAIR_EDGES:
+        for argv in (["solve", "--topology", "parallel"], ["solve", "--topology", "serial"], ["classify"]):
+            assert main([*argv, "--a", a, "--b", b]) == EXIT_OK
+            out.append(capsys.readouterr().out)
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "57e71826946e091f8e01f1a7ee0baefa97770a2f46f1e856a04d7e082b26b5d0"
+
+
 class TestSweepCommand:
     def test_row_count_and_order(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from twospring import solver
 from twospring.model import Topology, Weights
 from twospring.regions import (
     B2_SEGMENT_A_MAX,
@@ -19,6 +22,14 @@ from twospring.regions import (
 from twospring.solver import roots, solve_reduced
 
 P = Topology.PARALLEL
+S = Topology.SERIAL
+
+# nonnegative weights with the float edges drawn often: zero, subnormal and
+# tiny values, values near the overflow threshold, and inf
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-308, 2e-308, 1e308, 1.7976931348623157e308, math.inf]),
+    st.floats(min_value=0.0),
+)
 
 
 class TestClassify:
@@ -216,3 +227,39 @@ def test_winner_grid_matches_scalar_reports():
         assert (cost_p[i], cost_s[i]) == (rep.cost_parallel, rep.cost_serial)
     assert {labels[r] for r in region.tolist()} == set(RegionLabel)
     assert {winners[w] for w in best.tolist()} == set(Winner)
+
+
+class _NoReducedSolution:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a ReducedSolution was built")
+
+
+@pytest.mark.parametrize(
+    "a,b,label",
+    [
+        (0.2, 0.2, RegionLabel.A),
+        (0.35, 0.62, RegionLabel.B1),
+        (0.3, 0.5, RegionLabel.B2),
+        (0.6, 0.5, RegionLabel.C),
+        (0.0, 0.6, RegionLabel.B2),
+        (5e-324, 0.1, RegionLabel.A),
+    ],
+)
+def test_winner_and_classify_build_no_reduced_solution(monkeypatch, a, b, label):
+    monkeypatch.setattr(solver, "ReducedSolution", _NoReducedSolution)
+    w = Weights(a, b)
+    with pytest.raises(AssertionError, match="ReducedSolution"):
+        solve_reduced(w, P)  # the stub is the one the solver builds
+    assert classify(w) is label
+    assert winner(w).label is label
+
+
+@given(a=WEIGHTS, b=WEIGHTS)
+def test_winner_costs_are_solve_reduced_costs(a, b):
+    """winner's costs equal solve_reduced's total_cost bit for bit, and its
+    label equals classify's, on every nonnegative weight pair."""
+    w = Weights(a, b)
+    rep = winner(w)
+    assert rep.cost_parallel == solve_reduced(w, P).total_cost
+    assert rep.cost_serial == solve_reduced(w, S).total_cost
+    assert rep.label is classify(w)

@@ -31,16 +31,37 @@ X_STAR_SERIAL_02_02 = 4.56155281280883
 COST_SERIAL_02_02 = 9.12310562561766
 
 
-def scan_min_feasible(a, b, k, x_max=20.0, step=1e-5):
-    """Independent oracle: smallest x in [0, x_max] meeting both inequalities."""
-    xs = np.arange(0.0, x_max + step / 2, step)
-    kb = k.k * b
-    if kb > 0.0:
-        perf = a * xs + np.divide(kb, xs, out=np.full_like(xs, np.inf), where=xs > 0)
-    else:
-        perf = a * xs
-    idx = np.nonzero((xs >= 1.0) & (perf >= 1.0))[0]
-    return None if idx.size == 0 else float(xs[idx[0]])
+# the scan oracle's grid, built once: step 1e-5 over [0, 20]
+SCAN_XS = np.arange(0.0, 20.0 + 1e-5 / 2, 1e-5)
+# the grid points that meet the strength bound x >= 1
+SCAN_STRONG = SCAN_XS[np.searchsorted(SCAN_XS, 1.0) :]
+SCAN_STRIDE = 1000
+
+
+def scan_min_feasible(a, b, k):
+    """Independent oracle: smallest grid x in [0, 20] meeting both inequalities.
+
+    If the first strong point fails the performance constraint, it lies
+    between the two roots of the convex ``a*x + k*b/x`` (or ``a = 0`` and
+    the performance only falls), so the passing points form one ray.  A
+    strided scan then finds the first stride that reaches the ray and a fine
+    scan of that stride finds its first point, which is the first passing
+    point of the whole grid.
+    """
+    xs, kb = SCAN_STRONG, k.k * b
+
+    def passing(view):
+        return np.nonzero(a * view + kb / view >= 1.0)[0]
+
+    strided = xs[::SCAN_STRIDE]
+    coarse = passing(strided)
+    if coarse.size and coarse[0] == 0:
+        return float(xs[0])
+    # the ray starts after the last strided point before the first hit
+    hit = coarse[0] if coarse.size else strided.size
+    lo = (hit - 1) * SCAN_STRIDE + 1
+    fine = passing(xs[lo : hit * SCAN_STRIDE + 1])
+    return None if fine.size == 0 else float(xs[lo + fine[0]])
 
 
 class TestSolveReduced:
