@@ -9,12 +9,15 @@ Numbers are formatted with the shortest representation that round-trips, and
 infinities print as the literal ``inf``, so identical invocations produce
 byte-identical output.
 
-``sweep`` evaluates its whole grid in one call of the array kernel
-:func:`~twospring.regions.winner_grid` and formats each distinct number
-once.  ``solve`` and ``classify`` answer one weight pair through the scalar
-closed-form kernel, ``solver._reduced``, which stays the reference the array
-kernel is tested against and is about forty times faster than an array call
-for a single pair.
+``sweep`` streams its grid in chunks of at most ``SWEEP_CHUNK_CELLS`` cells:
+each is one call of the array kernel :func:`~twospring.regions.winner_grid`,
+formatted and written before the next is evaluated, so its memory does not
+grow with ``na * nb``.  The costs 1.0, 2.0 and ``inf`` take their text from
+a table and every other number is formatted where it occurs.  ``solve`` and
+``classify`` answer one weight pair through the scalar closed-form kernel,
+``solver._reduced``, which stays the reference the array kernel is tested
+against and is about forty times faster than an array call for a single
+pair.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +51,8 @@ __all__ = [
     "MAX_SWEEP_CELLS",
     "MAX_BOUNDARY_POINTS",
     "MAX_VERIFY_SAMPLES",
+    "SWEEP_CHUNK_CELLS",
     "SweepSpec",
-    "PhaseCell",
-    "phase_cells",
     "sweep_lines",
     "boundary_lines",
     "build_parser",
@@ -69,6 +73,11 @@ BOUNDARY_HEADER = "curve,a,b"
 
 _TOPOLOGIES = {"parallel": Topology.PARALLEL, "serial": Topology.SERIAL}
 
+# "region,winner" text at index region * len(Winner) + best of winner_grid's codes
+_PAIR_TEXT = np.array([f"{r.value},{w.value}" for r in RegionLabel for w in Winner], dtype=object)
+# about three quarters of the costs of the default sweep are one of these
+_COST_TEXT = ((1.0, "1.0"), (2.0, "2.0"), (math.inf, "inf"))
+
 
 class UsageError(Exception):
     """Invalid argument values; maps to exit status 2."""
@@ -76,6 +85,9 @@ class UsageError(Exception):
 
 # largest sweep a SweepSpec may describe, na * nb
 MAX_SWEEP_CELLS = 4_000_000
+# most cells a sweep evaluates and formats at a time; a sweep's working
+# memory is bounded by this, whatever its na * nb
+SWEEP_CHUNK_CELLS = 65_536
 # most samples per polyline that ``boundaries --na`` accepts
 MAX_BOUNDARY_POINTS = 1_000_000
 # most weight pairs that ``verify --samples`` accepts
@@ -108,18 +120,6 @@ class SweepSpec:
             raise ValueError(f"na * nb must not exceed {MAX_SWEEP_CELLS}")
 
 
-@dataclass(frozen=True)
-class PhaseCell:
-    """One sweep sample: the winner report at a single weight pair."""
-
-    a: float
-    b: float
-    label: RegionLabel
-    winner: Winner
-    cost_parallel: float
-    cost_serial: float
-
-
 def _fmt(x: float) -> str:
     # repr of a float is the shortest decimal that round-trips; inf -> 'inf'
     return repr(float(x))
@@ -148,54 +148,59 @@ def _emit_record(record: dict, out: str | None) -> None:
     _emit([json.dumps(_jsonable(record))], out)
 
 
-def _grid(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Both sample axes and the :func:`winner_grid` arrays over the sweep,
-    flattened in row-major order (b outer, a inner)."""
+def _texts(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of ``values``, as an object array of str."""
+    return np.fromiter(map(repr, values.tolist()), dtype=object, count=values.size)
+
+
+def _cost_texts(costs: np.ndarray) -> list[str]:
+    """``repr`` of each cost; the common values 1.0, 2.0 and inf come from a table."""
+    text = np.empty(costs.shape, dtype=object)
+    other = np.ones(costs.shape, dtype=bool)
+    for value, value_text in _COST_TEXT:
+        is_value = costs == value
+        text[is_value] = value_text
+        other &= ~is_value
+    text[other] = _texts(costs[other])
+    return text.tolist()
+
+
+def _sweep_chunks(spec: SweepSpec) -> Iterator[list[str]]:
+    """CSV lines of a sweep: the header, then its rows in row-major order (b
+    outer, a inner) in lists of at most ``SWEEP_CHUNK_CELLS``.
+
+    Each chunk is one :func:`winner_grid` call on its own samples, taken from
+    the two axes; every operation is elementwise, so any chunking gives the
+    same bytes.  A chunk may begin and end inside a row of ``b``.
+    """
     a_axis = np.linspace(spec.a_min, spec.a_max, spec.na)
     b_axis = np.linspace(spec.b_min, spec.b_max, spec.nb)
-    a, b = np.meshgrid(a_axis, b_axis)
-    return a_axis, b_axis, winner_grid(a.ravel(), b.ravel())
-
-
-def phase_cells(spec: SweepSpec) -> list[PhaseCell]:
-    """Winner report at every sample, in row-major order (b outer, a inner)."""
-    a_axis, b_axis, (region, best, cost_p, cost_s) = _grid(spec)
-    labels, winners = tuple(RegionLabel), tuple(Winner)
-    return [
-        PhaseCell(a, b, labels[r], winners[w], cp, cs)
-        for (b, a), r, w, cp, cs in zip(
-            itertools.product(b_axis.tolist(), a_axis.tolist()),
-            region.tolist(),
-            best.tolist(),
-            cost_p.tolist(),
-            cost_s.tolist(),
+    # a row's a texts repeat in every row; keep them if a row fits in a chunk
+    a_row = _texts(a_axis) if spec.na <= SWEEP_CHUNK_CELLS else None
+    yield [SWEEP_HEADER]
+    cells = spec.na * spec.nb
+    for start in range(0, cells, SWEEP_CHUNK_CELLS):
+        b_index, a_index = np.divmod(np.arange(start, min(start + SWEEP_CHUNK_CELLS, cells)), spec.na)
+        a, b = a_axis[a_index], b_axis[b_index]
+        region, best, cost_p, cost_s = winner_grid(a, b)
+        first_b = int(b_index[0])
+        columns = zip(
+            (_texts(a) if a_row is None else a_row[a_index]).tolist(),
+            _texts(b_axis[first_b : int(b_index[-1]) + 1])[b_index - first_b].tolist(),
+            _PAIR_TEXT[region * len(Winner) + best].tolist(),
+            _cost_texts(cost_p),
+            _cost_texts(cost_s),
         )
-    ]
+        yield list(map(",".join, columns))
 
 
 def sweep_lines(spec: SweepSpec) -> list[str]:
     """CSV lines (header included) for a phase-diagram sweep.
 
-    Each distinct value is formatted once: the ``na + nb`` axis samples, the
-    region/winner pairs and the distinct costs.  ``np.unique`` merges floats
-    that compare equal; costs are at least 1 or ``inf``, so there is no
-    ``-0.0`` among them to take the text of ``0.0``.
+    The same lines ``twospring sweep`` writes, which it streams a chunk of
+    at most ``SWEEP_CHUNK_CELLS`` rows at a time instead of holding them all.
     """
-    a_axis, b_axis, (region, best, cost_p, cost_s) = _grid(spec)
-    a_text = np.array([_fmt(a) for a in a_axis.tolist()], dtype=object)
-    b_text = np.array([_fmt(b) for b in b_axis.tolist()], dtype=object)
-    pair_text = np.array([f"{r.value},{w.value}" for r in RegionLabel for w in Winner], dtype=object)
-    costs, inverse = np.unique(np.concatenate((cost_p, cost_s)), return_inverse=True)
-    cost_text = np.array([_fmt(c) for c in costs.tolist()], dtype=object)[inverse]
-    n = cost_p.size
-    columns = (
-        np.tile(a_text, spec.nb),
-        np.repeat(b_text, spec.na),
-        pair_text[region * len(Winner) + best],
-        cost_text[:n],
-        cost_text[n:],
-    )
-    return [SWEEP_HEADER, *map(",".join, zip(*(column.tolist() for column in columns)))]
+    return list(itertools.chain.from_iterable(_sweep_chunks(spec)))
 
 
 def boundary_lines(resolution: int) -> list[str]:
@@ -272,8 +277,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = SweepSpec(args.a_min, args.a_max, args.b_min, args.b_max, args.na, args.nb)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    _emit(sweep_lines(spec), args.out)
+    chunks = _sweep_chunks(spec)
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            _write_chunks(chunks, fh)
+        return EXIT_OK
+    try:
+        _write_chunks(chunks, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered to the null device,
+        # or the interpreter's flush at exit fails on the same pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
     return EXIT_OK
+
+
+def _write_chunks(chunks: Iterator[list[str]], fh) -> None:
+    """Write each chunk of lines to ``fh`` as soon as it is formatted."""
+    for lines in chunks:
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def cmd_boundaries(args: argparse.Namespace) -> int:

@@ -5,6 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,7 +32,6 @@ from twospring.sweep_cli import (
     SweepSpec,
     boundary_lines,
     main,
-    phase_cells,
     sweep_lines,
 )
 
@@ -184,16 +188,6 @@ class TestSweepCommand:
         assert main(argv + ["--out", str(second)]) == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
-    def test_cells_match_fresh_reports(self):
-        from twospring.model import Weights
-        from twospring.regions import winner
-
-        spec = SweepSpec(0.0, 1.0, 0.0, 1.0, 7, 5)
-        for cell in phase_cells(spec):
-            rep = winner(Weights(cell.a, cell.b))
-            assert (cell.label, cell.winner) == (rep.label, rep.winner)
-            assert (cell.cost_parallel, cell.cost_serial) == (rep.cost_parallel, rep.cost_serial)
-
     def test_bad_window_is_usage_error(self):
         assert main(["sweep", "--a-min", "1", "--a-max", "0"]) == EXIT_USAGE
         assert main(["sweep", "--na", "1"]) == EXIT_USAGE
@@ -217,8 +211,25 @@ class TestSweepCommand:
         assert "Traceback" not in captured.err
 
 
+DEFAULT_SWEEP_SHA256 = "c0dc3e156f802170910603fd40ecbbda6ef46da26fa6a8de11966c7db569a19e"
+
+
+def chunk_sizes(spec):
+    """Values of ``SWEEP_CHUNK_CELLS`` around the row length of ``spec``: one
+    cell, chunks that begin inside rows, one row, and the whole sweep."""
+    return [1, 7, spec.na - 1, spec.na, spec.na + 1, spec.na * spec.nb]
+
+
+def sweep_argv(spec):
+    return [
+        "sweep", "--a-min", repr(spec.a_min), "--a-max", repr(spec.a_max), "--b-min", repr(spec.b_min),
+        "--b-max", repr(spec.b_max), "--na", str(spec.na), "--nb", str(spec.nb),
+    ]  # fmt: skip
+
+
 class TestSweepParity:
-    """The array sweep writes the same bytes as the per-cell reference."""
+    """The array sweep writes the same bytes as the per-cell reference, at
+    any chunk size."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -232,10 +243,14 @@ class TestSweepParity:
             SweepSpec(0.0, 1.2, 0.0, 1.2, 2, 2),
             SweepSpec(0.0, 1.2, 0.0, 1.2, 31, 29),
             SweepSpec(0.0, 1e-322, 0.0, 1.7e308, 3, 3),  # overflow to inf
+            SweepSpec(0.0, 1.2, 0.5, 0.5, 13, 3),  # one b value, b_min == b_max
         ],
     )
-    def test_fixed_windows(self, spec):
-        assert sweep_lines(spec) == reference_sweep_lines(spec)
+    def test_fixed_windows(self, spec, monkeypatch):
+        expected = reference_sweep_lines(spec)
+        for chunk in chunk_sizes(spec):
+            monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", chunk)
+            assert sweep_lines(spec) == expected, chunk
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -243,16 +258,125 @@ class TestSweepParity:
         b=st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=2, max_size=2).map(sorted),
         na=st.integers(min_value=2, max_value=12),
         nb=st.integers(min_value=2, max_value=12),
+        chunk=st.integers(min_value=0, max_value=5),
     )
-    def test_random_windows(self, a, b, na, nb):
+    def test_random_windows(self, a, b, na, nb, chunk):
         spec = SweepSpec(a[0], a[1], b[0], b[1], na, nb)
-        assert sweep_lines(spec) == reference_sweep_lines(spec)
+        expected = reference_sweep_lines(spec)
+        assert sweep_lines(spec) == expected
+        with mock.patch.object(sweep_cli, "SWEEP_CHUNK_CELLS", chunk_sizes(spec)[chunk]):
+            assert sweep_lines(spec) == expected
+
+    def test_stdout_and_out_file_match_at_any_chunk_size(self, capsys, monkeypatch, tmp_path):
+        spec = SweepSpec(0.0, 1.2, 0.0, 1.2, 11, 9)
+        expected = "\n".join(reference_sweep_lines(spec)) + "\n"
+        out = tmp_path / "sweep.csv"
+        for chunk in chunk_sizes(spec):
+            monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", chunk)
+            assert main(sweep_argv(spec)) == EXIT_OK
+            assert capsys.readouterr().out == expected, chunk
+            assert main([*sweep_argv(spec), "--out", str(out)]) == EXIT_OK
+            assert out.read_bytes() == expected.encode(), chunk
 
     def test_default_sweep_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--out", str(out)]) == EXIT_OK
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "c0dc3e156f802170910603fd40ecbbda6ef46da26fa6a8de11966c7db569a19e"
+        assert digest == DEFAULT_SWEEP_SHA256
+
+    # the default sweep is 121 x 121; one-cell chunks would take 14,641 array calls
+    @pytest.mark.parametrize("chunk", [7, 120, 121, 122, 1000, 121 * 121])
+    def test_default_sweep_bytes_at_any_chunk_size(self, chunk, monkeypatch, tmp_path):
+        monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", chunk)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SWEEP_SHA256
+
+
+def sweep_peak_bytes(tmp_path, na, nb):
+    """``tracemalloc`` peak of one ``sweep --out`` of ``na`` by ``nb`` cells."""
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--na", str(na), "--nb", str(nb), "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepStreaming:
+    """``sweep`` holds one chunk at a time, and a failed write still exits 3."""
+
+    CHUNK = 512
+
+    @pytest.mark.parametrize(
+        "short, tall",
+        [
+            ((64, 2 * CHUNK // 64), (64, 20 * CHUNK // 64)),  # 2 and 20 chunks of whole rows
+            ((2 * CHUNK, 2), (20 * CHUNK, 2)),  # rows longer than a chunk
+        ],
+    )
+    def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch, tmp_path, short, tall):
+        monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", self.CHUNK)
+        assert main(["sweep", "--na", "2", "--nb", "2", "--out", str(tmp_path / "warm.csv")]) == EXIT_OK
+        short_peak = sweep_peak_bytes(tmp_path, *short)
+        tall_peak = sweep_peak_bytes(tmp_path, *tall)
+        assert tall_peak < 2 * short_peak, (short_peak, tall_peak)
+
+    def test_failed_write_mid_stream_exits_3(self, capsys, monkeypatch, tmp_path):
+        spec = SweepSpec(0.0, 1.2, 0.0, 1.2, 9, 9)
+        expected = "\n".join(reference_sweep_lines(spec)) + "\n"
+        monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", 10)
+
+        class DiskFull:
+            """A file that fails every write once the header and one chunk are in."""
+
+            def __init__(self, fh):
+                self.fh, self.lines = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                if self.lines >= 11:
+                    raise OSError(28, "No space left on device")
+                self.lines += text.count("\n")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(sweep_cli, "open", lambda *a, **kw: DiskFull(open(*a, **kw)), raising=False)
+        out = tmp_path / "sweep.csv"
+        assert main([*sweep_argv(spec), "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "i/o error: [Errno 28] No space left on device\n"
+        partial = out.read_text()
+        assert partial == "".join(expected.splitlines(keepends=True)[:11])
+
+    @pytest.mark.parametrize(
+        "unbuffered, lines_read",
+        [(False, 0), (False, 1), (True, 1)],
+        ids=["buffered-closed-at-once", "buffered-closed-after-header", "unbuffered-closed-after-header"],
+    )
+    def test_closed_pipe_exits_3_without_a_traceback(self, unbuffered, lines_read):
+        src = Path(sweep_cli.__file__).resolve().parents[1]
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(src)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [sys.executable, "-m", "twospring.sweep_cli", "sweep", "--na", "1001", "--nb", "1001"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            for _ in range(lines_read):
+                assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == EXIT_IO, err
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestBoundariesCommand:
