@@ -24,6 +24,16 @@ each limit, for both wirings, and every rounding step keeps that order.
 :func:`multiperf_grid`, :func:`feasible_grid` and the bound share one
 private helper for the ``a*F + b*R`` rule and its ``0 * inf == 0``
 convention, so the three cannot drift apart.
+
+:class:`SpringPair` and :class:`Weights` are built once per query, so each
+has a hand-written ``__init__`` that validates its arguments and writes the
+fields straight into the instance ``__dict__``.  The ``__init__`` a frozen
+dataclass generates sets every field through ``object.__setattr__``, which
+costs more than a closed-form solve.  ``@dataclass(frozen=True)`` keeps an
+``__init__`` the class defines and still generates equality, hashing,
+``repr`` and the ``__setattr__`` that refuses assignment, so the values stay
+frozen.  The value types of ``solver``, ``regions`` and ``oracle`` follow
+the same pattern.
 """
 
 from __future__ import annotations
@@ -69,11 +79,12 @@ class SpringPair:
     c1: float
     c2: float
 
-    def __post_init__(self) -> None:
-        if not (self.c1 >= 0.0) or not (self.c2 >= 0.0):
-            raise ValueError(
-                f"elastic limits must be nonnegative, got ({self.c1!r}, {self.c2!r})"
-            )
+    def __init__(self, c1: float, c2: float) -> None:
+        if not (c1 >= 0.0) or not (c2 >= 0.0):
+            raise ValueError(f"elastic limits must be nonnegative, got ({c1!r}, {c2!r})")
+        d = self.__dict__
+        d["c1"] = c1
+        d["c2"] = c2
 
 
 @dataclass(frozen=True)
@@ -83,9 +94,12 @@ class Weights:
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        if not (self.a >= 0.0) or not (self.b >= 0.0):
-            raise ValueError(f"weights must be nonnegative, got ({self.a!r}, {self.b!r})")
+    def __init__(self, a: float, b: float) -> None:
+        if not (a >= 0.0) or not (b >= 0.0):
+            raise ValueError(f"weights must be nonnegative, got ({a!r}, {b!r})")
+        d = self.__dict__
+        d["a"] = a
+        d["b"] = b
 
 
 def force(k: Topology, s: SpringPair) -> float:

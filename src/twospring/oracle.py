@@ -111,6 +111,23 @@ class OracleResult:
     truncated: bool
     points_scanned: int = 0
 
+    def __init__(
+        self,
+        feasible: bool,
+        best_pair: SpringPair | None,
+        best_cost: float,
+        argmin_gap: float | None,
+        truncated: bool,
+        points_scanned: int = 0,
+    ) -> None:
+        d = self.__dict__
+        d["feasible"] = feasible
+        d["best_pair"] = best_pair
+        d["best_cost"] = best_cost
+        d["argmin_gap"] = argmin_gap
+        d["truncated"] = truncated
+        d["points_scanned"] = points_scanned
+
 
 @dataclass(frozen=True)
 class VerificationVerdict:
@@ -128,6 +145,27 @@ class VerificationVerdict:
     allowance: float
     argmin_gap: float | None
     beyond_grid: bool
+
+    def __init__(
+        self,
+        agree: bool,
+        status: str,
+        closed_cost: float,
+        oracle_cost: float,
+        cost_gap: float,
+        allowance: float,
+        argmin_gap: float | None,
+        beyond_grid: bool,
+    ) -> None:
+        d = self.__dict__
+        d["agree"] = agree
+        d["status"] = status
+        d["closed_cost"] = closed_cost
+        d["oracle_cost"] = oracle_cost
+        d["cost_gap"] = cost_gap
+        d["allowance"] = allowance
+        d["argmin_gap"] = argmin_gap
+        d["beyond_grid"] = beyond_grid
 
 
 def _points_below(t: int, size: int) -> int:

@@ -9,6 +9,11 @@ wiring everywhere else (up to ties on the dividing locus itself).
 :func:`classify` and :func:`winner` answer one weight pair and are the
 reference.  They read each minimal cost straight from the solver's scalar
 kernel, ``solver._reduced``, so a query builds no ``ReducedSolution``.
+Its one value object, the :class:`RegionReport` of :func:`winner`, writes
+its fields directly from a hand-written ``__init__`` and stays frozen (see
+:mod:`twospring.model`).  The labels and winners the scalar path returns
+are module-level aliases (``_A`` ... ``_TIE``): looking an enum member up on
+its class costs 0.1-0.2 us on Python 3.11, a sizable share of a query.
 :func:`winner_grid` is their array twin for whole weight grids, built on
 :func:`~twospring.solver.total_cost_grid` with the same predicates in the
 same order, so it reports the same labels, winners and costs.
@@ -63,6 +68,19 @@ class RegionReport:
     cost_parallel: float
     cost_serial: float
 
+    def __init__(self, label: RegionLabel, winner: Winner, cost_parallel: float, cost_serial: float) -> None:
+        d = self.__dict__
+        d["label"] = label
+        d["winner"] = winner
+        d["cost_parallel"] = cost_parallel
+        d["cost_serial"] = cost_serial
+
+
+# module-level aliases of the enum members the scalar path returns (see the module docstring)
+_A, _B1, _B2, _C = RegionLabel.A, RegionLabel.B1, RegionLabel.B2, RegionLabel.C
+_PARALLEL_WINS, _SERIAL_WINS = Winner.PARALLEL, Winner.SERIAL
+_TIE, _BOTH_INFEASIBLE = Winner.TIE, Winner.BOTH_INFEASIBLE
+
 
 # the parallel-cost-equals-2 locus b = 2 - 4a lies inside band B for these a
 B2_SEGMENT_A_MIN = 1.0 / 3.0
@@ -72,12 +90,12 @@ B2_SEGMENT_A_MAX = 3.0 / 7.0
 def _label(a: float, b: float, cost_p: float) -> RegionLabel:
     """Region of ``(a, b)``, given its minimal parallel cost ``cost_p``."""
     if a + 2.0 * b - 1.0 < 0.0:
-        return RegionLabel.A
+        return _A
     if a + b - 1.0 >= 0.0:
-        return RegionLabel.C
+        return _C
     if cost_p > 2.0:
-        return RegionLabel.B2
-    return RegionLabel.B1
+        return _B2
+    return _B1
 
 
 def classify(w: Weights) -> RegionLabel:
@@ -96,13 +114,13 @@ def winner(w: Weights) -> RegionReport:
     cost_p = _reduced(a, b, 1.0)[1]
     cost_s = _reduced(a, b, 2.0)[1]
     if math.isinf(cost_p) and math.isinf(cost_s):
-        best = Winner.BOTH_INFEASIBLE
+        best = _BOTH_INFEASIBLE
     elif cost_p < cost_s:
-        best = Winner.PARALLEL
+        best = _PARALLEL_WINS
     elif cost_s < cost_p:
-        best = Winner.SERIAL
+        best = _SERIAL_WINS
     else:
-        best = Winner.TIE
+        best = _TIE
     return RegionReport(_label(a, b, cost_p), best, cost_p, cost_s)
 
 

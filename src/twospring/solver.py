@@ -24,6 +24,14 @@ same operations, so every cost it returns equals the scalar one bit for bit
 (``math.sqrt`` and ``np.sqrt`` are both correctly rounded, and numpy does
 not fuse multiply-adds).  A single query stays on the scalar path, which
 costs about a microsecond where an array call costs about a hundred.
+
+A query builds its value objects here: :func:`solve_reduced` its
+:class:`ReducedSolution` and :func:`expand` its :class:`DesignSolution`.
+Both classes write their fields directly from a hand-written ``__init__``
+and stay frozen (see :mod:`twospring.model`).  The enum members the
+scalar path returns or compares against are module-level aliases
+(``_STRENGTH``, ``_ROOT``, ``_PARALLEL``, ``_SERIAL``): looking a member up
+on its class costs 0.1-0.2 us on Python 3.11, a sizable share of a solve.
 """
 
 from __future__ import annotations
@@ -55,10 +63,11 @@ class ActiveConstraint(enum.Enum):
     PERFORMANCE_ROOT = "performance_root"
 
 
-# module-level aliases: an enum member looked up on its class costs
-# 0.1-0.2 us on Python 3.11, a sizable share of one scalar solve
+# module-level aliases of the enum members the scalar path uses (see the module docstring)
 _STRENGTH = ActiveConstraint.STRENGTH_BOUND
 _ROOT = ActiveConstraint.PERFORMANCE_ROOT
+_PARALLEL = Topology.PARALLEL
+_SERIAL = Topology.SERIAL
 
 
 class InfeasibleError(ValueError):
@@ -78,6 +87,19 @@ class ReducedSolution:
     total_cost: float
     active_constraint: ActiveConstraint | None
 
+    def __init__(
+        self,
+        feasible: bool,
+        x_star: float | None,
+        total_cost: float,
+        active_constraint: ActiveConstraint | None,
+    ) -> None:
+        d = self.__dict__
+        d["feasible"] = feasible
+        d["x_star"] = x_star
+        d["total_cost"] = total_cost
+        d["active_constraint"] = active_constraint
+
 
 @dataclass(frozen=True)
 class DesignSolution:
@@ -87,6 +109,13 @@ class DesignSolution:
     c2_star: float
     total_cost: float
     topology: Topology
+
+    def __init__(self, c1_star: float, c2_star: float, total_cost: float, topology: Topology) -> None:
+        d = self.__dict__
+        d["c1_star"] = c1_star
+        d["c2_star"] = c2_star
+        d["total_cost"] = total_cost
+        d["topology"] = topology
 
 
 def _reduced(a: float, b: float, kk: float) -> tuple[float | None, float, ActiveConstraint | None]:
@@ -120,7 +149,7 @@ def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
     ``feasible`` holds exactly when ``total_cost`` is finite.  Infeasibility
     is reported as a result (cost ``+inf``), never raised.
     """
-    x_star, total, active = _reduced(w.a, w.b, 1.0 if k is Topology.PARALLEL else 2.0)
+    x_star, total, active = _reduced(w.a, w.b, 1.0 if k is _PARALLEL else 2.0)
     return ReducedSolution(x_star is not None, x_star, total, active)
 
 
@@ -153,7 +182,7 @@ def expand(sol: ReducedSolution, k: Topology) -> DesignSolution:
     """
     if not sol.feasible or sol.x_star is None:
         raise InfeasibleError("no feasible design exists for these weights")
-    if k is Topology.SERIAL:
+    if k is _SERIAL:
         return DesignSolution(sol.x_star, sol.x_star, sol.total_cost, k)
     half = sol.x_star / 2.0
     return DesignSolution(half, half, sol.total_cost, k)

@@ -13,7 +13,10 @@ byte-identical output.
 each is one call of the array kernel :func:`~twospring.regions.winner_grid`,
 formatted and written before the next is evaluated, so its memory does not
 grow with ``na * nb``.  The costs 1.0, 2.0 and ``inf`` take their text from
-a table and every other number is formatted where it occurs.  ``solve`` and
+a table and every other number is formatted where it occurs.  ``boundaries``
+streams its polylines the same way, ``BOUNDARY_CHUNK_POINTS`` lines at a
+time, and every command writes through one helper, which turns a reader
+that closed the pipe into exit status 3.  ``solve`` and
 ``classify`` answer one weight pair through the scalar closed-form kernel,
 ``solver._reduced``, which stays the reference the array kernel is tested
 against and is about forty times faster than an array call for a single
@@ -29,7 +32,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,7 @@ __all__ = [
     "MAX_BOUNDARY_POINTS",
     "MAX_VERIFY_SAMPLES",
     "SWEEP_CHUNK_CELLS",
+    "BOUNDARY_CHUNK_POINTS",
     "SweepSpec",
     "sweep_lines",
     "boundary_lines",
@@ -90,6 +94,9 @@ MAX_SWEEP_CELLS = 4_000_000
 SWEEP_CHUNK_CELLS = 65_536
 # most samples per polyline that ``boundaries --na`` accepts
 MAX_BOUNDARY_POINTS = 1_000_000
+# most polyline lines ``boundaries`` formats at a time; its working memory
+# is bounded by this, whatever its --na
+BOUNDARY_CHUNK_POINTS = 65_536
 # most weight pairs that ``verify --samples`` accepts
 MAX_VERIFY_SAMPLES = 1_000_000
 
@@ -135,13 +142,44 @@ def _jsonable(value):
     return value
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
+def _write(chunks: Iterable[list[str]], out: str | None) -> None:
+    """Write each chunk of lines to the file ``out``, or to stdout if it is
+    ``None``, as soon as the chunk is formatted.  Every command's output
+    takes this path.
+
+    When the reader of stdout goes away, the ``BrokenPipeError`` propagates
+    (:func:`main` reports it and exits 3), after what is still buffered is
+    sent to the null device: else the interpreter's flush at exit fails on
+    the same pipe again and prints a second error.
+    """
+    if out is not None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_chunks(chunks, fh)
+        return
+    try:
+        _write_chunks(chunks, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
+def _write_chunks(chunks: Iterable[list[str]], fh) -> None:
+    """Write each chunk of lines to ``fh`` as soon as it is formatted.
+
+    Each chunk's last newline is a write of its own.  With unbuffered
+    stdout, a pipe write that a closing reader cuts short is not reported,
+    but the write after it fails; so no part of a chunk is lost unreported.
+    """
+    for lines in chunks:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def _emit(lines: list[str], out: str | None) -> None:
+    _write((lines,), out)
 
 
 def _emit_record(record: dict, out: str | None) -> None:
@@ -203,29 +241,57 @@ def sweep_lines(spec: SweepSpec) -> list[str]:
     return list(itertools.chain.from_iterable(_sweep_chunks(spec)))
 
 
+def _linspace_chunks(start: float, stop: float, num: int) -> Iterator[np.ndarray]:
+    """``np.linspace(start, stop, num)`` in consecutive pieces of at most
+    ``BOUNDARY_CHUNK_POINTS``, equal to it bit for bit.
+
+    Sample ``i`` is ``i * step + start`` with ``step = (stop - start) /
+    (num - 1)``, and the last one is ``stop``, the operations of numpy's
+    linspace for ``num >= 2`` and a nonzero step.
+    """
+    step = (stop - start) / (num - 1)
+    for lo in range(0, num, BOUNDARY_CHUNK_POINTS):
+        piece = np.arange(lo, min(lo + BOUNDARY_CHUNK_POINTS, num), dtype=float)
+        piece *= step
+        piece += start
+        if lo + piece.size == num:
+            piece[-1] = stop
+        yield piece
+
+
+def _boundary_chunks(resolution: int) -> Iterator[list[str]]:
+    """CSV lines of the region boundaries: the header, then each polyline in
+    lists of at most ``BOUNDARY_CHUNK_POINTS`` lines.
+
+    ``resolution`` is checked here, before any line is formatted.
+    """
+    if not 2 <= resolution <= MAX_BOUNDARY_POINTS:
+        raise UsageError(f"resolution must be between 2 and {MAX_BOUNDARY_POINTS}")
+    curves = (
+        ("a+2b=1", 0.0, 1.0, lambda a: (1.0 - a) / 2.0),
+        ("a+b=1", 0.0, 1.0, lambda a: 1.0 - a),
+        ("b=2-4a", B2_SEGMENT_A_MIN, B2_SEGMENT_A_MAX, b2_boundary),
+    )
+    polylines = (
+        # b2_boundary is None only outside the segment, which linspace never leaves
+        [f"{name},{_fmt(a)},{_fmt(b)}" for a in piece.tolist() if (b := curve(a)) is not None]
+        for name, start, stop, curve in curves
+        for piece in _linspace_chunks(start, stop, resolution)
+    )
+    return itertools.chain(([BOUNDARY_HEADER],), polylines)
+
+
 def boundary_lines(resolution: int) -> list[str]:
     """CSV polylines for the three region boundaries.
 
     Emits the A/B line ``a + 2b = 1`` and the B/C line ``a + b = 1`` for
     ``a`` in [0, 1], plus the B1/B2 segment ``b = 2 - 4a`` between its
     intersections with those lines, each with ``resolution`` samples, at
-    most ``MAX_BOUNDARY_POINTS``.
+    most ``MAX_BOUNDARY_POINTS``.  The same lines ``twospring boundaries``
+    writes, which it streams a chunk of at most ``BOUNDARY_CHUNK_POINTS``
+    lines at a time instead of holding them all.
     """
-    if not 2 <= resolution <= MAX_BOUNDARY_POINTS:
-        raise UsageError(f"resolution must be between 2 and {MAX_BOUNDARY_POINTS}")
-    lines = [BOUNDARY_HEADER]
-    for a in np.linspace(0.0, 1.0, resolution):
-        a = float(a)
-        lines.append(f"a+2b=1,{_fmt(a)},{_fmt((1.0 - a) / 2.0)}")
-    for a in np.linspace(0.0, 1.0, resolution):
-        a = float(a)
-        lines.append(f"a+b=1,{_fmt(a)},{_fmt(1.0 - a)}")
-    for a in np.linspace(B2_SEGMENT_A_MIN, B2_SEGMENT_A_MAX, resolution):
-        b = b2_boundary(float(a))
-        if b is None:  # pragma: no cover - linspace stays inside the segment
-            continue
-        lines.append(f"b=2-4a,{_fmt(float(a))},{_fmt(b)}")
-    return lines
+    return list(itertools.chain.from_iterable(_boundary_chunks(resolution)))
 
 
 def _weights_from(args: argparse.Namespace) -> Weights:
@@ -277,33 +343,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = SweepSpec(args.a_min, args.a_max, args.b_min, args.b_max, args.na, args.nb)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    chunks = _sweep_chunks(spec)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            _write_chunks(chunks, fh)
-        return EXIT_OK
-    try:
-        _write_chunks(chunks, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone; send what is still buffered to the null device,
-        # or the interpreter's flush at exit fails on the same pipe again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        raise
+    _write(_sweep_chunks(spec), args.out)
     return EXIT_OK
 
 
-def _write_chunks(chunks: Iterator[list[str]], fh) -> None:
-    """Write each chunk of lines to ``fh`` as soon as it is formatted."""
-    for lines in chunks:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-
-
 def cmd_boundaries(args: argparse.Namespace) -> int:
-    _emit(boundary_lines(args.na), args.out)
+    _write(_boundary_chunks(args.na), args.out)
     return EXIT_OK
 
 

@@ -305,6 +305,33 @@ def sweep_peak_bytes(tmp_path, na, nb):
         tracemalloc.stop()
 
 
+CLOSED_PIPE_CASES = pytest.mark.parametrize(
+    "unbuffered, lines_read",
+    [(False, 0), (False, 1), (True, 1)],
+    ids=["buffered-closed-at-once", "buffered-closed-after-header", "unbuffered-closed-after-header"],
+)
+
+
+def assert_closed_pipe_exits_3(argv, header, unbuffered, lines_read):
+    """``twospring argv`` in a subprocess, whose reader closes stdout after
+    ``lines_read`` lines (the header), exits 3 with one ``i/o error:`` line."""
+    src = Path(sweep_cli.__file__).resolve().parents[1]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "twospring.sweep_cli", *argv]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == (header + "\n").encode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == EXIT_IO, err
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 class TestSweepStreaming:
     """``sweep`` holds one chunk at a time, and a failed write still exits 3."""
 
@@ -356,27 +383,10 @@ class TestSweepStreaming:
         partial = out.read_text()
         assert partial == "".join(expected.splitlines(keepends=True)[:11])
 
-    @pytest.mark.parametrize(
-        "unbuffered, lines_read",
-        [(False, 0), (False, 1), (True, 1)],
-        ids=["buffered-closed-at-once", "buffered-closed-after-header", "unbuffered-closed-after-header"],
-    )
+    @CLOSED_PIPE_CASES
     def test_closed_pipe_exits_3_without_a_traceback(self, unbuffered, lines_read):
-        src = Path(sweep_cli.__file__).resolve().parents[1]
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(src)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        argv = [sys.executable, "-m", "twospring.sweep_cli", "sweep", "--na", "1001", "--nb", "1001"]
-        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-            for _ in range(lines_read):
-                assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
-            proc.stdout.close()
-            err = proc.stderr.read().decode()
-            code = proc.wait(timeout=60)
-        assert code == EXIT_IO, err
-        assert len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
-        assert "Traceback" not in err and "Exception ignored" not in err
+        argv = ["sweep", "--na", "1001", "--nb", "1001"]
+        assert_closed_pipe_exits_3(argv, SWEEP_HEADER, unbuffered, lines_read)
 
 
 class TestBoundariesCommand:
@@ -405,6 +415,80 @@ class TestBoundariesCommand:
     def test_resolution_cap_is_checked_before_allocating(self, capsys, monkeypatch):
         argv = ["boundaries", "--na", str(MAX_BOUNDARY_POINTS + 1)]
         assert_rejected_without_allocating(capsys, monkeypatch, argv)
+
+    def test_bad_resolution_writes_no_file(self, tmp_path):
+        out = tmp_path / "boundaries.csv"
+        assert main(["boundaries", "--na", "1", "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+
+# digests of the boundaries CSV, recorded before it was streamed
+DEFAULT_BOUNDARIES_SHA256 = "fdbcff7e6ea75ab307be13ef348ff94a0fec4e6c9d2357da2a4fe1472d8000de"
+BOUNDARIES_20000_SHA256 = "512e8c1f300d55d52b0ccbf9e025d2fddf6192f7b177e53e9228a389d8814588"
+
+
+def boundaries_digest(tmp_path, *argv):
+    out = tmp_path / "boundaries.csv"
+    assert main(["boundaries", *argv, "--out", str(out)]) == EXIT_OK
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class TestBoundariesStreaming:
+    """``boundaries`` writes the same bytes at any chunk size, holds one chunk
+    at a time and exits 3 when its reader closes the pipe."""
+
+    def test_default_bytes_are_pinned(self, capsys):
+        assert main(["boundaries"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEFAULT_BOUNDARIES_SHA256
+
+    # the default is 101 points per polyline
+    @pytest.mark.parametrize("chunk", [1, 7, 100, 101, 102])
+    def test_default_bytes_at_any_chunk_size(self, chunk, monkeypatch, tmp_path):
+        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", chunk)
+        assert boundaries_digest(tmp_path) == DEFAULT_BOUNDARIES_SHA256
+
+    @pytest.mark.parametrize("chunk", [sweep_cli.BOUNDARY_CHUNK_POINTS, 7919])
+    def test_larger_resolution_bytes_are_pinned(self, chunk, monkeypatch, tmp_path):
+        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", chunk)
+        assert boundaries_digest(tmp_path, "--na", "20000") == BOUNDARIES_20000_SHA256
+
+    def test_boundary_lines_are_the_streamed_lines(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", 3)
+        assert main(["boundaries", "--na", "10"]) == EXIT_OK
+        assert capsys.readouterr().out == "\n".join(boundary_lines(10)) + "\n"
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+    @pytest.mark.parametrize(
+        "start, stop", [(0.0, 1.0), (sweep_cli.B2_SEGMENT_A_MIN, sweep_cli.B2_SEGMENT_A_MAX), (0.1, 0.7)]
+    )
+    def test_linspace_pieces_equal_numpy_linspace(self, start, stop, chunk, monkeypatch):
+        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", chunk)
+        for num in (2, 3, 63, 64, 65, 129, 1001):
+            pieces = list(sweep_cli._linspace_chunks(start, stop, num))
+            assert all(1 <= piece.size <= chunk for piece in pieces)
+            assert np.array_equal(np.concatenate(pieces), np.linspace(start, stop, num)), num
+
+    def test_peak_memory_does_not_grow_with_the_resolution(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", 512)
+        out = str(tmp_path / "boundaries.csv")
+        assert main(["boundaries", "--na", "2", "--out", out]) == EXIT_OK
+
+        def peak(na):
+            tracemalloc.start()
+            try:
+                assert main(["boundaries", "--na", str(na), "--out", out]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short_peak, tall_peak = peak(2 * 512), peak(20 * 512)
+        assert tall_peak < 2 * short_peak, (short_peak, tall_peak)
+
+    @CLOSED_PIPE_CASES
+    def test_closed_pipe_exits_3_without_a_traceback(self, unbuffered, lines_read):
+        # 8 MB of CSV, well past what a pipe buffers
+        argv = ["boundaries", "--na", "200000"]
+        assert_closed_pipe_exits_3(argv, BOUNDARY_HEADER, unbuffered, lines_read)
 
 
 class TestVerifyCommand:

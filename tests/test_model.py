@@ -1,5 +1,6 @@
 """Unit and property tests for the network quantity evaluations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
+from value_contract import assert_value_contract
 
 from twospring import model as model_module
 from twospring.model import (
@@ -53,6 +55,29 @@ class TestValidation:
     def test_topology_tags(self):
         assert P.k == 1
         assert S.k == 2
+
+    @pytest.mark.parametrize(
+        "cls, good, bad, message",
+        [
+            (SpringPair, (0.5, 2.0), (-0.1, 1.0), "elastic limits must be nonnegative, got (-0.1, 1.0)"),
+            (SpringPair, (0.5, 2.0), (1.0, math.nan), "elastic limits must be nonnegative, got (1.0, nan)"),
+            (Weights, (0.3, 0.5), (0.5, -0.5), "weights must be nonnegative, got (0.5, -0.5)"),
+            (Weights, (0.3, 0.5), (math.nan, 0.5), "weights must be nonnegative, got (nan, 0.5)"),
+        ],
+    )
+    def test_messages_directly_and_through_replace(self, cls, good, bad, message):
+        with pytest.raises(ValueError) as direct:
+            cls(*bad)
+        assert str(direct.value) == message
+        names = [f.name for f in dataclasses.fields(cls)]
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(cls(*good), **dict(zip(names, bad)))
+        assert str(replaced.value) == message
+
+
+@pytest.mark.parametrize("cls", [SpringPair, Weights])
+def test_value_contract(cls):
+    assert_value_contract(cls)
 
 
 class TestForce:

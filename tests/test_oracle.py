@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from value_contract import assert_value_contract
 
 from twospring import oracle as oracle_module
 from twospring.model import SpringPair, Topology, Weights, cost, feasible_grid, force_grid, multiperf_grid
-from twospring.oracle import GridSpec, OracleResult, oracle_solve, verify_reduction
+from twospring.oracle import GridSpec, OracleResult, VerificationVerdict, oracle_solve, verify_reduction
 from twospring.solver import solve_reduced
 
 P = Topology.PARALLEL
@@ -397,3 +398,8 @@ class TestVerifyReduction:
         verdict = oracle_module.verify_reduction(Weights(0.0, 0.3), P, GridSpec(6.0, 0.01), 0.01)
         assert not verdict.agree
         assert verdict.status == "feasibility-mismatch"
+
+
+@pytest.mark.parametrize("cls", [OracleResult, VerificationVerdict])
+def test_value_contract(cls):
+    assert_value_contract(cls)

@@ -1,11 +1,14 @@
 """Tests for weight-space classification and topology selection."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from value_contract import assert_value_contract
 
 from twospring import solver
 from twospring.model import Topology, Weights
@@ -13,13 +16,14 @@ from twospring.regions import (
     B2_SEGMENT_A_MAX,
     B2_SEGMENT_A_MIN,
     RegionLabel,
+    RegionReport,
     Winner,
     b2_boundary,
     classify,
     winner,
     winner_grid,
 )
-from twospring.solver import roots, solve_reduced
+from twospring.solver import expand, roots, solve_reduced
 
 P = Topology.PARALLEL
 S = Topology.SERIAL
@@ -105,6 +109,72 @@ class TestWinner:
                 assert rep.cost_parallel == rep.cost_serial
             else:
                 assert math.isinf(rep.cost_parallel) and math.isinf(rep.cost_serial)
+
+
+    # one pair per label and one per winner
+    @pytest.mark.parametrize(
+        "a, b, label, best",
+        [
+            (0.2, 0.2, RegionLabel.A, Winner.PARALLEL),
+            (0.35, 0.62, RegionLabel.B1, Winner.PARALLEL),
+            (0.3, 0.5, RegionLabel.B2, Winner.SERIAL),
+            (1.0, 1.0, RegionLabel.C, Winner.PARALLEL),
+            (0.4, 0.3999999999999999, RegionLabel.B1, Winner.TIE),
+            (0.0, 0.3, RegionLabel.A, Winner.BOTH_INFEASIBLE),
+        ],
+    )
+    def test_reports_the_canonical_members(self, a, b, label, best):
+        rep = winner(Weights(a, b))
+        assert rep.label is label and rep.winner is best
+        assert classify(Weights(a, b)) is label
+
+
+def test_value_contract():
+    assert_value_contract(RegionReport)
+
+
+def load_benchmark_reference():
+    """The benchmark's frozen point-query answers, ``perfbench/reference.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_point_queries_match_the_benchmark_answers():
+    """The benchmark's query, ``winner`` and then ``expand(solve_reduced(w, k), k)``
+    for the winning wiring, gives the tuple its correctness check compares, at
+    1,000 seeded weights each uniform on ``[0, 1.5]^2``, on the ``a = 0`` axis
+    and on the lines ``a + 2b = 1``, ``a + b = 1`` and ``b = 2 - 4a``."""
+    design_answer = load_benchmark_reference().design_answer
+    rng = np.random.default_rng(8)
+    n = 1000
+    t = rng.uniform(0.0, 1.0, n).tolist()
+    seg = [B2_SEGMENT_A_MIN + x * (B2_SEGMENT_A_MAX - B2_SEGMENT_A_MIN) for x in t]
+    pairs = [
+        *zip(rng.uniform(0.0, 1.5, n).tolist(), rng.uniform(0.0, 1.5, n).tolist()),
+        *((0.0, b) for b in rng.uniform(0.0, 1.5, n).tolist()),
+        *((a, (1.0 - a) / 2.0) for a in t),
+        *((a, 1.0 - a) for a in t),
+        *((a, 2.0 - 4.0 * a) for a in seg),
+    ]
+    seen = set()
+    for a, b in pairs:
+        w = Weights(a, b)
+        report = winner(w)
+        got = (report.label.value, report.winner.value, report.cost_parallel, report.cost_serial)
+        if report.winner is Winner.BOTH_INFEASIBLE:
+            got += (None, None, None)
+        else:
+            k = S if report.winner is Winner.SERIAL else P
+            design = expand(solve_reduced(w, k), k)
+            got += (design.c1_star, design.c2_star, design.total_cost)
+        assert got == design_answer(a, b), (a, b)
+        seen.add(got[:2])
+    # every label and every outcome occurs
+    assert {label for label, _ in seen} == {"A", "B1", "B2", "C"}
+    assert {best for _, best in seen} == {"parallel", "serial", "tie", "infeasible"}
 
 
 class TestB2Boundary:

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from value_contract import assert_value_contract
 
 from twospring.model import Topology, Weights
 from twospring.solver import (
     ActiveConstraint,
+    DesignSolution,
     InfeasibleError,
     ReducedSolution,
     expand,
@@ -270,3 +272,8 @@ def test_cost_monotone_in_weights():
             assert all(row[i + 1] <= row[i] + 1e-12 for i in range(len(row) - 1))
         for col in zip(*costs):
             assert all(col[i + 1] <= col[i] + 1e-12 for i in range(len(col) - 1))
+
+
+@pytest.mark.parametrize("cls", [ReducedSolution, DesignSolution])
+def test_value_contract(cls):
+    assert_value_contract(cls)

@@ -1,0 +1,69 @@
+"""Contract of the frozen value types whose ``__init__`` is written by hand.
+
+Each such class writes its fields straight into the instance ``__dict__``
+instead of through the ``__init__`` that ``@dataclass(frozen=True)`` would
+generate.  :func:`assert_value_contract` checks that it still behaves as that
+generated class would, against a plain frozen-dataclass twin built here.
+"""
+
+import copy
+import dataclasses
+import inspect
+import pickle
+
+import pytest
+
+
+def plain_twin(cls):
+    """A plain ``@dataclass(frozen=True)`` with the fields, defaults and name of ``cls``."""
+    spec = [
+        (f.name, f.type) if f.default is dataclasses.MISSING else (f.name, f.type, dataclasses.field(default=f.default))
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+def assert_value_contract(cls):
+    """``cls`` keeps the contract of the frozen dataclass its fields declare."""
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+
+    # signature: the field names in order, each with its default
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == names
+    for p, f in zip(params, fields):
+        assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        expected = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        assert p.default == expected, p.name
+
+    # distinct nonnegative sentinels read back from their own fields
+    args = [0.5 + i for i in range(len(names))]
+    obj = cls(*args)
+    for name, arg in zip(names, args):
+        assert getattr(obj, name) is arg, name
+    assert list(vars(obj)) == names
+    assert cls(**dict(zip(names, args))) == obj
+
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0.25)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert [getattr(obj, name) for name in names] == args
+
+    # ==, hash and repr as the generated class gives them
+    twin_cls = plain_twin(cls)
+    twin = twin_cls(*args)
+    assert repr(obj) == repr(twin)
+    assert hash(obj) == hash(twin)
+    assert (obj == cls(*args)) is (twin == twin_cls(*args)) is True
+    for i, name in enumerate(names):
+        other = [*args[:i], args[i] + 100.0, *args[i + 1 :]]
+        assert (obj == cls(*other)) is (twin == twin_cls(*other)) is False, name
+        replaced = dataclasses.replace(obj, **{name: other[i]})
+        assert type(replaced) is cls and replaced == cls(*other)
+        assert list(vars(replaced)) == names
+
+    for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(clone) is cls and clone == obj and vars(clone) == vars(obj)
+    assert dataclasses.asdict(obj) == dict(zip(names, args))
