@@ -11,7 +11,12 @@ be evaluated on the whole closed quadrant ``c1, c2 >= 0`` without special
 cases.  The scalar functions operate on :class:`SpringPair`; the ``*_grid``
 twins apply the same formulas to numpy arrays so that exhaustive scans stay
 vectorized while reading off a single set of definitions.  On arrays,
-overflow saturates to ``inf`` without a warning, as Python floats do.
+overflow saturates to ``inf`` and underflow rounds toward zero without a
+warning, as Python floats do, whatever numpy error state the caller set.
+Each formula is defined once, as a private function that enters no
+error-state scope; each public ``*_grid`` function is a thin wrapper that
+enters one scope around it, and the grid oracle enters one scope per scan
+and calls the private formulas directly.
 
 :func:`feasible_grid` is the constraint kernel of the grid oracle: the mask
 of points that are both strong (force ``>= 1``) and performant
@@ -21,9 +26,13 @@ already holds.  :func:`box_may_be_feasible` bounds that kernel over a box
 of limits from its corners.  It rests on a monotonicity contract of the
 formulas above: force is non-decreasing and resistance non-increasing in
 each limit, for both wirings, and every rounding step keeps that order.
-:func:`multiperf_grid`, :func:`feasible_grid` and the bound share one
-private helper for the ``a*F + b*R`` rule and its ``0 * inf == 0``
-convention, so the three cannot drift apart.
+The bound is the composition of two private halves: a weight-free one,
+the corner force, the corner resistance and the mask of strong boxes, and
+a weighted one that tests the performance bound.  The oracle computes the
+weight-free half once per grid layout, for both wirings, and only weighs
+it on each scan.  :func:`multiperf_grid`, :func:`feasible_grid` and the
+bound share one private helper for the ``a*F + b*R`` rule and its
+``0 * inf == 0`` convention, so the three cannot drift apart.
 
 :class:`SpringPair` and :class:`Weights` are built once per query, so each
 has a hand-written ``__init__`` that validates its arguments and writes the
@@ -137,26 +146,30 @@ def cost(s: SpringPair) -> float:
     return s.c1 + s.c2
 
 
-def force_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`force` over coordinate arrays."""
+def _extended() -> np.errstate:
+    """The error state of the array formulas: overflow saturates to ``inf``,
+    underflow rounds to a subnormal or zero, ``1 / 0`` gives ``inf`` and
+    ``0 * inf`` gives NaN, all without a warning or an error, whatever the
+    caller's own error state."""
+    return np.errstate(all="ignore")
+
+
+# The private array formulas below enter no error-state scope of their own:
+# each public ``*_grid`` function enters one :func:`_extended` scope around
+# them, and the oracle one per scan.
+
+
+def _force(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     if k is Topology.PARALLEL:
-        with np.errstate(over="ignore"):  # saturates to inf, as Python floats do
-            return c1 + c2
+        return c1 + c2
     return np.minimum(c1, c2)
 
 
-def _inverse(x: np.ndarray) -> np.ndarray:
-    """``1 / x`` in extended arithmetic: a zero or subnormal ``x`` gives ``inf``."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return 1.0 / x
-
-
-def resistance_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`resistance`; 1/0 maps to ``inf``."""
+def _resistance(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """A zero or subnormal divisor gives ``inf``, as in :func:`resistance`."""
     if k is Topology.PARALLEL:
-        return _inverse(force_grid(k, c1, c2))
-    with np.errstate(over="ignore"):
-        return _inverse(c1) + _inverse(c2)
+        return 1.0 / (c1 + c2)
+    return 1.0 / c1 + 1.0 / c2
 
 
 def _weigh(w: Weights, f: np.ndarray, resist: Callable[[], np.ndarray]) -> np.ndarray:
@@ -169,29 +182,69 @@ def _weigh(w: Weights, f: np.ndarray, resist: Callable[[], np.ndarray]) -> np.nd
     infinite force under ``a = 0`` gives NaN, which fails ``>= 1`` as its
     limit ``b*r -> 0`` does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = None
-        if w.b > 0.0:
-            r = resist()
-            r *= w.b
-        f *= w.a
-        if r is not None:
-            f += r
+    r = None
+    if w.b > 0.0:
+        r = resist()
+        r *= w.b
+    f *= w.a
+    if r is not None:
+        f += r
     return f
 
 
 def _weigh_at(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray, f: np.ndarray) -> np.ndarray:
     """:func:`_weigh` at ``(c1, c2)``, where the force is ``f``: in parallel the
-    resistance is ``1 / f``, as in :func:`resistance_grid`."""
+    resistance is ``1 / f``, as in :func:`_resistance`."""
     if k is Topology.PARALLEL:
-        return _weigh(w, f, lambda: _inverse(f))
-    return _weigh(w, f, lambda: resistance_grid(k, c1, c2))
+        return _weigh(w, f, lambda: 1.0 / f)
+    return _weigh(w, f, lambda: _resistance(k, c1, c2))
+
+
+def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Body of :func:`feasible_grid`, in the caller's error-state scope."""
+    f = _force(k, c1, c2)
+    ok = f >= 1.0
+    if ok.any():
+        ok &= _weigh_at(w, k, c1, c2, f) >= 1.0
+    return ok
+
+
+def _box_terms(
+    k: Topology, lo1: np.ndarray, lo2: np.ndarray, hi1: np.ndarray, hi2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight-free half of :func:`box_may_be_feasible`: the force ``f_hi`` at
+    the high corners, the resistance ``r_lo`` at the low corners, and the
+    mask ``strong`` of the boxes that ``f_hi < 1`` does not rule out."""
+    f_hi = _force(k, hi1, hi2)
+    return f_hi, _resistance(k, lo1, lo2), ~(f_hi < 1.0)
+
+
+def _box_keep(w: Weights, f_hi: np.ndarray, r_lo: np.ndarray, strong: np.ndarray) -> np.ndarray:
+    """Weighted half of :func:`box_may_be_feasible`: ``strong`` without the
+    boxes whose ``p_hi = a*f_hi + b*r_lo`` is below 1.  The terms are only
+    read, so they may be cached and read-only."""
+    keep = ~(_weigh(w, f_hi.copy(), r_lo.copy) < 1.0)
+    keep &= strong
+    return keep
+
+
+def force_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Vectorized twin of :func:`force` over coordinate arrays."""
+    with _extended():
+        return _force(k, c1, c2)
+
+
+def resistance_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Vectorized twin of :func:`resistance`; 1/0 maps to ``inf``."""
+    with _extended():
+        return _resistance(k, c1, c2)
 
 
 def multiperf_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Vectorized twin of :func:`multiperf` over float coordinate arrays,
     same ``0 * inf == 0`` convention."""
-    return _weigh_at(w, k, c1, c2, force_grid(k, c1, c2))
+    with _extended():
+        return _weigh_at(w, k, c1, c2, _force(k, c1, c2))
 
 
 def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -202,11 +255,8 @@ def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np
     the performance only when some point is strong: an input with no strong
     point returns its all-False strength mask at once.
     """
-    f = force_grid(k, c1, c2)
-    ok = f >= 1.0
-    if ok.any():
-        ok &= _weigh_at(w, k, c1, c2, f) >= 1.0
-    return ok
+    with _extended():
+        return _feasible(w, k, c1, c2)
 
 
 def box_may_be_feasible(
@@ -221,9 +271,10 @@ def box_may_be_feasible(
     the low corner, bound the force and the performance of every point of
     the box from above, computed as the kernel computes them.  A box is
     ruled out only when ``f_hi < 1`` or ``p_hi < 1``; a NaN bound (an
-    infinite ``f_hi`` under ``a = 0``) keeps it.
+    infinite ``f_hi`` under ``a = 0``) keeps it.  The weight-free terms
+    ``f_hi`` and ``r_lo`` come from :func:`_box_terms` and the test on
+    ``p_hi`` from :func:`_box_keep`, so a caller that bounds the same boxes
+    for many weights can compute the first half once.
     """
-    f = force_grid(k, hi1, hi2)
-    weak = f < 1.0
-    weak |= _weigh(w, f, lambda: resistance_grid(k, lo1, lo2)) < 1.0
-    return ~weak
+    with _extended():
+        return _box_keep(w, *_box_terms(k, lo1, lo2, hi1, hi2))

@@ -20,9 +20,15 @@ with one call of the model kernel :func:`~twospring.model.feasible_grid`
 over the columns from its first to its last remaining tile, and a block
 with none is not evaluated at all.  A scan that finds nothing has still
 decided the whole square, mostly by the bound.  The tile layout depends on
-the grid alone and is kept for the last grid scanned.  Memory stays
-bounded by one block, at most ``BLOCK_DIAGONALS`` points per grid row, plus
-four corner coordinates per tile, whatever ``c_max / step``.
+the grid alone and is kept for the last grid scanned, together with the
+weight-free half of the bound: the corner force and resistance of every
+tile, and its strength mask, for both wirings.  A scan only weighs them.
+A scan enters one numpy error-state scope and calls the scope-free bodies
+of the bound and the kernel inside it, rather than the public wrappers,
+which enter one scope each.  Memory stays bounded by one block, at most
+``BLOCK_DIAGONALS`` points per grid row, plus per tile four corner
+coordinates and, per wiring, two bound terms and a mask, whatever
+``c_max / step``.
 
 Constraint evaluation and its bound are shared with the model module, but
 the scan knows nothing about the one-variable reduction or the closed form:
@@ -40,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import SpringPair, Topology, Weights, box_may_be_feasible, cost, feasible_grid
+from .model import SpringPair, Topology, Weights, _box_keep, _box_terms, _extended, _feasible, cost
 from .solver import solve_reduced
 
 __all__ = [
@@ -184,6 +190,7 @@ class _Layout(NamedTuple):
     runs: np.ndarray
     corners: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     tiles: np.ndarray
+    bounds: dict[Topology, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @functools.lru_cache(maxsize=1)
@@ -205,7 +212,10 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
     ``[s0 - i_top, s0 + width - 1 - i_bot]``, clipped to the square.
     ``corners`` holds the coordinates ``lo1, lo2, hi1, hi2`` of that box per
     block and tile, and ``tiles`` marks the tiles a block has: a block near
-    a corner of the square has fewer columns than ``size``.
+    a corner of the square has fewer columns than ``size``.  ``bounds[k]``
+    holds the weight-free half of the tile bound for wiring ``k``, the
+    ``f_hi``, ``r_lo`` and ``strong`` of :func:`~twospring.model._box_terms`
+    with ``strong`` limited to ``tiles``, so a scan only weighs them.
     """
     axis = g.axis()
     last = g.size - 1
@@ -220,14 +230,23 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
     hi2 = axis[np.minimum(s0 + width - 1 - i_bot, last)]
     padded = np.full(2 * last + 2 * width, np.nan)
     padded[width - 1 : width + last] = axis
+    corners = (axis[i_bot], lo2, axis[i_top], hi2)
+    tiles = start < columns
+    bounds = {}
+    with _extended():
+        for k in Topology:
+            f_hi, r_lo, strong = _box_terms(k, *corners)
+            strong &= tiles
+            bounds[k] = (f_hi, r_lo, strong)
     layout = _Layout(
         axis=axis,
         descending=axis[::-1].copy(),
         runs=sliding_window_view(padded, g.size),
-        corners=(axis[i_bot], lo2, axis[i_top], hi2),
-        tiles=start < columns,
+        corners=corners,
+        tiles=tiles,
+        bounds=bounds,
     )
-    for array in (axis, layout.descending, *layout.corners, layout.tiles):
+    for array in (axis, layout.descending, *corners, tiles, *bounds[Topology.PARALLEL], *bounds[Topology.SERIAL]):
         array.flags.writeable = False
     return layout
 
@@ -239,7 +258,10 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     in increasing ``s``; the first block with a feasible point holds the
     cheapest one.  Within a block only the columns from the first to the
     last tile that :func:`~twospring.model.box_may_be_feasible` cannot rule
-    out are evaluated.  Cost ties on a diagonal are broken toward the
+    out are evaluated: the scan weighs the weight-free bound terms cached
+    with the layout, then runs the body of
+    :func:`~twospring.model.feasible_grid` on each block, all inside one
+    error-state scope.  Cost ties on a diagonal are broken toward the
     smaller ``|c1 - c2|``, then the smaller ``c1``.  The reduction runs on
     integer grid indices, so ties and tie-breaks are exact and do not
     depend on the block or tile size.
@@ -247,22 +269,22 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     width, tile = BLOCK_DIAGONALS, TILE_COLUMNS
     layout = _layout(g, width, tile)
     last = g.size - 1
-    keep = box_may_be_feasible(w, k, *layout.corners)
-    keep &= layout.tiles
-    for block in np.flatnonzero(keep.any(axis=1)).tolist():
-        s0 = block * width
-        i_hi = min(last, s0 + width - 1)
-        kept = np.flatnonzero(keep[block])
-        r0 = int(kept[0]) * tile  # evaluated columns [r0, r1)
-        r1 = min(int(kept[-1]) * tile + tile, i_hi - max(0, s0 - last) + 1)
-        c1 = layout.descending[last - i_hi + r0 : last - i_hi + r1]
-        q = s0 - i_hi + width - 1
-        feasible = feasible_grid(w, k, c1, layout.runs[q : q + width, r0:r1])
-        diagonals = feasible.any(axis=1)
-        if diagonals.any():
-            break
-    else:
-        return OracleResult(False, None, math.inf, None, False, g.size * g.size)
+    with _extended():  # the one error-state scope of the scan
+        keep = _box_keep(w, *layout.bounds[k])
+        for block in np.flatnonzero(keep.any(axis=1)).tolist():
+            s0 = block * width
+            i_hi = min(last, s0 + width - 1)
+            kept = np.flatnonzero(keep[block])
+            r0 = int(kept[0]) * tile  # evaluated columns [r0, r1)
+            r1 = min(int(kept[-1]) * tile + tile, i_hi - max(0, s0 - last) + 1)
+            c1 = layout.descending[last - i_hi + r0 : last - i_hi + r1]
+            q = s0 - i_hi + width - 1
+            feasible = _feasible(w, k, c1, layout.runs[q : q + width, r0:r1])
+            diagonals = feasible.any(axis=1)
+            if diagonals.any():
+                break
+        else:
+            return OracleResult(False, None, math.inf, None, False, g.size * g.size)
     d = int(diagonals.argmax())
     s = s0 + d
     ii = i_hi - r0 - np.flatnonzero(feasible[d])[::-1]  # ascending

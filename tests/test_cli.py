@@ -552,6 +552,13 @@ class TestVerifyCommand:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "02f8c6812df5be0f1fb082148d506dd6c97085f437c23b1b318490df8d01a38c"
 
+    def test_default_summary_bytes_are_pinned(self, tmp_path):
+        # the default campaign: 200 samples, seed 42, the 1201^2 grid
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--out", str(out)]) == EXIT_OK
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "ddf2f4a344ea11d8242ba50fdfe64618475af3788b01b9b01324a8e8d300dae4"
+
 
 class _NumpyGuard:
     """Stands in for numpy in ``sweep_cli``: any use fails the test."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from value_contract import assert_value_contract
 
 from twospring import oracle as oracle_module
-from twospring.model import SpringPair, Topology, Weights, cost, feasible_grid, force_grid, multiperf_grid
+from twospring.model import SpringPair, Topology, Weights, box_may_be_feasible, cost, force_grid, multiperf_grid
 from twospring.oracle import GridSpec, OracleResult, VerificationVerdict, oracle_solve, verify_reduction
 from twospring.solver import solve_reduced
 
@@ -302,16 +302,103 @@ class TestTilePruning:
     )
     def test_far_scans_evaluate_a_small_share(self, w, k, monkeypatch):
         evaluated = []
+        kernel = oracle_module._feasible  # the name the scan calls
 
         def counting(w, k, c1, c2):
             evaluated.append(np.broadcast(c1, c2).size)
-            return feasible_grid(w, k, c1, c2)
+            return kernel(w, k, c1, c2)
 
-        monkeypatch.setattr(oracle_module, "feasible_grid", counting)
+        monkeypatch.setattr(oracle_module, "_feasible", counting)
         res = oracle_solve(w, k, DEFAULT_GRID)
         # the scan still decides the points it skips
         assert res.points_scanned > 0.85 * DEFAULT_GRID.size**2
         assert sum(evaluated) < 0.05 * DEFAULT_GRID.size**2
+        # the patch sees the blocks a feasible scan evaluates; the empty
+        # scans are decided by the bound alone
+        assert (sum(evaluated) > 0) == res.feasible
+
+
+# a grid whose corner force overflows in parallel: hi1 + hi2 = 2e308
+OVERFLOW_GRID = GridSpec(1e308, 1e306)
+EDGE_FLOATS = st.sampled_from([0.0, 5e-324, 1e308])
+
+
+def scan_layout(g):
+    """The layout a scan of ``g`` reads, at the current block and tile sizes."""
+    return oracle_module._layout(g, oracle_module.BLOCK_DIAGONALS, oracle_module.TILE_COLUMNS)
+
+
+def assert_cached_bound_matches(w, k, g):
+    """The scan's weighted half over the cached terms is the public bound on
+    the layout's tiles, bit for bit; returns the tiles kept."""
+    layout = scan_layout(g)
+    with oracle_module._extended():  # the scan's scope
+        keep = oracle_module._box_keep(w, *layout.bounds[k])
+    expected = box_may_be_feasible(w, k, *layout.corners) & layout.tiles
+    assert keep.dtype == expected.dtype and keep.shape == expected.shape
+    assert np.array_equal(keep, expected)
+    return keep
+
+
+class TestCachedBound:
+    """The weight-free half of the tile bound, cached with the layout."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
+        b=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
+        k=st.sampled_from([P, S]),
+        sizes=st.sampled_from([(32, 32), (8, 5)]),
+    )
+    def test_matches_the_public_bound(self, a, b, k, sizes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "BLOCK_DIAGONALS", sizes[0])
+            mp.setattr(oracle_module, "TILE_COLUMNS", sizes[1])
+            assert_cached_bound_matches(Weights(a, b), k, DEFAULT_GRID)
+
+    @pytest.mark.parametrize("b", [0.0, 0.3, 1e308])
+    def test_nan_bound_keeps_the_tile(self, b):
+        layout = scan_layout(OVERFLOW_GRID)
+        overflowed = np.isinf(layout.bounds[P][0]) & layout.tiles
+        assert overflowed.any()
+        # a = 0 times an infinite force is NaN, which rules nothing out
+        keep = assert_cached_bound_matches(Weights(0.0, b), P, OVERFLOW_GRID)
+        assert keep[overflowed].all()
+
+    @pytest.mark.parametrize("g", [DEFAULT_GRID, OVERFLOW_GRID])
+    def test_cached_arrays_are_read_only(self, g):
+        layout = scan_layout(g)
+        assert set(layout.bounds) == {P, S}
+        for f_hi, r_lo, strong in layout.bounds.values():
+            for array in (f_hi, r_lo, strong):
+                assert not array.flags.writeable
+            assert not (strong & ~layout.tiles).any()
+
+
+class TestErrorState:
+    """A scan runs in its own error-state scope and leaves the caller's alone."""
+
+    @pytest.mark.parametrize(
+        "w,g",
+        [
+            (Weights(1e308, 1e308), DEFAULT_GRID),
+            (Weights(5e-324, 0.2), DEFAULT_GRID),
+            (Weights(0.0, 0.0), DEFAULT_GRID),
+            (Weights(0.0, 0.3), OVERFLOW_GRID),
+            (Weights(1e308, 1e308), OVERFLOW_GRID),
+            (Weights(5e-324, 0.2), OVERFLOW_GRID),
+        ],
+    )
+    @pytest.mark.parametrize("k", [P, S])
+    def test_raising_caller_sees_no_floating_point_error(self, w, g, k):
+        oracle_module._layout.cache_clear()  # the first scan builds the layout
+        with np.errstate(all="raise"):
+            state = np.geterr()
+            scanned = oracle_solve(w, k, g)
+            assert np.geterr() == state
+            verdict = verify_reduction(w, k, g, 0.01)
+            assert np.geterr() == state
+        assert verdict.oracle_cost == scanned.best_cost
 
 
 class TestVerifyReduction:
