@@ -310,12 +310,18 @@ def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> Verifi
     to sit within one step of the diagonal.  When the closed-form optimum
     cannot be represented inside the search square at all, an empty scan is
     agreement too, reported as ``agree-truncated``.
+
+    The costs and ``argmin_gap`` are always the two results' own (``inf`` and
+    ``None`` where infeasible); ``cost_gap`` is ``inf`` when exactly one side
+    is feasible and ``0.0`` when neither is.  ``tol`` must be positive and
+    finite.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     closed = solve_reduced(w, k)
     scanned = oracle_solve(w, k, g)
     allowance = tol + 2.0 * g.step
+    gap, beyond = math.inf, False
     if closed.feasible and scanned.feasible:
         gap = scanned.best_cost - closed.total_cost
         if abs(gap) > allowance:
@@ -324,49 +330,16 @@ def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> Verifi
             status = "split-mismatch"
         else:
             status = "agree"
-        return VerificationVerdict(
-            agree=(status == "agree"),
-            status=status,
-            closed_cost=closed.total_cost,
-            oracle_cost=scanned.best_cost,
-            cost_gap=gap,
-            allowance=allowance,
-            argmin_gap=scanned.argmin_gap,
-            beyond_grid=False,
-        )
-    if not closed.feasible and not scanned.feasible:
-        return VerificationVerdict(
-            agree=True,
-            status="agree-infeasible",
-            closed_cost=math.inf,
-            oracle_cost=math.inf,
-            cost_gap=0.0,
-            allowance=allowance,
-            argmin_gap=None,
-            beyond_grid=False,
-        )
-    if closed.feasible:
+    elif not (closed.feasible or scanned.feasible):
+        status, gap = "agree-infeasible", 0.0
+    elif scanned.feasible:
+        status = "feasibility-mismatch"  # a witness where the closed form has none
+    else:
         # empty scan: legitimate iff the optimal design exceeds the square
         top = (g.size - 1) * g.step  # == axis()[-1]
-        reach = 2.0 * top if k is Topology.PARALLEL else top
-        beyond = closed.x_star > reach
-        return VerificationVerdict(
-            agree=beyond,
-            status="agree-truncated" if beyond else "feasibility-mismatch",
-            closed_cost=closed.total_cost,
-            oracle_cost=math.inf,
-            cost_gap=math.inf,
-            allowance=allowance,
-            argmin_gap=None,
-            beyond_grid=beyond,
-        )
+        beyond = closed.x_star > (2.0 * top if k is Topology.PARALLEL else top)
+        status = "agree-truncated" if beyond else "feasibility-mismatch"
+    agree = status.startswith("agree")
     return VerificationVerdict(
-        agree=False,
-        status="feasibility-mismatch",
-        closed_cost=math.inf,
-        oracle_cost=scanned.best_cost,
-        cost_gap=math.inf,
-        allowance=allowance,
-        argmin_gap=scanned.argmin_gap,
-        beyond_grid=False,
+        agree, status, closed.total_cost, scanned.best_cost, gap, allowance, scanned.argmin_gap, beyond
     )

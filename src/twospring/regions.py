@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Topology, Weights
+from .model import Topology, Weights, _extended
 from .solver import _reduced, total_cost_grid
 
 __all__ = [
@@ -136,7 +136,7 @@ def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     labels, winners = list(RegionLabel), list(Winner)
     cost_p = total_cost_grid(a, b, Topology.PARALLEL)
     cost_s = total_cost_grid(a, b, Topology.SERIAL)
-    with np.errstate(over="ignore"):  # a huge b sums to inf, as in Python floats
+    with _extended():  # a huge b sums to inf, as in Python floats
         region = np.select(
             [a + 2.0 * b - 1.0 < 0.0, a + b - 1.0 >= 0.0, cost_p > 2.0],
             [labels.index(RegionLabel.A), labels.index(RegionLabel.C), labels.index(RegionLabel.B2)],

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Topology, Weights
+from .model import Topology, Weights, _extended
 
 __all__ = [
     "ActiveConstraint",
@@ -163,8 +163,8 @@ def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> np.ndarray:
     """
     kk = float(k.k)
     cost = np.full(a.shape, kk)
-    # overflow to inf (huge b, subnormal a) is silent, as in Python floats
-    with np.errstate(over="ignore"):
+    # overflow to inf (huge b, subnormal a) and underflow are silent, as in Python floats
+    with _extended():
         zero = a == 0.0
         cost[zero & ~(kk * b >= 1.0)] = math.inf
         root = ~zero & (a + kk * b - 1.0 < 0.0)

@@ -209,12 +209,12 @@ def _sweep_chunks(spec: SweepSpec) -> Iterator[list[str]]:
 
     Each chunk is one :func:`winner_grid` call on its own samples, taken from
     the two axes; every operation is elementwise, so any chunking gives the
-    same bytes.  A chunk may begin and end inside a row of ``b``.
+    same bytes.  A chunk may begin and end inside a row of ``b``.  Each
+    distinct sample of a chunk is formatted once: its ``a`` column repeats
+    every ``na`` cells and its ``b`` column is a run of consecutive samples.
     """
     a_axis = np.linspace(spec.a_min, spec.a_max, spec.na)
     b_axis = np.linspace(spec.b_min, spec.b_max, spec.nb)
-    # a row's a texts repeat in every row; keep them if a row fits in a chunk
-    a_row = _texts(a_axis) if spec.na <= SWEEP_CHUNK_CELLS else None
     yield [SWEEP_HEADER]
     cells = spec.na * spec.nb
     for start in range(0, cells, SWEEP_CHUNK_CELLS):
@@ -223,7 +223,7 @@ def _sweep_chunks(spec: SweepSpec) -> Iterator[list[str]]:
         region, best, cost_p, cost_s = winner_grid(a, b)
         first_b = int(b_index[0])
         columns = zip(
-            (_texts(a) if a_row is None else a_row[a_index]).tolist(),
+            np.resize(_texts(a[: spec.na]), a.size).tolist(),
             _texts(b_axis[first_b : int(b_index[-1]) + 1])[b_index - first_b].tolist(),
             _PAIR_TEXT[region * len(Winner) + best].tolist(),
             _cost_texts(cost_p),
@@ -365,23 +365,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from None
     rng = np.random.default_rng(args.seed)
     points = rng.uniform(0.0, 1.5, size=(args.samples, 2))
-    checks = 0
-    agreements = 0
     truncated = 0
     worst_gap = 0.0
     failures = []
-    for a, b in points:
-        w = Weights(float(a), float(b))
+    for a, b in points.tolist():
+        w = Weights(a, b)
         for name, k in _TOPOLOGIES.items():
             verdict = verify_reduction(w, k, grid, args.tol)
-            checks += 1
-            if verdict.agree:
-                agreements += 1
-                if verdict.status == "agree-truncated":
-                    truncated += 1
-                if math.isfinite(verdict.cost_gap):
-                    worst_gap = max(worst_gap, abs(verdict.cost_gap))
-            else:
+            truncated += verdict.beyond_grid
+            if not verdict.agree:
                 failures.append(
                     {
                         "a": w.a,
@@ -392,6 +384,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         "oracle_cost": verdict.oracle_cost,
                     }
                 )
+            elif math.isfinite(verdict.cost_gap):
+                worst_gap = max(worst_gap, abs(verdict.cost_gap))
+    checks = len(_TOPOLOGIES) * args.samples
     summary = {
         "samples": args.samples,
         "seed": args.seed,
@@ -399,7 +394,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "step": args.step,
         "tol": args.tol,
         "checks": checks,
-        "agreements": agreements,
+        "agreements": checks - len(failures),
         "disagreements": len(failures),
         "truncated": truncated,
         "worst_cost_gap": worst_gap,

@@ -1,9 +1,10 @@
-"""Acceptance suite: the eight release criteria, each printed as a pass/fail line.
+"""Acceptance suite: the nine release criteria, each printed as a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines alongside the pytest verdicts.
 """
 
+import functools
 import json
 import math
 import time
@@ -12,7 +13,7 @@ import numpy as np
 
 from twospring.model import SpringPair, Topology, Weights, cost, force, multiperf, resistance
 from twospring.oracle import GridSpec, oracle_solve
-from twospring.regions import winner
+from twospring.regions import B2_SEGMENT_A_MAX, B2_SEGMENT_A_MIN, winner
 from twospring.solver import roots, solve_reduced
 from twospring.sweep_cli import main
 
@@ -231,3 +232,65 @@ def test_c8_sweep_determinism(tmp_path):
     identical = first.read_bytes() == second.read_bytes()
     ok = code_first == 0 and code_second == 0 and identical
     report(8, "sweep determinism", ok, f"{first.stat().st_size} bytes, identical={identical}")
+
+
+CURVE_GRID = GridSpec(6.0, 0.005)
+
+
+@functools.cache
+def oracle_b1_b2_divider(lines=25, steps=30):
+    """``(a, b, width)`` per line of fixed ``a`` strictly inside (1/3, 3/7):
+    the ``b`` where the oracle's serial wiring stops being strictly cheaper
+    than its parallel one, bisected over band B, and the bisection's final
+    bracket width.  Only ``oracle_solve`` is called."""
+
+    def serial_cheaper(a, b):
+        w = Weights(a, b)
+        return oracle_solve(w, P, CURVE_GRID).best_cost > oracle_solve(w, S, CURVE_GRID).best_cost
+
+    located = []
+    for a in np.linspace(B2_SEGMENT_A_MIN, B2_SEGMENT_A_MAX, lines + 2)[1:-1].tolist():
+        lo, hi = (1.0 - a) / 2.0, 1.0 - a  # band B: a + 2b >= 1 > a + b
+        assert serial_cheaper(a, lo) and not serial_cheaper(a, hi)
+        for _ in range(steps):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if serial_cheaper(a, mid) else (lo, mid)
+        located.append((a, (lo + hi) / 2.0, hi - lo))
+    return located
+
+
+def divider_within_tolerance(curve):
+    """Per line, whether the oracle's divider lies within the grid's
+    resolution of ``curve(a)``, and its deviation.
+
+    In band B the serial optimum is the grid point (1, 1), cost exactly 2.
+    The parallel cost depends on ``c1 + c2`` alone and every multiple of
+    ``step`` is a diagonal of the grid, so the scan overshoots it by less
+    than one ``step``: the oracle's divider has a true parallel cost ``x`` in
+    ``(2 - step, 2]``.  Along a line of fixed ``a`` the parallel cost falls
+    with slope ``1 / sqrt(1 - 4ab) = 1 / (2ax - 1)``, at least ``1 / (4a - 1)``
+    for ``x <= 2``, so the divider lies within ``step * (4a - 1)`` of the
+    true curve, plus half the bisection's bracket.
+    """
+    return [
+        (abs(b - curve(a)) <= CURVE_GRID.step * (4.0 * a - 1.0) + width / 2.0, abs(b - curve(a)))
+        for a, b, width in oracle_b1_b2_divider()
+    ]
+
+
+def test_c9_b1_b2_curve_from_the_oracle_alone():
+    """The oracle alone places the serial/parallel divider on b = 2 - 4a."""
+    started = time.time()
+    lines = divider_within_tolerance(lambda a: 2.0 - 4.0 * a)
+    elapsed = time.time() - started
+    ok = all(within for within, _ in lines)
+    report(
+        9, "B1/B2 curve from the oracle alone", ok,
+        f"{sum(within for within, _ in lines)}/{len(lines)} lines within tolerance, "
+        f"worst deviation {max(deviation for _, deviation in lines):.1e}, {elapsed:.2f}s",
+    )
+
+
+def test_c9_rejects_a_curve_shifted_by_one_step():
+    lines = divider_within_tolerance(lambda a: 2.0 - 4.0 * a + CURVE_GRID.step)
+    assert not any(within for within, _ in lines)

@@ -1,5 +1,6 @@
 """Tests for the brute-force grid oracle and the agreement checker."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -485,6 +486,65 @@ class TestVerifyReduction:
         verdict = oracle_module.verify_reduction(Weights(0.0, 0.3), P, GridSpec(6.0, 0.01), 0.01)
         assert not verdict.agree
         assert verdict.status == "feasibility-mismatch"
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_reduction(Weights(0.5, 0.5), P, GridSpec(1.0, 0.1), tol)
+
+
+_EMPTY = OracleResult(False, None, math.inf, None, False)
+
+
+def _witness(c1, c2):
+    return OracleResult(True, SpringPair(c1, c2), c1 + c2, abs(c1 - c2), False)
+
+
+# status -> (weights, wiring, doctored scan, the eight fields of the verdict);
+# grid (6.0, 0.01) and tol 0.01 give the allowance 0.01 + 2 * 0.01
+_TRUNCATED_COST = solve_reduced(Weights(0.15, 0.1), S).total_cost  # 12.9..., beyond the reach 6.0
+_VERDICT_TABLE = {
+    "agree": (
+        Weights(1.0, 1.0), P, _witness(0.5, 0.51),
+        (True, "agree", 1.0, 1.01, 1.01 - 1.0, 0.03, 0.010000000000000009, False),
+    ),
+    "agree-infeasible": (
+        Weights(0.0, 0.3), P, _EMPTY,
+        (True, "agree-infeasible", math.inf, math.inf, 0.0, 0.03, None, False),
+    ),
+    "agree-truncated": (
+        Weights(0.15, 0.1), S, _EMPTY,
+        (True, "agree-truncated", _TRUNCATED_COST, math.inf, math.inf, 0.03, None, True),
+    ),
+    "cost-mismatch": (
+        Weights(1.0, 1.0), P, _witness(2.0, 2.0),
+        (False, "cost-mismatch", 1.0, 4.0, 3.0, 0.03, 0.0, False),
+    ),
+    "split-mismatch": (
+        Weights(1.0, 1.0), S, _witness(0.9, 1.1),
+        (False, "split-mismatch", 2.0, 2.0, 0.0, 0.03, 0.20000000000000007, False),
+    ),
+    "feasibility-mismatch, empty scan": (
+        Weights(1.0, 1.0), P, _EMPTY,
+        (False, "feasibility-mismatch", 1.0, math.inf, math.inf, 0.03, None, False),
+    ),
+    "feasibility-mismatch, unexpected witness": (
+        Weights(0.0, 0.3), P, _witness(1.0, 1.0),
+        (False, "feasibility-mismatch", math.inf, 2.0, math.inf, 0.03, 0.0, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICT_TABLE))
+def test_verdict_fields_per_status(case, monkeypatch):
+    """Every field of the verdict, for each status and both kinds of feasibility mismatch."""
+    w, k, scanned, expected = _VERDICT_TABLE[case]
+    monkeypatch.setattr(oracle_module, "oracle_solve", lambda w, k, g: scanned)
+    verdict = oracle_module.verify_reduction(w, k, GridSpec(6.0, 0.01), 0.01)
+    got = dataclasses.astuple(verdict)
+    assert len(got) == 8
+    assert got == expected
+    assert [type(value) for value in got] == [type(value) for value in expected]
 
 
 @pytest.mark.parametrize("cls", [OracleResult, VerificationVerdict])

@@ -23,7 +23,7 @@ from twospring.regions import (
     winner,
     winner_grid,
 )
-from twospring.solver import expand, roots, solve_reduced
+from twospring.solver import expand, roots, solve_reduced, total_cost_grid
 
 P = Topology.PARALLEL
 S = Topology.SERIAL
@@ -298,6 +298,25 @@ def test_winner_grid_matches_scalar_reports():
     assert {labels[r] for r in region.tolist()} == set(RegionLabel)
     assert {winners[w] for w in best.tolist()} == set(Winner)
 
+
+
+@pytest.mark.parametrize(
+    "a,b", [(1e-200, 1e-200), (5e-324, 0.2), (1e308, 1e308), (0.0, 1e308), (1e-300, 1e300)]
+)
+def test_array_kernels_raise_no_floating_point_error(a, b):
+    """Under a raising caller the array kernels underflow and overflow as
+    Python floats do, return the scalar costs, and leave the caller's error
+    state as it was."""
+    rep = winner(Weights(a, b))
+    x, y = np.array([a]), np.array([b])
+    with np.errstate(all="raise"):
+        state = np.geterr()
+        region, best, cost_p, cost_s = winner_grid(x, y)
+        assert np.geterr() == state
+        costs = [total_cost_grid(x, y, k)[0] for k in (P, S)]
+        assert np.geterr() == state
+    assert costs == [cost_p[0], cost_s[0]] == [rep.cost_parallel, rep.cost_serial]
+    assert (tuple(RegionLabel)[region[0]], tuple(Winner)[best[0]]) == (rep.label, rep.winner)
 
 class _NoReducedSolution:
     def __init__(self, *args, **kwargs):
