@@ -28,9 +28,10 @@ formulas above: force is non-decreasing and resistance non-increasing in
 each limit, for both wirings, and every rounding step keeps that order.
 The bound is the composition of two private halves: a weight-free one,
 the corner force, the corner resistance and the mask of strong boxes, and
-a weighted one that tests the performance bound.  The oracle computes the
-weight-free half once per grid layout, for both wirings, and only weighs
-it on each scan.  :func:`multiperf_grid`, :func:`feasible_grid` and the
+a weighted one that tests the performance bound.  The oracle applies the
+weight-free half to the column segments of its tiles once per grid layout,
+for both wirings, keeps the largest terms over each tile, and only weighs
+them on each scan.  :func:`multiperf_grid`, :func:`feasible_grid` and the
 bound share one private helper for the ``a*F + b*R`` rule and its
 ``0 * inf == 0`` convention, so the three cannot drift apart.
 

@@ -11,24 +11,30 @@ points that cost more than it are left undecided.
 
 A block is split into tiles of ``TILE_COLUMNS`` grid columns.  Force is
 non-decreasing and resistance non-increasing in each limit, for both
-wirings and in rounded arithmetic, so the force at a tile's largest
-``(c1, c2)`` and the performance formed with the resistance at its smallest
-bound every point of the tile from above
-(:func:`~twospring.model.box_may_be_feasible`).  A tile whose bound is
-below 1 holds no feasible point and is not evaluated; each block is tested
-with one call of the model kernel :func:`~twospring.model.feasible_grid`
-over the columns from its first to its last remaining tile, and a block
-with none is not evaluated at all.  A scan that finds nothing has still
-decided the whole square, mostly by the bound.  The tile layout depends on
-the grid alone and is kept for the last grid scanned, together with the
-weight-free half of the bound: the corner force and resistance of every
-tile, and its strength mask, for both wirings.  A scan only weighs them.
-A scan enters one numpy error-state scope and calls the scope-free bodies
-of the bound and the kernel inside it, rather than the public wrappers,
-which enter one scope each.  Memory stays bounded by one block, at most
-``BLOCK_DIAGONALS`` points per grid row, plus per tile four corner
-coordinates and, per wiring, two bound terms and a mask, whatever
-``c_max / step``.
+wirings and in rounded arithmetic.  In each column of a tile the block's
+points form a segment of ``c2``, so the force at its top and the
+resistance at its bottom bound the force and the resistance of every point
+of the segment from above (:func:`~twospring.model._box_terms`, the
+weight-free half of :func:`~twospring.model.box_may_be_feasible`); the
+largest of each over the tile's columns bound the whole tile, and the
+performance formed from them bounds its performance.  A tile whose bound
+is below 1 holds no feasible point and is not evaluated; each block is
+tested with one call of the model kernel
+:func:`~twospring.model.feasible_grid` over the columns from its first to
+its last remaining tile, and a block with none is not evaluated at all.
+Because the bound reads only the tile's own points, and the parallel force
+is constant along a diagonal, a scan seldom evaluates a block before the
+one that holds the answer.  A scan that finds nothing has still decided the
+whole square, mostly by the bound.  The tile layout depends on the grid
+alone and is kept for the last grid scanned, together with the weight-free
+half of the bound: the largest force and resistance of every tile, and
+its strength mask, for both wirings.  A scan only weighs them.  A scan
+enters one numpy error-state scope and calls the scope-free bodies of the
+bound and the kernel inside it, rather than the public wrappers, which
+enter one scope each.  Memory stays bounded by one block, at most
+``BLOCK_DIAGONALS`` points per grid row, plus per tile and wiring two
+bound terms and a mask, whatever ``c_max / step``; the layout builds the
+terms over a bounded number of grid columns at a time.
 
 Constraint evaluation and its bound are shared with the model module, but
 the scan knows nothing about the one-variable reduction or the closed form:
@@ -63,10 +69,12 @@ __all__ = [
 
 # anti-diagonals i + j evaluated per block of the cost-ordered scan
 BLOCK_DIAGONALS = 32
-# columns per tile, the unit a corner bound may rule out within a block
+# columns per tile, the unit the bound may rule out within a block
 TILE_COLUMNS = 32
 # largest square a GridSpec may describe: 10**4 points per side
 MAX_GRID_POINTS = 10**8
+# block columns whose bound terms a layout builds at a time, to bound its memory
+_LAYOUT_CHUNK = 2**12
 
 
 @dataclass(frozen=True)
@@ -89,8 +97,11 @@ class GridSpec:
         ratio = self.c_max / self.step  # inf when the quotient overflows
         size = math.floor(min(ratio, MAX_GRID_POINTS) + 1e-9) + 1
         if size * size > MAX_GRID_POINTS:
+            # size is exact below the cap on the ratio, and only a lower bound above it
+            per_side = size if ratio < MAX_GRID_POINTS else f"more than {MAX_GRID_POINTS}"
             raise ValueError(
-                f"grid of c_max/step={ratio:.6g} exceeds {MAX_GRID_POINTS} points; use a larger step"
+                f"grid of {per_side} points per side exceeds the cap of {math.isqrt(MAX_GRID_POINTS)} per side"
+                f" ({MAX_GRID_POINTS} points); use a larger step"
             )
         object.__setattr__(self, "size", size)
 
@@ -188,7 +199,6 @@ class _Layout(NamedTuple):
     axis: np.ndarray
     descending: np.ndarray
     runs: np.ndarray
-    corners: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     tiles: np.ndarray
     bounds: dict[Topology, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
@@ -207,46 +217,53 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
     NaN elsewhere, which masks every ``j`` outside ``[0, last]`` (NaN fails
     both constraints).
 
-    Tile ``t`` of a block holds its columns ``[t * tile, (t + 1) * tile)``:
-    over them ``i`` falls from ``i_top`` to ``i_bot`` and ``j`` spans
-    ``[s0 - i_top, s0 + width - 1 - i_bot]``, clipped to the square.
-    ``corners`` holds the coordinates ``lo1, lo2, hi1, hi2`` of that box per
-    block and tile, and ``tiles`` marks the tiles a block has: a block near
-    a corner of the square has fewer columns than ``size``.  ``bounds[k]``
-    holds the weight-free half of the tile bound for wiring ``k``, the
-    ``f_hi``, ``r_lo`` and ``strong`` of :func:`~twospring.model._box_terms`
-    with ``strong`` limited to ``tiles``, so a scan only weighs them.
+    Tile ``t`` of a block holds its columns ``[t * tile, (t + 1) * tile)``,
+    and ``tiles`` marks the tiles a block has: a block near a corner of the
+    square has fewer columns than ``size``.  In column ``i`` the block's
+    points form the segment ``j_lo = max(s0 - i, 0)`` to
+    ``j_hi = min(s0 + width - 1 - i, last)``.  ``bounds[k]`` holds the
+    weight-free half of the tile bound for wiring ``k``: ``f_hi`` and
+    ``r_lo``, the largest over a tile's columns of the
+    :func:`~twospring.model._box_terms` of each column's segment, and
+    ``strong``, the tiles ``f_hi < 1`` does not rule out.  By the
+    monotonicity contract of the model the segment's terms are its largest
+    force and resistance, so the tile's are the largest over its own
+    points.  They are built for a bounded number of blocks at a time, and a
+    scan only weighs them.
     """
     axis = g.axis()
     last = g.size - 1
     s0 = np.arange(0, 2 * last + 1, width)[:, None]
     i_hi = np.minimum(s0 + width - 1, last)
-    columns = i_hi - np.maximum(s0 - last, 0) + 1
+    i_lo = np.maximum(s0 - last, 0)
     start = np.arange(0, g.size, tile)
-    stop = np.minimum(start + tile, columns)
-    i_top = i_hi - np.minimum(start, columns - 1)  # stays in the square past a block's last tile
-    i_bot = i_hi - stop + 1
-    lo2 = axis[np.maximum(s0 - i_top, 0)]
-    hi2 = axis[np.minimum(s0 + width - 1 - i_bot, last)]
+    tiles = start < i_hi - i_lo + 1
     padded = np.full(2 * last + 2 * width, np.nan)
     padded[width - 1 : width + last] = axis
-    corners = (axis[i_bot], lo2, axis[i_top], hi2)
-    tiles = start < columns
-    bounds = {}
+    terms = {k: (np.empty(tiles.shape), np.empty(tiles.shape)) for k in Topology}
+    rows = max(1, _LAYOUT_CHUNK // g.size)
     with _extended():
-        for k in Topology:
-            f_hi, r_lo, strong = _box_terms(k, *corners)
-            strong &= tiles
-            bounds[k] = (f_hi, r_lo, strong)
+        for b in range(0, len(s0), rows):
+            blocks = slice(b, b + rows)
+            # column r of each block; past a block's last column, repeat it,
+            # which leaves the largest terms of its last tile as they are
+            i = np.maximum(i_hi[blocks] - np.arange(g.size), i_lo[blocks])
+            c1 = axis[i]
+            lo2 = axis[np.maximum(s0[blocks] - i, 0)]
+            hi2 = axis[np.minimum(s0[blocks] + width - 1 - i, last)]
+            for k, (f_hi, r_lo) in terms.items():
+                f, r, _ = _box_terms(k, c1, lo2, c1, hi2)
+                f_hi[blocks] = np.maximum.reduceat(f, start, axis=1)
+                r_lo[blocks] = np.maximum.reduceat(r, start, axis=1)
+    bounds = {k: (f_hi, r_lo, ~(f_hi < 1.0) & tiles) for k, (f_hi, r_lo) in terms.items()}
     layout = _Layout(
         axis=axis,
         descending=axis[::-1].copy(),
         runs=sliding_window_view(padded, g.size),
-        corners=corners,
         tiles=tiles,
         bounds=bounds,
     )
-    for array in (axis, layout.descending, *corners, tiles, *bounds[Topology.PARALLEL], *bounds[Topology.SERIAL]):
+    for array in (axis, layout.descending, tiles, *bounds[Topology.PARALLEL], *bounds[Topology.SERIAL]):
         array.flags.writeable = False
     return layout
 
@@ -257,9 +274,9 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     Anti-diagonals ``i + j = s`` are scanned in blocks of ``BLOCK_DIAGONALS``
     in increasing ``s``; the first block with a feasible point holds the
     cheapest one.  Within a block only the columns from the first to the
-    last tile that :func:`~twospring.model.box_may_be_feasible` cannot rule
-    out are evaluated: the scan weighs the weight-free bound terms cached
-    with the layout, then runs the body of
+    last tile that the bound of the tile's own points cannot rule out are
+    evaluated: the scan weighs the weight-free bound terms cached with the
+    layout, then runs the body of
     :func:`~twospring.model.feasible_grid` on each block, all inside one
     error-state scope.  Cost ties on a diagonal are broken toward the
     smaller ``|c1 - c2|``, then the smaller ``c1``.  The reduction runs on

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from exact_reference import exact_decision
 
 from twospring import oracle, sweep_cli
 from twospring.model import Weights
@@ -213,6 +214,38 @@ class TestSweepCommand:
 
 DEFAULT_SWEEP_SHA256 = "c0dc3e156f802170910603fd40ecbbda6ef46da26fa6a8de11966c7db569a19e"
 
+# rows of the default sweep whose float label or winner differs from the
+# exact decision on the row's own doubles (tests/exact_reference.py): all lie
+# within a few ulps of a + 2b = 1, a + b = 1 or b = 2 - 4a
+DEFAULT_SWEEP_INEXACT_ROWS = {
+    ("0.98,0.01,B1,parallel", "A,parallel"),
+    ("0.99,0.01,C,parallel", "B1,parallel"),
+    ("0.96,0.02,B1,parallel", "A,parallel"),
+    ("0.98,0.02,C,parallel", "B1,parallel"),
+    ("0.97,0.03,C,parallel", "B1,parallel"),
+    ("0.96,0.04,C,parallel", "B1,parallel"),
+    ("0.84,0.08,B1,parallel", "A,parallel"),
+    ("0.85,0.15,C,parallel", "B1,parallel"),
+    ("0.84,0.16,C,parallel", "B1,parallel"),
+    ("0.58,0.21,B1,parallel", "A,parallel"),
+    ("0.42,0.29,B2,serial", "A,parallel"),
+    ("0.71,0.29,C,parallel", "B1,parallel"),
+    ("0.41000000000000003,0.36,B1,tie", "B1,parallel"),
+    ("0.16,0.42,B2,serial", "A,parallel"),
+    ("0.58,0.42,C,parallel", "B1,parallel"),
+    ("0.39,0.44,B1,tie", "B1,parallel"),
+    ("0.04,0.48,B2,serial", "A,parallel"),
+    ("0.02,0.49,B2,serial", "A,parallel"),
+    ("0.42,0.58,C,parallel", "B1,parallel"),
+    ("0.29,0.71,C,parallel", "B2,serial"),
+    ("0.16,0.84,C,parallel", "B2,serial"),
+    ("0.15,0.85,C,parallel", "B2,serial"),
+    ("0.04,0.96,C,parallel", "B2,serial"),
+    ("0.03,0.97,C,parallel", "B2,serial"),
+    ("0.02,0.98,C,parallel", "B2,serial"),
+    ("0.01,0.99,C,parallel", "B2,serial"),
+}
+
 
 def chunk_sizes(spec):
     """Values of ``SWEEP_CHUNK_CELLS`` around the row length of ``spec``: one
@@ -283,6 +316,16 @@ class TestSweepParity:
         assert main(["sweep", "--out", str(out)]) == EXIT_OK
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == DEFAULT_SWEEP_SHA256
+
+    def test_default_sweep_rows_off_the_exact_decision_are_pinned(self, capsys):
+        assert main(["sweep"]) == EXIT_OK
+        inexact = set()
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            a, b, label, best, _, _ = line.split(",")
+            exact = ",".join(exact_decision(float(a), float(b)))
+            if f"{label},{best}" != exact:
+                inexact.add((f"{a},{b},{label},{best}", exact))
+        assert inexact == DEFAULT_SWEEP_INEXACT_ROWS
 
     # the default sweep is 121 x 121; one-cell chunks would take 14,641 array calls
     @pytest.mark.parametrize("chunk", [7, 120, 121, 122, 1000, 121 * 121])
@@ -545,6 +588,21 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,per_side",
+        [
+            (["--c-max", "6", "--step", "0.0005"], "12001"),
+            (["--c-max", "1e308", "--step", "1e-300"], "more than 100000000"),  # c_max/step is inf
+        ],
+    )
+    def test_grid_cap_message_names_the_points_per_side(self, argv, per_side):
+        code, out, err = run_captured(["verify", "--samples", "1", *argv])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"error: grid of {per_side} points per side exceeds the cap of 10000 per side"
+            " (100000000 points); use a larger step\n"
+        )
 
     def test_summary_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "verify.json"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from exact_reference import exact_decision
 from value_contract import assert_value_contract
 
 from twospring import solver
@@ -203,6 +204,32 @@ class TestB2Boundary:
     def test_segment_bounds(self):
         assert B2_SEGMENT_A_MIN == pytest.approx(1.0 / 3.0)
         assert B2_SEGMENT_A_MAX == pytest.approx(3.0 / 7.0)
+
+
+def test_labels_and_winners_match_the_exact_reference():
+    """Away from the dividing lines, rounding picks no side."""
+    for a, b in np.random.default_rng(0).uniform(0.0, 1.5, (20_000, 2)).tolist():
+        w = Weights(a, b)
+        assert (classify(w).value, winner(w).winner.value) == exact_decision(a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "a,b,label,best",
+    [
+        (0.0, 0.2, "A", "infeasible"),
+        (0.0, 0.5, "B2", "serial"),
+        (0.0, 1.0, "C", "parallel"),
+        (0.2, 0.4, "B2", "serial"),  # a + 2b = 1 exactly
+        (0.5, 0.5, "C", "parallel"),  # a + b = 1 exactly
+        (0.25, 0.6, "B2", "serial"),  # a = 1/4, below 2 - 4a = 1
+        (0.375, 0.5, "B1", "tie"),  # b = 2 - 4a exactly
+        (0.375, 0.5000000000000001, "B1", "parallel"),
+        (0.375, 0.49999999999999994, "B2", "serial"),
+        (0.5, 0.25, "B1", "parallel"),
+    ],
+)
+def test_exact_reference_on_the_lines(a, b, label, best):
+    assert exact_decision(a, b) == (label, best)
 
 
 def test_labels_partition_the_quadrant():
