@@ -7,13 +7,20 @@ serial wiring is strictly cheaper exactly on the sub-band B2, the parallel
 wiring everywhere else (up to ties on the dividing locus itself).
 
 :func:`classify` and :func:`winner` answer one weight pair and are the
-reference.  They read each minimal cost straight from the solver's scalar
-kernel, ``solver._reduced``, so a query builds no ``ReducedSolution``.
-Its one value object, the :class:`RegionReport` of :func:`winner`, writes
-its fields directly from a hand-written ``__init__`` and stays frozen (see
-:mod:`twospring.model`).  The labels and winners the scalar path returns
-are module-level aliases (``_A`` ... ``_TIE``): looking an enum member up on
-its class costs 0.1-0.2 us on Python 3.11, a sizable share of a query.
+reference.  They decide the band first, with the float tests of ``_label``,
+the one place the band order is written, and run the solver's scalar
+kernel, ``solver._reduced``, only where the answer needs a cost:
+:func:`classify` only in band B, :func:`winner` everywhere but band C.  In
+band C both wirings sit at the strength bound (costs 1 and 2, parallel
+wins) whatever the weights, so :func:`winner` returns one shared
+:class:`RegionReport` there, built once at import through the kernel path;
+whether two calls return the same object is not part of the contract.  A
+query builds no ``ReducedSolution``.  Its one value object, the
+:class:`RegionReport` of :func:`winner`, writes its fields directly from a
+hand-written ``__init__`` and stays frozen (see :mod:`twospring.model`).
+The labels and winners the scalar path returns are module-level aliases
+(``_A`` ... ``_TIE``): looking an enum member up on its class costs
+0.1-0.2 us on Python 3.11, a sizable share of a query.
 :func:`winner_grid` is their array twin for whole weight grids, built on
 :func:`~twospring.solver.total_cost_grid` with the same predicates in the
 same order, so it reports the same labels, winners and costs.
@@ -87,12 +94,18 @@ B2_SEGMENT_A_MIN = 1.0 / 3.0
 B2_SEGMENT_A_MAX = 3.0 / 7.0
 
 
-def _label(a: float, b: float, cost_p: float) -> RegionLabel:
-    """Region of ``(a, b)``, given its minimal parallel cost ``cost_p``."""
+def _label(a: float, b: float, cost_p: float | None = None) -> RegionLabel:
+    """Region of ``(a, b)``, given its minimal parallel cost ``cost_p``.
+
+    Only band B reads ``cost_p``; when it is not given, the kernel computes
+    it there and nowhere else.
+    """
     if a + 2.0 * b - 1.0 < 0.0:
         return _A
     if a + b - 1.0 >= 0.0:
         return _C
+    if cost_p is None:
+        cost_p = _reduced(a, b, 1.0)[1]
     if cost_p > 2.0:
         return _B2
     return _B1
@@ -105,12 +118,11 @@ def classify(w: Weights) -> RegionLabel:
     2.  Extended arithmetic makes the ``a = 0`` strip of band B (parallel
     infeasible, cost ``+inf``) land in B2, matching the ``a -> 0+`` limit.
     """
-    return _label(w.a, w.b, _reduced(w.a, w.b, 1.0)[1])
+    return _label(w.a, w.b)
 
 
-def winner(w: Weights) -> RegionReport:
-    """Report both minimal costs, the region label, and the strict-argmin winner."""
-    a, b = w.a, w.b
+def _report(a: float, b: float) -> RegionReport:
+    """:func:`winner` at ``(a, b)`` through the kernel, in any band."""
     cost_p = _reduced(a, b, 1.0)[1]
     cost_s = _reduced(a, b, 2.0)[1]
     if math.isinf(cost_p) and math.isinf(cost_s):
@@ -122,6 +134,20 @@ def winner(w: Weights) -> RegionReport:
     else:
         best = _TIE
     return RegionReport(_label(a, b, cost_p), best, cost_p, cost_s)
+
+
+# Band C's answer, built once through the kernel path: both wirings sit at
+# the strength bound there (costs 1 and 2), whatever the weights.
+_BAND_C = _report(1.0, 1.0)
+
+
+def winner(w: Weights) -> RegionReport:
+    """Report both minimal costs, the region label, and the strict-argmin winner."""
+    a, b = w.a, w.b
+    # the band-C test of _label; the kernel's strength tests then hold for both wirings
+    if a + b - 1.0 >= 0.0:
+        return _BAND_C
+    return _report(a, b)
 
 
 def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -28,7 +28,14 @@ costs about a microsecond where an array call costs about a hundred.
 A query builds its value objects here: :func:`solve_reduced` its
 :class:`ReducedSolution` and :func:`expand` its :class:`DesignSolution`.
 Both classes write their fields directly from a hand-written ``__init__``
-and stay frozen (see :mod:`twospring.model`).  The enum members the
+and stay frozen (see :mod:`twospring.model`).  The strength-bound answer
+does not depend on the weights, so it is built once at import: wherever the
+kernel takes the strength branch, :func:`solve_reduced` returns one shared
+solution per wiring, and :func:`expand` of such a shared solution returns
+one shared design per topology.  Every other input, including an equal
+solution built by a caller, takes the general path.  Returned values are
+equal to what the general path would build; whether two calls return the
+same object is not part of the contract.  The enum members the
 scalar path returns or compares against are module-level aliases
 (``_STRENGTH``, ``_ROOT``, ``_PARALLEL``, ``_SERIAL``): looking a member up
 on its class costs 0.1-0.2 us on Python 3.11, a sizable share of a solve.
@@ -38,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,6 +157,8 @@ def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
     is reported as a result (cost ``+inf``), never raised.
     """
     x_star, total, active = _reduced(w.a, w.b, 1.0 if k is _PARALLEL else 2.0)
+    if active is _STRENGTH:
+        return _STRENGTH_PARALLEL if k is _PARALLEL else _STRENGTH_SERIAL
     return ReducedSolution(x_star is not None, x_star, total, active)
 
 
@@ -180,12 +189,28 @@ def expand(sol: ReducedSolution, k: Topology) -> DesignSolution:
     split of ``x_star`` between the two springs; the equal split is the
     canonical representative emitted here.
     """
+    if (sol is _STRENGTH_PARALLEL or sol is _STRENGTH_SERIAL) and (k is _PARALLEL or k is _SERIAL):
+        return _STRENGTH_DESIGNS[sol is _STRENGTH_SERIAL][k is _SERIAL]
     if not sol.feasible or sol.x_star is None:
         raise InfeasibleError("no feasible design exists for these weights")
     if k is _SERIAL:
         return DesignSolution(sol.x_star, sol.x_star, sol.total_cost, k)
     half = sol.x_star / 2.0
     return DesignSolution(half, half, sol.total_cost, k)
+
+
+# The strength-bound answers, shared by every call that reaches them: one
+# ReducedSolution per wiring, and one DesignSolution per solution and
+# topology (``_STRENGTH_DESIGNS[sol is serial][k is serial]``).  Each is
+# built once, here, through the general paths: the kernel's strength branch,
+# which both wirings take at ``a = b = 1``, and ``expand`` of an equal copy.
+_STRENGTH_PARALLEL, _STRENGTH_SERIAL = (
+    ReducedSolution(x_star is not None, x_star, total, active)
+    for x_star, total, active in (_reduced(1.0, 1.0, 1.0), _reduced(1.0, 1.0, 2.0))
+)
+_STRENGTH_DESIGNS = tuple(
+    tuple(expand(replace(sol), k) for k in (_PARALLEL, _SERIAL)) for sol in (_STRENGTH_PARALLEL, _STRENGTH_SERIAL)
+)
 
 
 def roots(w: Weights, k: Topology) -> tuple[float, float] | None:

@@ -246,6 +246,65 @@ DEFAULT_SWEEP_INEXACT_ROWS = {
     ("0.01,0.99,C,parallel", "B2,serial"),
 }
 
+# the same rows of acceptance criterion 2's 201 x 201 sweep of [0, 1]^2: 54
+# rows, 29 of them with another winner
+C2_SWEEP_INEXACT_ROWS = {
+    ("0.99,0.005,B1,parallel", "A,parallel"),
+    ("0.995,0.005,C,parallel", "B1,parallel"),
+    ("0.98,0.01,B1,parallel", "A,parallel"),
+    ("0.99,0.01,C,parallel", "B1,parallel"),
+    ("0.97,0.015,B1,parallel", "A,parallel"),
+    ("0.985,0.015,C,parallel", "B1,parallel"),
+    ("0.96,0.02,B1,parallel", "A,parallel"),
+    ("0.98,0.02,C,parallel", "B1,parallel"),
+    ("0.975,0.025,C,parallel", "B1,parallel"),
+    ("0.97,0.03,C,parallel", "B1,parallel"),
+    ("0.965,0.035,C,parallel", "B1,parallel"),
+    ("0.96,0.04,C,parallel", "B1,parallel"),
+    ("0.85,0.075,B1,parallel", "A,parallel"),
+    ("0.84,0.08,B1,parallel", "A,parallel"),
+    ("0.71,0.145,B1,parallel", "A,parallel"),
+    ("0.855,0.145,C,parallel", "B1,parallel"),
+    ("0.85,0.15,C,parallel", "B1,parallel"),
+    ("0.845,0.155,C,parallel", "B1,parallel"),
+    ("0.84,0.16,C,parallel", "B1,parallel"),
+    ("0.835,0.165,C,parallel", "B1,parallel"),
+    ("0.58,0.21,B1,parallel", "A,parallel"),
+    ("0.42,0.29,B2,serial", "A,parallel"),
+    ("0.71,0.29,C,parallel", "B1,parallel"),
+    ("0.705,0.295,C,parallel", "B1,parallel"),
+    ("0.425,0.3,B1,tie", "B2,serial"),
+    ("0.29,0.355,B2,serial", "A,parallel"),
+    ("0.41000000000000003,0.36,B1,tie", "B1,parallel"),
+    ("0.405,0.38,B1,tie", "B1,parallel"),
+    ("0.16,0.42,B2,serial", "A,parallel"),
+    ("0.395,0.42,B1,tie", "B1,parallel"),
+    ("0.58,0.42,C,parallel", "B1,parallel"),
+    ("0.15,0.425,B2,serial", "A,parallel"),
+    ("0.39,0.44,B1,tie", "B1,parallel"),
+    ("0.385,0.46,B1,tie", "B1,parallel"),
+    ("0.04,0.48,B2,serial", "A,parallel"),
+    ("0.03,0.485,B2,serial", "A,parallel"),
+    ("0.02,0.49,B2,serial", "A,parallel"),
+    ("0.01,0.495,B2,serial", "A,parallel"),
+    ("0.42,0.58,C,parallel", "B1,parallel"),
+    ("0.295,0.705,C,parallel", "B2,serial"),
+    ("0.29,0.71,C,parallel", "B2,serial"),
+    ("0.165,0.835,C,parallel", "B2,serial"),
+    ("0.16,0.84,C,parallel", "B2,serial"),
+    ("0.155,0.845,C,parallel", "B2,serial"),
+    ("0.15,0.85,C,parallel", "B2,serial"),
+    ("0.145,0.855,C,parallel", "B2,serial"),
+    ("0.04,0.96,C,parallel", "B2,serial"),
+    ("0.035,0.965,C,parallel", "B2,serial"),
+    ("0.03,0.97,C,parallel", "B2,serial"),
+    ("0.025,0.975,C,parallel", "B2,serial"),
+    ("0.02,0.98,C,parallel", "B2,serial"),
+    ("0.015,0.985,C,parallel", "B2,serial"),
+    ("0.01,0.99,C,parallel", "B2,serial"),
+    ("0.005,0.995,C,parallel", "B2,serial"),
+}
+
 
 def chunk_sizes(spec):
     """Values of ``SWEEP_CHUNK_CELLS`` around the row length of ``spec``: one
@@ -326,6 +385,17 @@ class TestSweepParity:
             if f"{label},{best}" != exact:
                 inexact.add((f"{a},{b},{label},{best}", exact))
         assert inexact == DEFAULT_SWEEP_INEXACT_ROWS
+
+    def test_criterion_2_sweep_rows_off_the_exact_decision_are_pinned(self, capsys):
+        argv = ["sweep", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1", "--na", "201", "--nb", "201"]
+        assert main(argv) == EXIT_OK
+        inexact = set()
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            a, b, label, best, _, _ = line.split(",")
+            exact = ",".join(exact_decision(float(a), float(b)))
+            if f"{label},{best}" != exact:
+                inexact.add((f"{a},{b},{label},{best}", exact))
+        assert inexact == C2_SWEEP_INEXACT_ROWS
 
     # the default sweep is 121 x 121; one-cell chunks would take 14,641 array calls
     @pytest.mark.parametrize("chunk", [7, 120, 121, 122, 1000, 121 * 121])
@@ -430,6 +500,23 @@ class TestSweepStreaming:
     def test_closed_pipe_exits_3_without_a_traceback(self, unbuffered, lines_read):
         argv = ["sweep", "--na", "1001", "--nb", "1001"]
         assert_closed_pipe_exits_3(argv, SWEEP_HEADER, unbuffered, lines_read)
+
+    def test_unbuffered_pipe_closed_inside_the_last_chunk_exits_3(self):
+        """With unbuffered stdout, a reader that closes while the one chunk of
+        rows (about 1.3 MB, past what a pipe buffers) is being written cuts
+        that write short without an error; the chunk's own newline write
+        must then fail, so the run exits 3 instead of 0."""
+        src = Path(sweep_cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+        command = [sys.executable, "-m", "twospring.sweep_cli", "sweep", "--na", "200", "--nb", "200"]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
+            assert proc.stdout.readline().startswith(b"0.0,0.0,")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert code == EXIT_IO, err
+        assert len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
 
 
 class TestBoundariesCommand:
