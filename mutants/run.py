@@ -1,8 +1,6 @@
 """Mutation check: each listed mutant must make its own tests fail.
 
-    python3 mutants/run.py              # every mutant
-    python3 mutants/run.py --list       # names only
-    python3 mutants/run.py NAME ...     # the named mutants
+    python3 mutants/run.py
 
 Run from anywhere; the repository is the parent of this file's directory.
 Each entry of :data:`MUTANTS` names a file, an exact source snippet, its
@@ -14,16 +12,16 @@ entry's test files with pytest, importing the package from the copy's
 which must pass.
 
 A mutant is *killed* when pytest reports failing tests (or runs past
-``TIMEOUT_S``), and *survives* when they all pass.  The runner exits 1 when a mutant survives, when a snippet
-does not occur exactly once in its file (a refactor has to carry its mutants
-along), when pytest ends any other way (an error in collection, say), or
-when the unmutated tests fail; otherwise it exits 0.  It uses only the
-standard library and pytest, and is not part of the test suite.
+``TIMEOUT_S``), and *survives* when they all pass.  The runner exits 1 when
+a mutant survives, when a snippet does not occur exactly once in its file (a
+refactor has to carry its mutants along), when pytest ends any other way (an
+error in collection, say), or when the unmutated tests fail; otherwise it
+exits 0.  It uses only the standard library and pytest, and is not part of
+the test suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -69,9 +67,9 @@ MUTANTS = [
     Mutant(
         "expand-shares-any-strength-solution",
         "src/twospring/solver.py",
-        "    if (sol is _STRENGTH_PARALLEL or sol is _STRENGTH_SERIAL) and (k is _PARALLEL or k is _SERIAL):\n"
+        "    if sol is _STRENGTH_PARALLEL or sol is _STRENGTH_SERIAL:\n"
         "        return _STRENGTH_DESIGNS[sol is _STRENGTH_SERIAL][k is _SERIAL]\n",
-        '    if sol.active_constraint is _STRENGTH and (k is _PARALLEL or k is _SERIAL) and "_STRENGTH_DESIGNS" in globals():\n'
+        '    if sol.active_constraint is _STRENGTH and "_STRENGTH_DESIGNS" in globals():\n'
         "        return _STRENGTH_DESIGNS[sol.total_cost == 2.0][k is _SERIAL]\n",
         ("tests/test_fast_path.py",),
     ),
@@ -153,20 +151,7 @@ def run(mutant: Mutant) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
-    args = parser.parse_args()
-    if args.list:
-        for m in MUTANTS:
-            print(m.name)
-        return 0
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-
-    tests = tuple(sorted({t for m in chosen for t in m.tests}))
+    tests = tuple(sorted({t for m in MUTANTS for t in m.tests}))
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy_tree(Path(tmp))
         if pytest(Path(tmp), tests) != 0:
@@ -174,13 +159,13 @@ def main() -> int:
             return 1
 
     outcomes = []
-    for m in chosen:
+    for m in MUTANTS:
         outcome = run(m)
         outcomes.append(outcome)
         print(f"{outcome:9} {m.name}", flush=True)
     killed = outcomes.count("killed")
-    print(f"{killed} of {len(chosen)} killed")
-    return 0 if killed == len(chosen) else 1
+    print(f"{killed} of {len(MUTANTS)} killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

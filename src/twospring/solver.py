@@ -189,7 +189,7 @@ def expand(sol: ReducedSolution, k: Topology) -> DesignSolution:
     split of ``x_star`` between the two springs; the equal split is the
     canonical representative emitted here.
     """
-    if (sol is _STRENGTH_PARALLEL or sol is _STRENGTH_SERIAL) and (k is _PARALLEL or k is _SERIAL):
+    if sol is _STRENGTH_PARALLEL or sol is _STRENGTH_SERIAL:
         return _STRENGTH_DESIGNS[sol is _STRENGTH_SERIAL][k is _SERIAL]
     if not sol.feasible or sol.x_star is None:
         raise InfeasibleError("no feasible design exists for these weights")

@@ -376,18 +376,18 @@ class TestSweepParity:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == DEFAULT_SWEEP_SHA256
 
-    def test_default_sweep_rows_off_the_exact_decision_are_pinned(self, capsys):
-        assert main(["sweep"]) == EXIT_OK
-        inexact = set()
-        for line in capsys.readouterr().out.splitlines()[1:]:
-            a, b, label, best, _, _ = line.split(",")
-            exact = ",".join(exact_decision(float(a), float(b)))
-            if f"{label},{best}" != exact:
-                inexact.add((f"{a},{b},{label},{best}", exact))
-        assert inexact == DEFAULT_SWEEP_INEXACT_ROWS
-
-    def test_criterion_2_sweep_rows_off_the_exact_decision_are_pinned(self, capsys):
-        argv = ["sweep", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1", "--na", "201", "--nb", "201"]
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["sweep"], DEFAULT_SWEEP_INEXACT_ROWS),
+            (
+                ["sweep", "--a-min", "0", "--a-max", "1", "--b-min", "0", "--b-max", "1", "--na", "201", "--nb", "201"],
+                C2_SWEEP_INEXACT_ROWS,
+            ),
+        ],
+        ids=["default", "criterion-2"],
+    )
+    def test_sweep_rows_off_the_exact_decision_are_pinned(self, argv, expected, capsys):
         assert main(argv) == EXIT_OK
         inexact = set()
         for line in capsys.readouterr().out.splitlines()[1:]:
@@ -395,7 +395,7 @@ class TestSweepParity:
             exact = ",".join(exact_decision(float(a), float(b)))
             if f"{label},{best}" != exact:
                 inexact.add((f"{a},{b},{label},{best}", exact))
-        assert inexact == C2_SWEEP_INEXACT_ROWS
+        assert inexact == expected
 
     # the default sweep is 121 x 121; one-cell chunks would take 14,641 array calls
     @pytest.mark.parametrize("chunk", [7, 120, 121, 122, 1000, 121 * 121])
