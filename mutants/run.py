@@ -81,6 +81,14 @@ MUTANTS = [
         "        if kk * b > 1.0:\n",
         ("tests/test_solver.py", "tests/test_fast_path.py"),
     ),
+    # the resistance weighed in at b = 0, where 0 * inf must give 0
+    Mutant(
+        "weigh-adds-resistance-at-b0",
+        "src/twospring/model.py",
+        "    if w.b > 0.0:\n        r *= w.b\n",
+        "    if w.b >= 0.0:\n        r *= w.b\n",
+        ("tests/test_model.py",),
+    ),
     # the oracle's tile bound without the strength mask
     Mutant(
         "box-keep-ignores-strength",
@@ -103,6 +111,15 @@ MUTANTS = [
         "src/twospring/sweep_cli.py",
         "        os.dup2(devnull, sys.stdout.fileno())\n",
         "",
+        ("tests/test_cli.py",),
+    ),
+    # the last boundary sample left at (resolution - 1) * step + start, which
+    # misses stop at 50 samples on [0, 1] and at many other resolutions
+    Mutant(
+        "boundary-last-sample-unpinned",
+        "src/twospring/sweep_cli.py",
+        "            for a in [i * step + start if i < last else stop]\n",
+        "            for a in [i * step + start]\n",
         ("tests/test_cli.py",),
     ),
     # a chunk and its last newline in one write

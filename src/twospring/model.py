@@ -22,10 +22,11 @@ and calls the private formulas directly.
 of points that are both strong (force ``>= 1``) and performant
 (``a*force + b*resistance >= 1``).  It tests strength first and evaluates
 the performance only when some point is strong, reusing the force it
-already holds.  :func:`box_may_be_feasible` bounds that kernel over a box
-of limits from its corners.  It rests on a monotonicity contract of the
-formulas above: force is non-decreasing and resistance non-increasing in
-each limit, for both wirings, and every rounding step keeps that order.
+already holds (in parallel the resistance is ``1 / force``).
+:func:`box_may_be_feasible` bounds that kernel over a box of limits from
+its corners.  It rests on a monotonicity contract of the formulas above:
+force is non-decreasing and resistance non-increasing in each limit, for
+both wirings, and every rounding step keeps that order.
 The bound is the composition of two private halves: a weight-free one,
 the corner force, the corner resistance and the mask of strong boxes, and
 a weighted one that tests the performance bound.  The oracle applies the
@@ -33,7 +34,9 @@ weight-free half to the column segments of its tiles once per grid layout,
 for both wirings, keeps the largest terms over each tile, and only weighs
 them on each scan.  :func:`multiperf_grid`, :func:`feasible_grid` and the
 bound share one private helper for the ``a*F + b*R`` rule and its
-``0 * inf == 0`` convention, so the three cannot drift apart.
+``0 * inf == 0`` convention, so the three cannot drift apart; each passes it
+the force and resistance arrays, and it adds the resistance only when
+``b > 0``.
 
 :class:`SpringPair` and :class:`Weights` are built once per query, so each
 has a hand-written ``__init__`` that validates its arguments and writes the
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,40 +175,30 @@ def _resistance(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return 1.0 / c1 + 1.0 / c2
 
 
-def _weigh(w: Weights, f: np.ndarray, resist: Callable[[], np.ndarray]) -> np.ndarray:
-    """The performance rule ``a*f + b*r``, given the force ``f`` and a way to get ``r``.
+def _weigh(w: Weights, f: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The performance rule ``a*f + b*r``, given the force ``f`` and the resistance ``r``.
 
-    ``f`` must be a new float array: it is overwritten with the result.
-    ``resist()`` must return a new array; it is called before ``f`` is
-    overwritten, and only when ``b > 0``, which is the ``0 * inf == 0``
-    convention of :func:`multiperf`.  Overflow saturates to ``inf``, and an
-    infinite force under ``a = 0`` gives NaN, which fails ``>= 1`` as its
-    limit ``b*r -> 0`` does.
+    ``f`` and ``r`` must be new float arrays: ``f`` is overwritten with the
+    result and ``r`` may be.  ``r`` is added only when ``b > 0``, which is
+    the ``0 * inf == 0`` convention of :func:`multiperf`.  Overflow
+    saturates to ``inf``, and an infinite force under ``a = 0`` gives NaN,
+    which fails ``>= 1`` as its limit ``b*r -> 0`` does.
     """
-    r = None
-    if w.b > 0.0:
-        r = resist()
-        r *= w.b
     f *= w.a
-    if r is not None:
+    if w.b > 0.0:
+        r *= w.b
         f += r
     return f
 
 
-def _weigh_at(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """:func:`_weigh` at ``(c1, c2)``, where the force is ``f``: in parallel the
-    resistance is ``1 / f``, as in :func:`_resistance`."""
-    if k is Topology.PARALLEL:
-        return _weigh(w, f, lambda: 1.0 / f)
-    return _weigh(w, f, lambda: _resistance(k, c1, c2))
-
-
 def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Body of :func:`feasible_grid`, in the caller's error-state scope."""
+    """Body of :func:`feasible_grid`, in the caller's error-state scope.  In
+    parallel the resistance is ``1 / f``, as in :func:`_resistance`."""
     f = _force(k, c1, c2)
     ok = f >= 1.0
     if ok.any():
-        ok &= _weigh_at(w, k, c1, c2, f) >= 1.0
+        r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)
+        ok &= _weigh(w, f, r) >= 1.0
     return ok
 
 
@@ -224,7 +216,7 @@ def _box_keep(w: Weights, f_hi: np.ndarray, r_lo: np.ndarray, strong: np.ndarray
     """Weighted half of :func:`box_may_be_feasible`: ``strong`` without the
     boxes whose ``p_hi = a*f_hi + b*r_lo`` is below 1.  The terms are only
     read, so they may be cached and read-only."""
-    keep = ~(_weigh(w, f_hi.copy(), r_lo.copy) < 1.0)
+    keep = ~(_weigh(w, f_hi.copy(), r_lo.copy()) < 1.0)
     keep &= strong
     return keep
 
@@ -245,7 +237,7 @@ def multiperf_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> n
     """Vectorized twin of :func:`multiperf` over float coordinate arrays,
     same ``0 * inf == 0`` convention."""
     with _extended():
-        return _weigh_at(w, k, c1, c2, _force(k, c1, c2))
+        return _weigh(w, _force(k, c1, c2), _resistance(k, c1, c2))
 
 
 def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:

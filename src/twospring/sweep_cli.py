@@ -9,18 +9,18 @@ Numbers are formatted with the shortest representation that round-trips, and
 infinities print as the literal ``inf``, so identical invocations produce
 byte-identical output.
 
-``sweep`` streams its grid in chunks of at most ``SWEEP_CHUNK_CELLS`` cells:
-each is one call of the array kernel :func:`~twospring.regions.winner_grid`,
-formatted and written before the next is evaluated, so its memory does not
-grow with ``na * nb``.  The costs 1.0, 2.0 and ``inf`` take their text from
-a table and every other number is formatted where it occurs.  ``boundaries``
-streams its polylines the same way, ``BOUNDARY_CHUNK_POINTS`` lines at a
-time, and every command writes through one helper, which turns a reader
-that closed the pipe into exit status 3.  ``solve`` and
-``classify`` answer one weight pair through the scalar closed-form kernel,
-``solver._reduced``, which stays the reference the array kernel is tested
-against and is about forty times faster than an array call for a single
-pair.
+``sweep`` and ``boundaries`` stream their lines in chunks of at most
+``CHUNK_LINES``, each formatted and written before the next is computed, so
+their memory does not grow with the size of the request.  A ``sweep`` chunk
+is one call of the array kernel :func:`~twospring.regions.winner_grid`; the
+costs 1.0, 2.0 and ``inf`` take their text from a table and every other
+number is formatted where it occurs.  ``boundaries`` computes its samples
+as Python floats and makes no numpy call.  Every command writes through one
+helper, which turns a reader that closed the pipe into exit status 3.
+``solve`` and ``classify`` answer one weight pair through the scalar
+closed-form kernel, ``solver._reduced``, which stays the reference the
+array kernel is tested against and is about forty times faster than an
+array call for a single pair.
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ __all__ = [
     "MAX_SWEEP_CELLS",
     "MAX_BOUNDARY_POINTS",
     "MAX_VERIFY_SAMPLES",
-    "SWEEP_CHUNK_CELLS",
-    "BOUNDARY_CHUNK_POINTS",
+    "CHUNK_LINES",
     "SweepSpec",
     "sweep_lines",
     "boundary_lines",
@@ -89,14 +88,11 @@ class UsageError(Exception):
 
 # largest sweep a SweepSpec may describe, na * nb
 MAX_SWEEP_CELLS = 4_000_000
-# most cells a sweep evaluates and formats at a time; a sweep's working
-# memory is bounded by this, whatever its na * nb
-SWEEP_CHUNK_CELLS = 65_536
 # most samples per polyline that ``boundaries --na`` accepts
 MAX_BOUNDARY_POINTS = 1_000_000
-# most polyline lines ``boundaries`` formats at a time; its working memory
-# is bounded by this, whatever its --na
-BOUNDARY_CHUNK_POINTS = 65_536
+# most lines ``sweep`` and ``boundaries`` compute and format at a time; their
+# working memory is bounded by this, whatever the size of the request
+CHUNK_LINES = 65_536
 # most weight pairs that ``verify --samples`` accepts
 MAX_VERIFY_SAMPLES = 1_000_000
 
@@ -205,7 +201,7 @@ def _cost_texts(costs: np.ndarray) -> list[str]:
 
 def _sweep_chunks(spec: SweepSpec) -> Iterator[list[str]]:
     """CSV lines of a sweep: the header, then its rows in row-major order (b
-    outer, a inner) in lists of at most ``SWEEP_CHUNK_CELLS``.
+    outer, a inner) in lists of at most ``CHUNK_LINES``.
 
     Each chunk is one :func:`winner_grid` call on its own samples, taken from
     the two axes; every operation is elementwise, so any chunking gives the
@@ -217,8 +213,8 @@ def _sweep_chunks(spec: SweepSpec) -> Iterator[list[str]]:
     b_axis = np.linspace(spec.b_min, spec.b_max, spec.nb)
     yield [SWEEP_HEADER]
     cells = spec.na * spec.nb
-    for start in range(0, cells, SWEEP_CHUNK_CELLS):
-        b_index, a_index = np.divmod(np.arange(start, min(start + SWEEP_CHUNK_CELLS, cells)), spec.na)
+    for start in range(0, cells, CHUNK_LINES):
+        b_index, a_index = np.divmod(np.arange(start, min(start + CHUNK_LINES, cells)), spec.na)
         a, b = a_axis[a_index], b_axis[b_index]
         region, best, cost_p, cost_s = winner_grid(a, b)
         first_b = int(b_index[0])
@@ -236,47 +232,38 @@ def sweep_lines(spec: SweepSpec) -> list[str]:
     """CSV lines (header included) for a phase-diagram sweep.
 
     The same lines ``twospring sweep`` writes, which it streams a chunk of
-    at most ``SWEEP_CHUNK_CELLS`` rows at a time instead of holding them all.
+    at most ``CHUNK_LINES`` rows at a time instead of holding them all.
     """
     return list(itertools.chain.from_iterable(_sweep_chunks(spec)))
 
 
-def _linspace_chunks(start: float, stop: float, num: int) -> Iterator[np.ndarray]:
-    """``np.linspace(start, stop, num)`` in consecutive pieces of at most
-    ``BOUNDARY_CHUNK_POINTS``, equal to it bit for bit.
-
-    Sample ``i`` is ``i * step + start`` with ``step = (stop - start) /
-    (num - 1)``, and the last one is ``stop``, the operations of numpy's
-    linspace for ``num >= 2`` and a nonzero step.
-    """
-    step = (stop - start) / (num - 1)
-    for lo in range(0, num, BOUNDARY_CHUNK_POINTS):
-        piece = np.arange(lo, min(lo + BOUNDARY_CHUNK_POINTS, num), dtype=float)
-        piece *= step
-        piece += start
-        if lo + piece.size == num:
-            piece[-1] = stop
-        yield piece
-
-
 def _boundary_chunks(resolution: int) -> Iterator[list[str]]:
     """CSV lines of the region boundaries: the header, then each polyline in
-    lists of at most ``BOUNDARY_CHUNK_POINTS`` lines.
+    lists of at most ``CHUNK_LINES`` lines.
 
-    ``resolution`` is checked here, before any line is formatted.
+    Sample ``i`` of a polyline is ``i * step + start``, with ``step = (stop
+    - start) / (resolution - 1)``, and the last one is ``stop``: the
+    operations of ``np.linspace(start, stop, resolution)``, so the samples
+    equal it bit for bit.  ``resolution`` is checked here, before any line
+    is formatted.
     """
     if not 2 <= resolution <= MAX_BOUNDARY_POINTS:
         raise UsageError(f"resolution must be between 2 and {MAX_BOUNDARY_POINTS}")
+    last = resolution - 1
     curves = (
         ("a+2b=1", 0.0, 1.0, lambda a: (1.0 - a) / 2.0),
         ("a+b=1", 0.0, 1.0, lambda a: 1.0 - a),
         ("b=2-4a", B2_SEGMENT_A_MIN, B2_SEGMENT_A_MAX, b2_boundary),
     )
     polylines = (
-        # b2_boundary is None only outside the segment, which linspace never leaves
-        [f"{name},{_fmt(a)},{_fmt(b)}" for a in piece.tolist() if (b := curve(a)) is not None]
+        [
+            f"{name},{_fmt(a)},{_fmt(curve(a))}"
+            for i in range(lo, min(lo + CHUNK_LINES, resolution))
+            for a in [i * step + start if i < last else stop]
+        ]
         for name, start, stop, curve in curves
-        for piece in _linspace_chunks(start, stop, resolution)
+        for step in [(stop - start) / last]
+        for lo in range(0, resolution, CHUNK_LINES)
     )
     return itertools.chain(([BOUNDARY_HEADER],), polylines)
 
@@ -288,16 +275,17 @@ def boundary_lines(resolution: int) -> list[str]:
     ``a`` in [0, 1], plus the B1/B2 segment ``b = 2 - 4a`` between its
     intersections with those lines, each with ``resolution`` samples, at
     most ``MAX_BOUNDARY_POINTS``.  The same lines ``twospring boundaries``
-    writes, which it streams a chunk of at most ``BOUNDARY_CHUNK_POINTS``
-    lines at a time instead of holding them all.
+    writes, which it streams a chunk of at most ``CHUNK_LINES`` lines at a
+    time instead of holding them all.
     """
     return list(itertools.chain.from_iterable(_boundary_chunks(resolution)))
 
 
 def _weights_from(args: argparse.Namespace) -> Weights:
-    if not (args.a >= 0.0) or not (args.b >= 0.0):
-        raise UsageError("--a and --b must be nonnegative")
-    return Weights(args.a, args.b)
+    try:
+        return Weights(args.a, args.b)
+    except ValueError:
+        raise UsageError("--a and --b must be nonnegative") from None
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

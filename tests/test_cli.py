@@ -307,7 +307,7 @@ C2_SWEEP_INEXACT_ROWS = {
 
 
 def chunk_sizes(spec):
-    """Values of ``SWEEP_CHUNK_CELLS`` around the row length of ``spec``: one
+    """Values of ``CHUNK_LINES`` around the row length of ``spec``: one
     cell, chunks that begin inside rows, one row, and the whole sweep."""
     return [1, 7, spec.na - 1, spec.na, spec.na + 1, spec.na * spec.nb]
 
@@ -341,7 +341,7 @@ class TestSweepParity:
     def test_fixed_windows(self, spec, monkeypatch):
         expected = reference_sweep_lines(spec)
         for chunk in chunk_sizes(spec):
-            monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", chunk)
+            monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
             assert sweep_lines(spec) == expected, chunk
 
     @settings(max_examples=150, deadline=None)
@@ -356,7 +356,7 @@ class TestSweepParity:
         spec = SweepSpec(a[0], a[1], b[0], b[1], na, nb)
         expected = reference_sweep_lines(spec)
         assert sweep_lines(spec) == expected
-        with mock.patch.object(sweep_cli, "SWEEP_CHUNK_CELLS", chunk_sizes(spec)[chunk]):
+        with mock.patch.object(sweep_cli, "CHUNK_LINES", chunk_sizes(spec)[chunk]):
             assert sweep_lines(spec) == expected
 
     def test_stdout_and_out_file_match_at_any_chunk_size(self, capsys, monkeypatch, tmp_path):
@@ -364,7 +364,7 @@ class TestSweepParity:
         expected = "\n".join(reference_sweep_lines(spec)) + "\n"
         out = tmp_path / "sweep.csv"
         for chunk in chunk_sizes(spec):
-            monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", chunk)
+            monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
             assert main(sweep_argv(spec)) == EXIT_OK
             assert capsys.readouterr().out == expected, chunk
             assert main([*sweep_argv(spec), "--out", str(out)]) == EXIT_OK
@@ -400,7 +400,7 @@ class TestSweepParity:
     # the default sweep is 121 x 121; one-cell chunks would take 14,641 array calls
     @pytest.mark.parametrize("chunk", [7, 120, 121, 122, 1000, 121 * 121])
     def test_default_sweep_bytes_at_any_chunk_size(self, chunk, monkeypatch, tmp_path):
-        monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", chunk)
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SWEEP_SHA256
@@ -458,7 +458,7 @@ class TestSweepStreaming:
         ],
     )
     def test_peak_memory_does_not_grow_with_the_grid(self, monkeypatch, tmp_path, short, tall):
-        monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", self.CHUNK)
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", self.CHUNK)
         assert main(["sweep", "--na", "2", "--nb", "2", "--out", str(tmp_path / "warm.csv")]) == EXIT_OK
         short_peak = sweep_peak_bytes(tmp_path, *short)
         tall_peak = sweep_peak_bytes(tmp_path, *tall)
@@ -467,7 +467,7 @@ class TestSweepStreaming:
     def test_failed_write_mid_stream_exits_3(self, capsys, monkeypatch, tmp_path):
         spec = SweepSpec(0.0, 1.2, 0.0, 1.2, 9, 9)
         expected = "\n".join(reference_sweep_lines(spec)) + "\n"
-        monkeypatch.setattr(sweep_cli, "SWEEP_CHUNK_CELLS", 10)
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 10)
 
         class DiskFull:
             """A file that fails every write once the header and one chunk are in."""
@@ -574,32 +574,46 @@ class TestBoundariesStreaming:
     # the default is 101 points per polyline
     @pytest.mark.parametrize("chunk", [1, 7, 100, 101, 102])
     def test_default_bytes_at_any_chunk_size(self, chunk, monkeypatch, tmp_path):
-        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", chunk)
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
         assert boundaries_digest(tmp_path) == DEFAULT_BOUNDARIES_SHA256
 
-    @pytest.mark.parametrize("chunk", [sweep_cli.BOUNDARY_CHUNK_POINTS, 7919])
+    @pytest.mark.parametrize("chunk", [sweep_cli.CHUNK_LINES, 7919])
     def test_larger_resolution_bytes_are_pinned(self, chunk, monkeypatch, tmp_path):
-        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", chunk)
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
         assert boundaries_digest(tmp_path, "--na", "20000") == BOUNDARIES_20000_SHA256
 
     def test_boundary_lines_are_the_streamed_lines(self, capsys, monkeypatch):
-        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", 3)
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 3)
         assert main(["boundaries", "--na", "10"]) == EXIT_OK
         assert capsys.readouterr().out == "\n".join(boundary_lines(10)) + "\n"
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
     @pytest.mark.parametrize(
-        "start, stop", [(0.0, 1.0), (sweep_cli.B2_SEGMENT_A_MIN, sweep_cli.B2_SEGMENT_A_MAX), (0.1, 0.7)]
+        "curve, start, stop",
+        [
+            ("a+2b=1", 0.0, 1.0),
+            ("a+b=1", 0.0, 1.0),
+            ("b=2-4a", sweep_cli.B2_SEGMENT_A_MIN, sweep_cli.B2_SEGMENT_A_MAX),
+        ],
     )
-    def test_linspace_pieces_equal_numpy_linspace(self, start, stop, chunk, monkeypatch):
-        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", chunk)
-        for num in (2, 3, 63, 64, 65, 129, 1001):
-            pieces = list(sweep_cli._linspace_chunks(start, stop, num))
-            assert all(1 <= piece.size <= chunk for piece in pieces)
-            assert np.array_equal(np.concatenate(pieces), np.linspace(start, stop, num)), num
+    def test_polyline_samples_equal_numpy_linspace(self, curve, start, stop, chunk, monkeypatch):
+        """The ``a`` column of each polyline is ``np.linspace`` bit for bit,
+        at any chunk size.  At 50 samples on ``[0, 1]`` the last one must be
+        pinned to ``stop``: ``49 * (1 / 49)`` is not 1.0."""
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
+        for num in (2, 3, 50, 63, 64, 65, 129, 1001):
+            chunks = list(sweep_cli._boundary_chunks(num))[1:]
+            assert all(1 <= len(lines) <= chunk for lines in chunks)
+            a = [float(line.split(",")[1]) for lines in chunks for line in lines if line.startswith(curve + ",")]
+            assert np.array_equal(a, np.linspace(start, stop, num)), num
+
+    def test_default_bytes_without_numpy(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweep_cli, "np", _NumpyGuard())
+        assert main(["boundaries"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEFAULT_BOUNDARIES_SHA256
 
     def test_peak_memory_does_not_grow_with_the_resolution(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(sweep_cli, "BOUNDARY_CHUNK_POINTS", 512)
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 512)
         out = str(tmp_path / "boundaries.csv")
         assert main(["boundaries", "--na", "2", "--out", out]) == EXIT_OK
 
@@ -709,7 +723,7 @@ class _NumpyGuard:
     """Stands in for numpy in ``sweep_cli``: any use fails the test."""
 
     def __getattr__(self, name):
-        raise AssertionError(f"np.{name} was reached before the input was rejected")
+        raise AssertionError(f"np.{name} was reached where numpy must not be used")
 
 
 def assert_rejected_without_allocating(capsys, monkeypatch, argv):
