@@ -97,6 +97,32 @@ MUTANTS = [
         "",
         ("tests/test_model.py", "tests/test_oracle.py"),
     ),
+    # the oracle's half of each block one column short: the middle point
+    # of the block's last diagonal, when that diagonal is even, is skipped
+    Mutant(
+        "oracle-half-bound-off-by-one",
+        "src/twospring/oracle.py",
+        "            r0 = max(int(kept[0]) * tile, i_hi - (s0 + width - 1) // 2)\n",
+        "            r0 = max(int(kept[0]) * tile, i_hi - (s0 + width - 2) // 2)\n",
+        ("tests/test_oracle.py",),
+    ),
+    # the oracle's answer looked for from i = (s + 1) // 2, the larger c1 on
+    # an odd diagonal
+    Mutant(
+        "oracle-answer-start-rounds-up",
+        "src/twospring/oracle.py",
+        "    c = max(0, i_hi - s // 2 - r0)",
+        "    c = max(0, i_hi - (s + 1) // 2 - r0)",
+        ("tests/test_oracle.py",),
+    ),
+    # a block with no column left to evaluate passed to the kernel empty
+    Mutant(
+        "oracle-empty-block-evaluated",
+        "src/twospring/oracle.py",
+        "            if r0 >= r1:\n                continue\n",
+        "",
+        ("tests/test_oracle.py",),
+    ),
     # a verdict agrees only on the plain "agree" status
     Mutant(
         "verdict-agree-exact",

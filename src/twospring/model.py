@@ -26,7 +26,11 @@ already holds (in parallel the resistance is ``1 / force``).
 :func:`box_may_be_feasible` bounds that kernel over a box of limits from
 its corners.  It rests on a monotonicity contract of the formulas above:
 force is non-decreasing and resistance non-increasing in each limit, for
-both wirings, and every rounding step keeps that order.
+both wirings, and every rounding step keeps that order.  The oracle rests
+on a second contract too: the formulas are symmetric in the two limits,
+bit for bit, because ``+``, ``min`` and ``1/c1 + 1/c2`` are commutative in
+rounded arithmetic, so swapping ``c1`` and ``c2`` changes no force,
+resistance, performance or feasibility, NaN included.
 The bound is the composition of two private halves: a weight-free one,
 the corner force, the corner resistance and the mask of strong boxes, and
 a weighted one that tests the performance bound.  The oracle applies the

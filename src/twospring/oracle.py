@@ -22,6 +22,12 @@ is below 1 holds no feasible point and is not evaluated; each block is
 tested with one call of the model kernel
 :func:`~twospring.model.feasible_grid` over the columns from its first to
 its last remaining tile, and a block with none is not evaluated at all.
+Force and resistance are also symmetric in the two limits, in rounded
+arithmetic, so a point is feasible exactly when its mirror ``(j, i)``
+is.  The mirror lies on the same diagonal, in the same block,
+and in a tile the bound keeps if the point is feasible; so the scan
+evaluates only the columns ``i <= (s0 + width - 1) // 2`` of a block that
+starts at diagonal ``s0``, and skips a block with none of them left.
 Because the bound reads only the tile's own points, and the parallel force
 is constant along a diagonal, a scan seldom evaluates a block before the
 one that holds the answer.  A scan that finds nothing has still decided the
@@ -117,8 +123,9 @@ class OracleResult:
     ``truncated`` flags an argmin on the boundary of the search square, where
     the true optimum may lie outside the scanned area.  ``points_scanned``
     counts the grid points the scan decided: every point of the blocks up to
-    the one that holds the answer, whether evaluated or ruled out by the
-    tile bound.
+    the one that holds the answer, whether evaluated, ruled out by the
+    tile bound, or decided by its mirror ``(j, i)``, which is feasible
+    exactly when the point is.
     """
 
     feasible: bool
@@ -275,11 +282,14 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     in increasing ``s``; the first block with a feasible point holds the
     cheapest one.  Within a block only the columns from the first to the
     last tile that the bound of the tile's own points cannot rule out are
-    evaluated: the scan weighs the weight-free bound terms cached with the
-    layout, then runs the body of
+    evaluated, and of those only the ones with
+    ``i <= (s0 + width - 1) // 2``, because a point and its mirror are
+    feasible together: the scan weighs the weight-free bound terms cached
+    with the layout, then runs the body of
     :func:`~twospring.model.feasible_grid` on each block, all inside one
     error-state scope.  Cost ties on a diagonal are broken toward the
-    smaller ``|c1 - c2|``, then the smaller ``c1``.  The reduction runs on
+    smaller ``|c1 - c2|``, then the smaller ``c1``: by the symmetry that is
+    the largest feasible ``i`` with ``2 * i <= s``.  The reduction runs on
     integer grid indices, so ties and tie-breaks are exact and do not
     depend on the block or tile size.
     """
@@ -292,8 +302,11 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
             s0 = block * width
             i_hi = min(last, s0 + width - 1)
             kept = np.flatnonzero(keep[block])
-            r0 = int(kept[0]) * tile  # evaluated columns [r0, r1)
+            # evaluated columns [r0, r1): the kept tiles' span, at i <= (s0 + width - 1) // 2
+            r0 = max(int(kept[0]) * tile, i_hi - (s0 + width - 1) // 2)
             r1 = min(int(kept[-1]) * tile + tile, i_hi - max(0, s0 - last) + 1)
+            if r0 >= r1:
+                continue
             c1 = layout.descending[last - i_hi + r0 : last - i_hi + r1]
             q = s0 - i_hi + width - 1
             feasible = _feasible(w, k, c1, layout.runs[q : q + width, r0:r1])
@@ -304,8 +317,8 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
             return OracleResult(False, None, math.inf, None, False, g.size * g.size)
     d = int(diagonals.argmax())
     s = s0 + d
-    ii = i_hi - r0 - np.flatnonzero(feasible[d])[::-1]  # ascending
-    i = int(ii[np.abs(2 * ii - s).argmin()])  # first minimum: the smaller c1
+    c = max(0, i_hi - s // 2 - r0)  # the column of i = s // 2, or the first one evaluated
+    i = i_hi - r0 - c - int(feasible[d, c:].argmax())  # the largest feasible i <= s // 2
     j = s - i
     pair = SpringPair(float(layout.axis[i]), float(layout.axis[j]))
     return OracleResult(

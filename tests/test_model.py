@@ -162,6 +162,41 @@ def test_swap_symmetry(c1, c2, a, b):
     assert cost(s) == cost(swapped)
 
 
+# limits and weights at the edges of the float range: zero, the smallest
+# subnormal, and 1e308, where 1e308 + 1e308 and 1e308 * 1e308 overflow
+edge_values = st.sampled_from([0.0, 5e-324, 1e308])
+
+
+def bits(x):
+    """The bytes of a grid result, so NaN compares equal to itself."""
+    x = np.asarray(x)
+    return x.view(np.uint64) if x.dtype == np.float64 else x
+
+
+@given(
+    a=st.floats(0.0, 1e6) | edge_values,
+    b=st.floats(0.0, 1e6) | edge_values,
+    k=st.sampled_from([P, S]),
+    data=st.data(),
+)
+def test_grids_swap_symmetry(a, b, k, data):
+    """Swapping c1 and c2 changes no bit of any grid formula, NaN included:
+    the symmetry the oracle's half-diagonal scan rests on."""
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=5))
+    limits = st.floats(min_value=0.0, allow_infinity=False) | edge_values | st.just(math.nan)
+    c1, c2 = (data.draw(hnp.arrays(np.float64, shape, elements=limits)) for shape in shapes.input_shapes)
+    w = Weights(a, b)
+    for grid in (
+        lambda x, y: force_grid(k, x, y),
+        lambda x, y: resistance_grid(k, x, y),
+        lambda x, y: multiperf_grid(w, k, x, y),
+        lambda x, y: feasible_grid(w, k, x, y),
+    ):
+        straight, swapped = bits(grid(c1, c2)), bits(grid(c2, c1))
+        assert straight.shape == swapped.shape
+        assert np.array_equal(straight, swapped)
+
+
 @given(
     c1=st.floats(min_value=1e-3, max_value=1e3),
     c2=st.floats(min_value=1e-3, max_value=1e3),

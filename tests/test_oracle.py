@@ -133,6 +133,17 @@ class TestOracleSolve:
         assert res.best_cost == math.inf
         assert res.argmin_gap is None
 
+    def test_odd_diagonal_tiebreak(self):
+        # parallel force is (i + j) * 0.125 exactly, so the whole cheapest
+        # diagonal s = 25 is feasible; the closest split to c1 = c2 has
+        # i = 12 and j = 13, one step apart, and the smaller c1 comes first
+        w, g = Weights(0.3, 0.2), GridSpec(8.0, 0.125)
+        res = assert_same_as_full_scan(w, P, g)
+        assert res.best_cost == 25 * g.step
+        assert res.best_pair == SpringPair(12 * g.step, 13 * g.step)
+        assert res.argmin_gap == g.step
+        assert res.best_pair.c1 < res.best_pair.c2
+
     def test_boundary_argmin_is_flagged_truncated(self):
         # closed-form optimum 3.1196... just inside the corner reach 3.2
         res = oracle_solve(Weights(0.3, 0.2), P, GridSpec(1.6, 0.1))
@@ -329,20 +340,27 @@ class TestTilePruning:
 
     def test_scans_evaluate_about_one_block(self, monkeypatch):
         """Each tile is bounded by its own points, so a scan rarely evaluates
-        a block before the one that holds the answer.  A bound over each
-        tile's bounding box gives 2.13 blocks and 17,769 points per parallel
-        call on these pairs, and 1.045 blocks per serial call."""
+        a block before the one that holds the answer, and it evaluates only
+        the half of each block at ``i <= (s0 + width - 1) // 2``.  On these
+        pairs that gives 1.025 blocks and 4,528 points per parallel call, and
+        0.99 blocks and 527 points per serial call.  Whole diagonals give
+        9,032 and 1,068 points; a bound over each tile's bounding box gives
+        2.13 blocks and 17,769 points per parallel call, and 1.045 blocks
+        per serial call.  A block with no column left to evaluate is
+        skipped, not passed to the kernel empty."""
         blocks, points = [], []
         kernel = oracle_module._feasible
 
         def counting(w, k, c1, c2):
+            size = np.broadcast(c1, c2).size
+            assert size > 0
             blocks[-1] += 1
-            points[-1] += np.broadcast(c1, c2).size
+            points[-1] += size
             return kernel(w, k, c1, c2)
 
         monkeypatch.setattr(oracle_module, "_feasible", counting)
         pairs = np.random.default_rng(0).uniform(0.0, 1.5, (400, 2)).tolist()
-        for k, max_blocks, max_points in [(P, 1.1, 10_000), (S, 1.05, math.inf)]:
+        for k, max_blocks, max_points in [(P, 1.1, 5_000), (S, 1.05, 600)]:
             blocks.clear()
             points.clear()
             for a, b in pairs:
