@@ -4,12 +4,12 @@
 
 Run from anywhere; the repository is the parent of this file's directory.
 Each entry of :data:`MUTANTS` names a file, an exact source snippet, its
-replacement and the test files that should notice it.  For each entry the
-runner copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml``
-into a temporary directory, replaces the snippet there, and runs only the
-entry's test files with pytest, importing the package from the copy's
-``src/``.  First it runs the union of those test files on an unmutated copy,
-which must pass.
+replacement and the test files (or pytest node ids) that should notice it.
+For each entry the runner copies ``src/``, ``tests/``, ``perfbench/`` and
+``pyproject.toml`` into a temporary directory, replaces the snippet there,
+and runs only the entry's tests with pytest, importing the package from the
+copy's ``src/``.  First it runs the union of those tests on an unmutated
+copy, which must pass.
 
 A mutant is *killed* when pytest reports failing tests (or runs past
 ``TIMEOUT_S``), and *survives* when they all pass.  The runner exits 1 when
@@ -84,7 +84,7 @@ MUTANTS = [
     # the resistance weighed in at b = 0, where 0 * inf must give 0
     Mutant(
         "weigh-adds-resistance-at-b0",
-        "src/twospring/model.py",
+        "src/twospring/oracle.py",
         "    if w.b > 0.0:\n        r *= w.b\n",
         "    if w.b >= 0.0:\n        r *= w.b\n",
         ("tests/test_model.py",),
@@ -92,7 +92,7 @@ MUTANTS = [
     # the oracle's tile bound without the strength mask
     Mutant(
         "box-keep-ignores-strength",
-        "src/twospring/model.py",
+        "src/twospring/oracle.py",
         "    keep &= strong\n",
         "",
         ("tests/test_model.py", "tests/test_oracle.py"),
@@ -126,10 +126,26 @@ MUTANTS = [
     # a verdict agrees only on the plain "agree" status
     Mutant(
         "verdict-agree-exact",
-        "src/twospring/oracle.py",
+        "src/twospring/verify.py",
         '    agree = status.startswith("agree")\n',
         '    agree = status == "agree"\n',
         ("tests/test_oracle.py",),
+    ),
+    # numpy loaded by the scalar spec, and so by every command
+    Mutant(
+        "model-imports-numpy",
+        "src/twospring/model.py",
+        "from dataclasses import dataclass\n",
+        "from dataclasses import dataclass\n\nimport numpy as np\n",
+        ("tests/test_imports.py::TestCommandsWithoutNumpy",),
+    ),
+    # the oracle made to import the closed form it is meant to check
+    Mutant(
+        "oracle-imports-solver",
+        "src/twospring/oracle.py",
+        "from .model import SpringPair, Topology, Weights, cost\n",
+        "from .model import SpringPair, Topology, Weights, cost\nfrom .solver import solve_reduced\n",
+        ("tests/test_imports.py::TestImportGraph",),
     ),
     # a broken stdout pipe left in place, so the flush at exit fails again
     Mutant(

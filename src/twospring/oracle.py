@@ -1,4 +1,4 @@
-"""Brute-force grid verification of the closed-form designs.
+"""Brute-force grid search for the cheapest feasible design.
 
 ``oracle_solve`` looks for the cheapest pair of grid elastic limits in the
 square ``[0, c_max]^2`` that meets both the performance and the strength
@@ -9,43 +9,59 @@ first block that holds a feasible point.  Every cheaper diagonal has been
 decided in full by then, so the result is the exhaustive minimum; only
 points that cost more than it are left undecided.
 
+The constraints are evaluated on numpy arrays by the array twins of the
+scalar formulas of :mod:`twospring.model`, defined here because the scan is
+their only caller.  On arrays, overflow saturates to ``inf`` and underflow
+rounds toward zero without a warning, as Python floats do, whatever numpy
+error state the caller set.  Each formula is defined once, as a private
+function that enters no error-state scope; each public ``*_grid`` function
+is a thin wrapper that enters one scope around it, and a scan enters one
+scope and calls the private formulas directly.  :func:`feasible_grid` is
+the constraint kernel: the mask of points that are both strong (force
+``>= 1``) and performant (``a*force + b*resistance >= 1``).  It tests
+strength first and evaluates the performance only when some point is
+strong, reusing the force it already holds (in parallel the resistance is
+``1 / force``).  :func:`multiperf_grid`, :func:`feasible_grid` and the
+tile bound share one private helper for the ``a*F + b*R`` rule and its
+``0 * inf == 0`` convention, so the three cannot drift apart; each passes
+it the force and resistance arrays, and it adds the resistance only when
+``b > 0``.
+
 A block is split into tiles of ``TILE_COLUMNS`` grid columns.  Force is
 non-decreasing and resistance non-increasing in each limit, for both
-wirings and in rounded arithmetic.  In each column of a tile the block's
-points form a segment of ``c2``, so the force at its top and the
-resistance at its bottom bound the force and the resistance of every point
-of the segment from above (:func:`~twospring.model._box_terms`, the
-weight-free half of :func:`~twospring.model.box_may_be_feasible`); the
-largest of each over the tile's columns bound the whole tile, and the
-performance formed from them bounds its performance.  A tile whose bound
-is below 1 holds no feasible point and is not evaluated; each block is
-tested with one call of the model kernel
-:func:`~twospring.model.feasible_grid` over the columns from its first to
-its last remaining tile, and a block with none is not evaluated at all.
-Force and resistance are also symmetric in the two limits, in rounded
-arithmetic, so a point is feasible exactly when its mirror ``(j, i)``
-is.  The mirror lies on the same diagonal, in the same block,
-and in a tile the bound keeps if the point is feasible; so the scan
-evaluates only the columns ``i <= (s0 + width - 1) // 2`` of a block that
-starts at diagonal ``s0``, and skips a block with none of them left.
-Because the bound reads only the tile's own points, and the parallel force
-is constant along a diagonal, a scan seldom evaluates a block before the
-one that holds the answer.  A scan that finds nothing has still decided the
-whole square, mostly by the bound.  The tile layout depends on the grid
-alone and is kept for the last grid scanned, together with the weight-free
-half of the bound: the largest force and resistance of every tile, and
-its strength mask, for both wirings.  A scan only weighs them.  A scan
-enters one numpy error-state scope and calls the scope-free bodies of the
-bound and the kernel inside it, rather than the public wrappers, which
-enter one scope each.  Memory stays bounded by one block, at most
-``BLOCK_DIAGONALS`` points per grid row, plus per tile and wiring two
-bound terms and a mask, whatever ``c_max / step``; the layout builds the
-terms over a bounded number of grid columns at a time.
+wirings and in rounded arithmetic (the model's monotonicity contract).  In
+each column of a tile the block's points form a segment of ``c2``, so the
+force at its top and the resistance at its bottom bound the force and the
+resistance of every point of the segment from above (:func:`_box_terms`,
+the weight-free half of :func:`box_may_be_feasible`); the largest of each
+over the tile's columns bound the whole tile, and the performance formed
+from them bounds its performance (:func:`_box_keep`, the weighted half).
+A tile whose bound is below 1 holds no feasible point and is not
+evaluated; each block is tested with one call of the kernel over the
+columns from its first to its last remaining tile, and a block with none
+is not evaluated at all.  Force and resistance are also symmetric in the
+two limits, in rounded arithmetic (the model's symmetry contract), so a
+point is feasible exactly when its mirror ``(j, i)`` is.  The mirror lies
+on the same diagonal, in the same block, and in a tile the bound keeps if
+the point is feasible; so the scan evaluates only the columns
+``i <= (s0 + width - 1) // 2`` of a block that starts at diagonal ``s0``,
+and skips a block with none of them left.  Because the bound reads only
+the tile's own points, and the parallel force is constant along a
+diagonal, a scan seldom evaluates a block before the one that holds the
+answer.  A scan that finds nothing has still decided the whole square,
+mostly by the bound.  The tile layout depends on the grid alone and is
+kept for the last grid scanned, together with the weight-free half of the
+bound: the largest force and resistance of every tile, and its strength
+mask, for both wirings.  A scan only weighs them.  Memory stays bounded by
+one block, at most ``BLOCK_DIAGONALS`` points per grid row, plus per tile
+and wiring two bound terms and a mask, whatever ``c_max / step``; the
+layout builds the terms over a bounded number of grid columns at a time.
 
-Constraint evaluation and its bound are shared with the model module, but
-the scan knows nothing about the one-variable reduction or the closed form:
-no start point, bound or constant comes from the solver.  That is what
-makes it usable as an independent check on the solver.
+The scan knows nothing about the one-variable reduction or the closed form:
+no start point, bound or constant comes from the solver, and the only
+module of the package this one imports is :mod:`twospring.model`.  That is
+what makes it usable as an independent check on the solver, which
+:mod:`twospring.verify` performs.
 """
 
 from __future__ import annotations
@@ -58,8 +74,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import SpringPair, Topology, Weights, _box_keep, _box_terms, _extended, _feasible, cost
-from .solver import solve_reduced
+from .model import SpringPair, Topology, Weights, cost
 
 __all__ = [
     "BLOCK_DIAGONALS",
@@ -67,9 +82,12 @@ __all__ = [
     "TILE_COLUMNS",
     "GridSpec",
     "OracleResult",
-    "VerificationVerdict",
     "oracle_solve",
-    "verify_reduction",
+    "force_grid",
+    "resistance_grid",
+    "multiperf_grid",
+    "feasible_grid",
+    "box_may_be_feasible",
 ]
 
 
@@ -81,6 +99,130 @@ TILE_COLUMNS = 32
 MAX_GRID_POINTS = 10**8
 # block columns whose bound terms a layout builds at a time, to bound its memory
 _LAYOUT_CHUNK = 2**12
+
+
+def _extended() -> np.errstate:
+    """The error state of the array formulas: overflow saturates to ``inf``,
+    underflow rounds to a subnormal or zero, ``1 / 0`` gives ``inf`` and
+    ``0 * inf`` gives NaN, all without a warning or an error, whatever the
+    caller's own error state."""
+    return np.errstate(all="ignore")
+
+
+# The private array formulas below enter no error-state scope of their own:
+# each public ``*_grid`` function enters one :func:`_extended` scope around
+# them, and the oracle one per scan.
+
+
+def _force(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    if k is Topology.PARALLEL:
+        return c1 + c2
+    return np.minimum(c1, c2)
+
+
+def _resistance(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """A zero or subnormal divisor gives ``inf``, as in :func:`resistance`."""
+    if k is Topology.PARALLEL:
+        return 1.0 / (c1 + c2)
+    return 1.0 / c1 + 1.0 / c2
+
+
+def _weigh(w: Weights, f: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The performance rule ``a*f + b*r``, given the force ``f`` and the resistance ``r``.
+
+    ``f`` and ``r`` must be new float arrays: ``f`` is overwritten with the
+    result and ``r`` may be.  ``r`` is added only when ``b > 0``, which is
+    the ``0 * inf == 0`` convention of :func:`multiperf`.  Overflow
+    saturates to ``inf``, and an infinite force under ``a = 0`` gives NaN,
+    which fails ``>= 1`` as its limit ``b*r -> 0`` does.
+    """
+    f *= w.a
+    if w.b > 0.0:
+        r *= w.b
+        f += r
+    return f
+
+
+def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Body of :func:`feasible_grid`, in the caller's error-state scope.  In
+    parallel the resistance is ``1 / f``, as in :func:`_resistance`."""
+    f = _force(k, c1, c2)
+    ok = f >= 1.0
+    if ok.any():
+        r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)
+        ok &= _weigh(w, f, r) >= 1.0
+    return ok
+
+
+def _box_terms(
+    k: Topology, lo1: np.ndarray, lo2: np.ndarray, hi1: np.ndarray, hi2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weight-free half of :func:`box_may_be_feasible`: the force ``f_hi`` at
+    the high corners, the resistance ``r_lo`` at the low corners, and the
+    mask ``strong`` of the boxes that ``f_hi < 1`` does not rule out."""
+    f_hi = _force(k, hi1, hi2)
+    return f_hi, _resistance(k, lo1, lo2), ~(f_hi < 1.0)
+
+
+def _box_keep(w: Weights, f_hi: np.ndarray, r_lo: np.ndarray, strong: np.ndarray) -> np.ndarray:
+    """Weighted half of :func:`box_may_be_feasible`: ``strong`` without the
+    boxes whose ``p_hi = a*f_hi + b*r_lo`` is below 1.  The terms are only
+    read, so they may be cached and read-only."""
+    keep = ~(_weigh(w, f_hi.copy(), r_lo.copy()) < 1.0)
+    keep &= strong
+    return keep
+
+
+def force_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Vectorized twin of :func:`force` over coordinate arrays."""
+    with _extended():
+        return _force(k, c1, c2)
+
+
+def resistance_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Vectorized twin of :func:`resistance`; 1/0 maps to ``inf``."""
+    with _extended():
+        return _resistance(k, c1, c2)
+
+
+def multiperf_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Vectorized twin of :func:`multiperf` over float coordinate arrays,
+    same ``0 * inf == 0`` convention."""
+    with _extended():
+        return _weigh(w, _force(k, c1, c2), _resistance(k, c1, c2))
+
+
+def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Mask of the points meeting both constraints, strength and performance.
+
+    Equal, bit for bit, to ``(multiperf_grid(w, k, c1, c2) >= 1.0) &
+    (force_grid(k, c1, c2) >= 1.0)``, but the force is computed once and
+    the performance only when some point is strong: an input with no strong
+    point returns its all-False strength mask at once.
+    """
+    with _extended():
+        return _feasible(w, k, c1, c2)
+
+
+def box_may_be_feasible(
+    w: Weights, k: Topology, lo1: np.ndarray, lo2: np.ndarray, hi1: np.ndarray, hi2: np.ndarray
+) -> np.ndarray:
+    """Mask of the boxes ``[lo1, hi1] x [lo2, hi2]`` that may hold a point
+    passing :func:`feasible_grid`; False proves that none does.
+
+    Force is non-decreasing and resistance non-increasing in each limit, for
+    both wirings, and rounding keeps that order.  So ``f_hi``, the force at
+    the high corner, and ``p_hi = a*f_hi + b*r_lo``, with the resistance at
+    the low corner, bound the force and the performance of every point of
+    the box from above, computed as the kernel computes them.  A box is
+    ruled out only when ``f_hi < 1`` or ``p_hi < 1``; a NaN bound (an
+    infinite ``f_hi`` under ``a = 0``) keeps it.  The weight-free terms
+    ``f_hi`` and ``r_lo`` come from :func:`_box_terms` and the test on
+    ``p_hi`` from :func:`_box_keep`, so a caller that bounds the same boxes
+    for many weights can compute the first half once.
+    """
+    with _extended():
+        return _box_keep(w, *_box_terms(k, lo1, lo2, hi1, hi2))
 
 
 @dataclass(frozen=True)
@@ -153,45 +295,6 @@ class OracleResult:
         d["points_scanned"] = points_scanned
 
 
-@dataclass(frozen=True)
-class VerificationVerdict:
-    """Comparison of the grid scan against the closed form for one instance.
-
-    ``status`` is one of ``agree``, ``agree-infeasible``, ``agree-truncated``,
-    ``cost-mismatch``, ``split-mismatch``, ``feasibility-mismatch``.
-    """
-
-    agree: bool
-    status: str
-    closed_cost: float
-    oracle_cost: float
-    cost_gap: float
-    allowance: float
-    argmin_gap: float | None
-    beyond_grid: bool
-
-    def __init__(
-        self,
-        agree: bool,
-        status: str,
-        closed_cost: float,
-        oracle_cost: float,
-        cost_gap: float,
-        allowance: float,
-        argmin_gap: float | None,
-        beyond_grid: bool,
-    ) -> None:
-        d = self.__dict__
-        d["agree"] = agree
-        d["status"] = status
-        d["closed_cost"] = closed_cost
-        d["oracle_cost"] = oracle_cost
-        d["cost_gap"] = cost_gap
-        d["allowance"] = allowance
-        d["argmin_gap"] = argmin_gap
-        d["beyond_grid"] = beyond_grid
-
-
 def _points_below(t: int, size: int) -> int:
     """Number of points ``(i, j)`` of a ``size``-square with ``i + j < t``."""
     if t <= size:
@@ -231,7 +334,7 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
     ``j_hi = min(s0 + width - 1 - i, last)``.  ``bounds[k]`` holds the
     weight-free half of the tile bound for wiring ``k``: ``f_hi`` and
     ``r_lo``, the largest over a tile's columns of the
-    :func:`~twospring.model._box_terms` of each column's segment, and
+    :func:`_box_terms` of each column's segment, and
     ``strong``, the tiles ``f_hi < 1`` does not rule out.  By the
     monotonicity contract of the model the segment's terms are its largest
     force and resistance, so the tile's are the largest over its own
@@ -286,7 +389,7 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     ``i <= (s0 + width - 1) // 2``, because a point and its mirror are
     feasible together: the scan weighs the weight-free bound terms cached
     with the layout, then runs the body of
-    :func:`~twospring.model.feasible_grid` on each block, all inside one
+    :func:`feasible_grid` on each block, all inside one
     error-state scope.  Cost ties on a diagonal are broken toward the
     smaller ``|c1 - c2|``, then the smaller ``c1``: by the symmetry that is
     the largest feasible ``i`` with ``2 * i <= s``.  The reduction runs on
@@ -328,48 +431,4 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
         argmin_gap=abs(pair.c1 - pair.c2),
         truncated=(i == last or j == last),
         points_scanned=_points_below(min(s0 + width, 2 * last + 1), g.size),
-    )
-
-
-def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> VerificationVerdict:
-    """Check that grid search and closed form agree for one weight pair.
-
-    Agreement means matching infeasibility, or both feasible with costs
-    within ``tol + 2*step`` (the scan overshoots by at most one step per
-    coordinate).  Serial agreement additionally requires the scanned argmin
-    to sit within one step of the diagonal.  When the closed-form optimum
-    cannot be represented inside the search square at all, an empty scan is
-    agreement too, reported as ``agree-truncated``.
-
-    The costs and ``argmin_gap`` are always the two results' own (``inf`` and
-    ``None`` where infeasible); ``cost_gap`` is ``inf`` when exactly one side
-    is feasible and ``0.0`` when neither is.  ``tol`` must be positive and
-    finite.
-    """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    closed = solve_reduced(w, k)
-    scanned = oracle_solve(w, k, g)
-    allowance = tol + 2.0 * g.step
-    gap, beyond = math.inf, False
-    if closed.feasible and scanned.feasible:
-        gap = scanned.best_cost - closed.total_cost
-        if abs(gap) > allowance:
-            status = "cost-mismatch"
-        elif k is Topology.SERIAL and scanned.argmin_gap > g.step + 1e-12:
-            status = "split-mismatch"
-        else:
-            status = "agree"
-    elif not (closed.feasible or scanned.feasible):
-        status, gap = "agree-infeasible", 0.0
-    elif scanned.feasible:
-        status = "feasibility-mismatch"  # a witness where the closed form has none
-    else:
-        # empty scan: legitimate iff the optimal design exceeds the square
-        top = (g.size - 1) * g.step  # == axis()[-1]
-        beyond = closed.x_star > (2.0 * top if k is Topology.PARALLEL else top)
-        status = "agree-truncated" if beyond else "feasibility-mismatch"
-    agree = status.startswith("agree")
-    return VerificationVerdict(
-        agree, status, closed.total_cost, scanned.best_cost, gap, allowance, scanned.argmin_gap, beyond
     )

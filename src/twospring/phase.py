@@ -1,0 +1,140 @@
+"""Array twins of the closed form and the region rules, and the sweep's rows.
+
+The scalar modules :mod:`twospring.solver` and :mod:`twospring.regions`
+answer one weight pair on Python floats and are the reference; this module
+answers whole weight grids with numpy, for ``twospring sweep``, its only
+caller.  :func:`total_cost_grid` is the array twin of the scalar kernel
+``solver._reduced``: it makes the same branch tests in the same order and
+evaluates the root with the same operations, so every cost it returns
+equals the scalar one bit for bit (``math.sqrt`` and ``np.sqrt`` are both
+correctly rounded, and numpy does not fuse multiply-adds).
+:func:`winner_grid`, built on it, is the array twin of
+:func:`~twospring.regions.winner`, with the same predicates in the same
+order, so it reports the same labels, winners and costs.  Both silence
+numpy's floating-point errors in one ``np.errstate(all="ignore")`` scope,
+so overflow saturates to ``inf`` as in Python floats, whatever error state
+the caller set.
+
+:func:`sweep_rows` computes and formats the rows of a sweep a chunk at a
+time: one :func:`winner_grid` call per chunk, where the costs 1.0, 2.0 and
+``inf`` take their text from a table and every other number is formatted
+with ``repr`` where it occurs.  ``sweep_cli`` imports this module only when
+a sweep runs, so the commands that answer one weight pair, and
+``boundaries``, never load numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Iterator
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .model import Topology
+from .regions import RegionLabel, Winner
+
+if TYPE_CHECKING:
+    from .sweep_cli import SweepSpec
+
+__all__ = ["total_cost_grid", "winner_grid", "sweep_rows"]
+
+# "region,winner" text at index region * len(Winner) + best of winner_grid's codes
+_PAIR_TEXT = np.array([f"{r.value},{w.value}" for r in RegionLabel for w in Winner], dtype=object)
+# about three quarters of the costs of the default sweep are one of these
+_COST_TEXT = ((1.0, "1.0"), (2.0, "2.0"), (math.inf, "inf"))
+
+
+def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> np.ndarray:
+    """The scalar kernel's ``total_cost`` (``_reduced(a, b, k)[1]``) at every
+    pair of two equal-shape float64 arrays of nonnegative weights.
+
+    Branches exactly as :func:`_reduced`, its scalar reference: ``a == 0``
+    first, then the sign of ``a + k*b - 1``; the root is computed only where
+    that branch is taken, with the scalar expression's operation order.
+    """
+    kk = float(k.k)
+    cost = np.full(a.shape, kk)
+    # overflow to inf (huge b, subnormal a) and underflow are silent, as in Python floats
+    with np.errstate(all="ignore"):
+        zero = a == 0.0
+        cost[zero & ~(kk * b >= 1.0)] = math.inf
+        root = ~zero & (a + kk * b - 1.0 < 0.0)
+        ar, br = a[root], b[root]
+        cost[root] = kk * ((1.0 + np.sqrt(1.0 - 4.0 * kk * ar * br)) / (2.0 * ar))
+    return cost
+
+
+def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`winner` at every pair of two equal-shape float64 weight arrays.
+
+    Returns ``(region, best, cost_parallel, cost_serial)``: ``region`` holds
+    indices into ``tuple(RegionLabel)`` and ``best`` indices into
+    ``tuple(Winner)``, so ``tuple(Winner)[best[i]]`` is ``winner(w).winner``
+    at the ``i``-th pair.  The first condition that holds picks each code,
+    in the order of the scalar tests.
+    """
+    labels, winners = list(RegionLabel), list(Winner)
+    cost_p = total_cost_grid(a, b, Topology.PARALLEL)
+    cost_s = total_cost_grid(a, b, Topology.SERIAL)
+    with np.errstate(all="ignore"):  # a huge b sums to inf, as in Python floats
+        region = np.select(
+            [a + 2.0 * b - 1.0 < 0.0, a + b - 1.0 >= 0.0, cost_p > 2.0],
+            [labels.index(RegionLabel.A), labels.index(RegionLabel.C), labels.index(RegionLabel.B2)],
+            labels.index(RegionLabel.B1),
+        )
+    best = np.select(
+        [np.isinf(cost_p) & np.isinf(cost_s), cost_p < cost_s, cost_s < cost_p],
+        [
+            winners.index(Winner.BOTH_INFEASIBLE),
+            winners.index(Winner.PARALLEL),
+            winners.index(Winner.SERIAL),
+        ],
+        winners.index(Winner.TIE),
+    )
+    return region, best, cost_p, cost_s
+
+
+def _texts(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of ``values``, as an object array of str."""
+    return np.fromiter(map(repr, values.tolist()), dtype=object, count=values.size)
+
+
+def _cost_texts(costs: np.ndarray) -> list[str]:
+    """``repr`` of each cost; the common values 1.0, 2.0 and inf come from a table."""
+    text = np.empty(costs.shape, dtype=object)
+    other = np.ones(costs.shape, dtype=bool)
+    for value, value_text in _COST_TEXT:
+        is_value = costs == value
+        text[is_value] = value_text
+        other &= ~is_value
+    text[other] = _texts(costs[other])
+    return text.tolist()
+
+
+def sweep_rows(spec: SweepSpec, chunk: int) -> Iterator[list[str]]:
+    """CSV rows of a sweep, without the header, in row-major order (b outer,
+    a inner) in lists of at most ``chunk``.
+
+    Each chunk is one :func:`winner_grid` call on its own samples, taken from
+    the two axes; every operation is elementwise, so any chunking gives the
+    same bytes.  A chunk may begin and end inside a row of ``b``.  Each
+    distinct sample of a chunk is formatted once: its ``a`` column repeats
+    every ``na`` cells and its ``b`` column is a run of consecutive samples.
+    """
+    a_axis = np.linspace(spec.a_min, spec.a_max, spec.na)
+    b_axis = np.linspace(spec.b_min, spec.b_max, spec.nb)
+    cells = spec.na * spec.nb
+    for start in range(0, cells, chunk):
+        b_index, a_index = np.divmod(np.arange(start, min(start + chunk, cells)), spec.na)
+        a, b = a_axis[a_index], b_axis[b_index]
+        region, best, cost_p, cost_s = winner_grid(a, b)
+        first_b = int(b_index[0])
+        columns = zip(
+            np.resize(_texts(a[: spec.na]), a.size).tolist(),
+            _texts(b_axis[first_b : int(b_index[-1]) + 1])[b_index - first_b].tolist(),
+            _PAIR_TEXT[region * len(Winner) + best].tolist(),
+            _cost_texts(cost_p),
+            _cost_texts(cost_s),
+        )
+        yield list(map(",".join, columns))

@@ -21,9 +21,10 @@ hand-written ``__init__`` and stays frozen (see :mod:`twospring.model`).
 The labels and winners the scalar path returns are module-level aliases
 (``_A`` ... ``_TIE``): looking an enum member up on its class costs
 0.1-0.2 us on Python 3.11, a sizable share of a query.
-:func:`winner_grid` is their array twin for whole weight grids, built on
-:func:`~twospring.solver.total_cost_grid` with the same predicates in the
-same order, so it reports the same labels, winners and costs.
+Their array twin for whole weight grids,
+:func:`~twospring.phase.winner_grid`, lives with the sweep that uses it,
+so this module imports only the standard library, the model and the
+solver.
 """
 
 from __future__ import annotations
@@ -32,10 +33,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import Topology, Weights, _extended
-from .solver import _reduced, total_cost_grid
+from .model import Weights
+from .solver import _reduced
 
 __all__ = [
     "RegionLabel",
@@ -43,7 +42,6 @@ __all__ = [
     "RegionReport",
     "classify",
     "winner",
-    "winner_grid",
     "b2_boundary",
     "B2_SEGMENT_A_MIN",
     "B2_SEGMENT_A_MAX",
@@ -148,36 +146,6 @@ def winner(w: Weights) -> RegionReport:
     if a + b - 1.0 >= 0.0:
         return _BAND_C
     return _report(a, b)
-
-
-def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`winner` at every pair of two equal-shape float64 weight arrays.
-
-    Returns ``(region, best, cost_parallel, cost_serial)``: ``region`` holds
-    indices into ``tuple(RegionLabel)`` and ``best`` indices into
-    ``tuple(Winner)``, so ``tuple(Winner)[best[i]]`` is ``winner(w).winner``
-    at the ``i``-th pair.  The first condition that holds picks each code,
-    in the order of the scalar tests.
-    """
-    labels, winners = list(RegionLabel), list(Winner)
-    cost_p = total_cost_grid(a, b, Topology.PARALLEL)
-    cost_s = total_cost_grid(a, b, Topology.SERIAL)
-    with _extended():  # a huge b sums to inf, as in Python floats
-        region = np.select(
-            [a + 2.0 * b - 1.0 < 0.0, a + b - 1.0 >= 0.0, cost_p > 2.0],
-            [labels.index(RegionLabel.A), labels.index(RegionLabel.C), labels.index(RegionLabel.B2)],
-            labels.index(RegionLabel.B1),
-        )
-    best = np.select(
-        [np.isinf(cost_p) & np.isinf(cost_s), cost_p < cost_s, cost_s < cost_p],
-        [
-            winners.index(Winner.BOTH_INFEASIBLE),
-            winners.index(Winner.PARALLEL),
-            winners.index(Winner.SERIAL),
-        ],
-        winners.index(Winner.TIE),
-    )
-    return region, best, cost_p, cost_s
 
 
 def b2_boundary(a: float) -> float | None:

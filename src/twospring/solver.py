@@ -18,12 +18,11 @@ One private scalar kernel, :func:`_reduced`, answers one weight pair on
 plain floats and is the reference.  :func:`solve_reduced` wraps its result
 in a :class:`ReducedSolution`; ``regions.classify`` and ``regions.winner``
 call it directly, so comparing two costs builds no intermediate object.
-:func:`total_cost_grid` is its array twin for whole weight grids: it makes
-the same branch tests in the same order and evaluates the root with the
-same operations, so every cost it returns equals the scalar one bit for bit
-(``math.sqrt`` and ``np.sqrt`` are both correctly rounded, and numpy does
-not fuse multiply-adds).  A single query stays on the scalar path, which
-costs about a microsecond where an array call costs about a hundred.
+Its array twin for whole weight grids,
+:func:`~twospring.phase.total_cost_grid`, lives with the sweep that uses
+it, so this module imports only the standard library and the model.  A
+single query stays on the scalar path, which costs about a microsecond
+where an array call costs about a hundred.
 
 A query builds its value objects here: :func:`solve_reduced` its
 :class:`ReducedSolution` and :func:`expand` its :class:`DesignSolution`.
@@ -47,9 +46,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .model import Topology, Weights, _extended
+from .model import Topology, Weights
 
 __all__ = [
     "ActiveConstraint",
@@ -57,7 +54,6 @@ __all__ = [
     "ReducedSolution",
     "DesignSolution",
     "solve_reduced",
-    "total_cost_grid",
     "expand",
     "roots",
 ]
@@ -160,26 +156,6 @@ def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
     if active is _STRENGTH:
         return _STRENGTH_PARALLEL if k is _PARALLEL else _STRENGTH_SERIAL
     return ReducedSolution(x_star is not None, x_star, total, active)
-
-
-def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> np.ndarray:
-    """The scalar kernel's ``total_cost`` (``_reduced(a, b, k)[1]``) at every
-    pair of two equal-shape float64 arrays of nonnegative weights.
-
-    Branches exactly as :func:`_reduced`, its scalar reference: ``a == 0``
-    first, then the sign of ``a + k*b - 1``; the root is computed only where
-    that branch is taken, with the scalar expression's operation order.
-    """
-    kk = float(k.k)
-    cost = np.full(a.shape, kk)
-    # overflow to inf (huge b, subnormal a) and underflow are silent, as in Python floats
-    with _extended():
-        zero = a == 0.0
-        cost[zero & ~(kk * b >= 1.0)] = math.inf
-        root = ~zero & (a + kk * b - 1.0 < 0.0)
-        ar, br = a[root], b[root]
-        cost[root] = kk * ((1.0 + np.sqrt(1.0 - 4.0 * kk * ar * br)) / (2.0 * ar))
-    return cost
 
 
 def expand(sol: ReducedSolution, k: Topology) -> DesignSolution:

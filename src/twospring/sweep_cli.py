@@ -12,15 +12,20 @@ byte-identical output.
 ``sweep`` and ``boundaries`` stream their lines in chunks of at most
 ``CHUNK_LINES``, each formatted and written before the next is computed, so
 their memory does not grow with the size of the request.  A ``sweep`` chunk
-is one call of the array kernel :func:`~twospring.regions.winner_grid`; the
-costs 1.0, 2.0 and ``inf`` take their text from a table and every other
-number is formatted where it occurs.  ``boundaries`` computes its samples
-as Python floats and makes no numpy call.  Every command writes through one
-helper, which turns a reader that closed the pipe into exit status 3.
-``solve`` and ``classify`` answer one weight pair through the scalar
-closed-form kernel, ``solver._reduced``, which stays the reference the
-array kernel is tested against and is about forty times faster than an
-array call for a single pair.
+is computed and formatted by :func:`~twospring.phase.sweep_rows`, one call
+of the array kernel :func:`~twospring.phase.winner_grid`.  ``boundaries``
+computes its samples as Python floats and formats them with ``repr``.
+Every command writes through one helper, which turns a reader that closed
+the pipe into exit status 3.  ``solve`` and ``classify`` answer one weight
+pair through the scalar closed-form kernel, ``solver._reduced``, which
+stays the reference the array kernel is tested against and is about forty
+times faster than an array call for a single pair.
+
+This module imports no numpy.  ``sweep`` loads it with
+:mod:`twospring.phase`, and ``verify`` with :mod:`twospring.oracle` and
+:mod:`twospring.verify` once its flags have passed the checks that need
+only the standard library; ``solve``, ``classify`` and ``boundaries``
+never load it, so they start without numpy's import time.
 """
 
 from __future__ import annotations
@@ -35,19 +40,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Topology, Weights
-from .oracle import GridSpec, verify_reduction
-from .regions import (
-    B2_SEGMENT_A_MAX,
-    B2_SEGMENT_A_MIN,
-    RegionLabel,
-    Winner,
-    b2_boundary,
-    winner,
-    winner_grid,
-)
+from .regions import B2_SEGMENT_A_MAX, B2_SEGMENT_A_MIN, b2_boundary, winner
 from .solver import expand, solve_reduced
 
 __all__ = [
@@ -75,12 +69,6 @@ SWEEP_HEADER = "a,b,region,winner,cost_parallel,cost_serial"
 BOUNDARY_HEADER = "curve,a,b"
 
 _TOPOLOGIES = {"parallel": Topology.PARALLEL, "serial": Topology.SERIAL}
-
-# "region,winner" text at index region * len(Winner) + best of winner_grid's codes
-_PAIR_TEXT = np.array([f"{r.value},{w.value}" for r in RegionLabel for w in Winner], dtype=object)
-# about three quarters of the costs of the default sweep are one of these
-_COST_TEXT = ((1.0, "1.0"), (2.0, "2.0"), (math.inf, "inf"))
-
 
 class UsageError(Exception):
     """Invalid argument values; maps to exit status 2."""
@@ -121,11 +109,6 @@ class SweepSpec:
             raise ValueError("need at least 2 samples per axis")
         if self.na * self.nb > MAX_SWEEP_CELLS:
             raise ValueError(f"na * nb must not exceed {MAX_SWEEP_CELLS}")
-
-
-def _fmt(x: float) -> str:
-    # repr of a float is the shortest decimal that round-trips; inf -> 'inf'
-    return repr(float(x))
 
 
 def _jsonable(value):
@@ -182,50 +165,13 @@ def _emit_record(record: dict, out: str | None) -> None:
     _emit([json.dumps(_jsonable(record))], out)
 
 
-def _texts(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float of ``values``, as an object array of str."""
-    return np.fromiter(map(repr, values.tolist()), dtype=object, count=values.size)
-
-
-def _cost_texts(costs: np.ndarray) -> list[str]:
-    """``repr`` of each cost; the common values 1.0, 2.0 and inf come from a table."""
-    text = np.empty(costs.shape, dtype=object)
-    other = np.ones(costs.shape, dtype=bool)
-    for value, value_text in _COST_TEXT:
-        is_value = costs == value
-        text[is_value] = value_text
-        other &= ~is_value
-    text[other] = _texts(costs[other])
-    return text.tolist()
-
-
 def _sweep_chunks(spec: SweepSpec) -> Iterator[list[str]]:
-    """CSV lines of a sweep: the header, then its rows in row-major order (b
-    outer, a inner) in lists of at most ``CHUNK_LINES``.
+    """CSV lines of a sweep: the header, then its rows in lists of at most
+    ``CHUNK_LINES`` (see :func:`~twospring.phase.sweep_rows`)."""
+    from .phase import sweep_rows  # numpy loads here, only when a sweep runs
 
-    Each chunk is one :func:`winner_grid` call on its own samples, taken from
-    the two axes; every operation is elementwise, so any chunking gives the
-    same bytes.  A chunk may begin and end inside a row of ``b``.  Each
-    distinct sample of a chunk is formatted once: its ``a`` column repeats
-    every ``na`` cells and its ``b`` column is a run of consecutive samples.
-    """
-    a_axis = np.linspace(spec.a_min, spec.a_max, spec.na)
-    b_axis = np.linspace(spec.b_min, spec.b_max, spec.nb)
     yield [SWEEP_HEADER]
-    cells = spec.na * spec.nb
-    for start in range(0, cells, CHUNK_LINES):
-        b_index, a_index = np.divmod(np.arange(start, min(start + CHUNK_LINES, cells)), spec.na)
-        a, b = a_axis[a_index], b_axis[b_index]
-        region, best, cost_p, cost_s = winner_grid(a, b)
-        first_b = int(b_index[0])
-        columns = zip(
-            np.resize(_texts(a[: spec.na]), a.size).tolist(),
-            _texts(b_axis[first_b : int(b_index[-1]) + 1])[b_index - first_b].tolist(),
-            _PAIR_TEXT[region * len(Winner) + best].tolist(),
-            _cost_texts(cost_p),
-            _cost_texts(cost_s),
-        )
-        yield list(map(",".join, columns))
+    yield from sweep_rows(spec, CHUNK_LINES)
 
 
 def sweep_lines(spec: SweepSpec) -> list[str]:
@@ -257,7 +203,7 @@ def _boundary_chunks(resolution: int) -> Iterator[list[str]]:
     )
     polylines = (
         [
-            f"{name},{_fmt(a)},{_fmt(curve(a))}"
+            f"{name},{a!r},{curve(a)!r}"
             for i in range(lo, min(lo + CHUNK_LINES, resolution))
             for a in [i * step + start if i < last else stop]
         ]
@@ -347,8 +293,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--seed must be nonnegative")
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
         raise UsageError("--tol must be positive and finite")
+    # numpy loads here, after the checks that need only the standard library
+    import numpy as np
+
+    from . import oracle, verify
+
     try:
-        grid = GridSpec(args.c_max, args.step)
+        grid = oracle.GridSpec(args.c_max, args.step)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rng = np.random.default_rng(args.seed)
@@ -359,7 +310,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for a, b in points.tolist():
         w = Weights(a, b)
         for name, k in _TOPOLOGIES.items():
-            verdict = verify_reduction(w, k, grid, args.tol)
+            verdict = verify.verify_reduction(w, k, grid, args.tol)
             truncated += verdict.beyond_grid
             if not verdict.agree:
                 failures.append(

@@ -18,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from exact_reference import exact_decision
 
-from twospring import oracle, sweep_cli
+from twospring import oracle, phase, sweep_cli, verify
 from twospring.model import Weights
 from twospring.regions import winner
 from twospring.sweep_cli import (
@@ -542,9 +542,9 @@ class TestBoundariesCommand:
     def test_resolution_must_be_at_least_two(self):
         assert main(["boundaries", "--na", "1"]) == EXIT_USAGE
 
-    def test_resolution_cap_is_checked_before_allocating(self, capsys, monkeypatch):
+    def test_resolution_cap_is_checked_before_allocating(self, capsys):
         argv = ["boundaries", "--na", str(MAX_BOUNDARY_POINTS + 1)]
-        assert_rejected_without_allocating(capsys, monkeypatch, argv)
+        assert_rejected_without_allocating(capsys, argv)
 
     def test_bad_resolution_writes_no_file(self, tmp_path):
         out = tmp_path / "boundaries.csv"
@@ -598,19 +598,23 @@ class TestBoundariesStreaming:
     )
     def test_polyline_samples_equal_numpy_linspace(self, curve, start, stop, chunk, monkeypatch):
         """The ``a`` column of each polyline is ``np.linspace`` bit for bit,
-        at any chunk size.  At 50 samples on ``[0, 1]`` the last one must be
-        pinned to ``stop``: ``49 * (1 / 49)`` is not 1.0."""
+        at any chunk size, and each ``b`` is the curve's float at that ``a``
+        (a ``None`` from ``b2_boundary`` would not parse).  At 50 samples on
+        ``[0, 1]`` the last one must be pinned to ``stop``: ``49 * (1 / 49)``
+        is not 1.0."""
+        formula = {
+            "a+2b=1": lambda a: (1.0 - a) / 2.0,
+            "a+b=1": lambda a: 1.0 - a,
+            "b=2-4a": lambda a: 2.0 - 4.0 * a,
+        }
         monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
         for num in (2, 3, 50, 63, 64, 65, 129, 1001):
             chunks = list(sweep_cli._boundary_chunks(num))[1:]
             assert all(1 <= len(lines) <= chunk for lines in chunks)
-            a = [float(line.split(",")[1]) for lines in chunks for line in lines if line.startswith(curve + ",")]
+            rows = [line.split(",")[1:] for lines in chunks for line in lines if line.startswith(curve + ",")]
+            a = [float(a) for a, _ in rows]
             assert np.array_equal(a, np.linspace(start, stop, num)), num
-
-    def test_default_bytes_without_numpy(self, capsys, monkeypatch):
-        monkeypatch.setattr(sweep_cli, "np", _NumpyGuard())
-        assert main(["boundaries"]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEFAULT_BOUNDARIES_SHA256
+            assert [float(b) for _, b in rows] == [formula[curve](x) for x in a], num
 
     def test_peak_memory_does_not_grow_with_the_resolution(self, monkeypatch, tmp_path):
         monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 512)
@@ -648,15 +652,13 @@ class TestVerifyCommand:
         assert rec["worst_cost_gap"] <= 0.01 + 2 * 0.05
 
     def test_disagreement_exits_nonzero(self, capsys, monkeypatch):
-        from twospring.oracle import VerificationVerdict
-
         def always_wrong(w, k, g, tol):
-            return VerificationVerdict(
+            return verify.VerificationVerdict(
                 agree=False, status="cost-mismatch", closed_cost=1.0, oracle_cost=2.0,
                 cost_gap=1.0, allowance=0.02, argmin_gap=0.0, beyond_grid=False,
             )
 
-        monkeypatch.setattr(sweep_cli, "verify_reduction", always_wrong)
+        monkeypatch.setattr(verify, "verify_reduction", always_wrong)
         code, rec = run_json(capsys, ["verify", "--samples", "1", "--seed", "3"])
         assert code == EXIT_DISAGREEMENT
         assert rec["disagreements"] == 2
@@ -676,8 +678,8 @@ class TestVerifyCommand:
             ["--samples", str(MAX_VERIFY_SAMPLES + 1)],
         ],
     )
-    def test_out_of_range_flags_are_rejected_before_allocating(self, capsys, monkeypatch, argv):
-        assert_rejected_without_allocating(capsys, monkeypatch, ["verify", *argv])
+    def test_out_of_range_flags_are_rejected_before_allocating(self, capsys, argv):
+        assert_rejected_without_allocating(capsys, ["verify", *argv])
 
     @pytest.mark.parametrize(
         "argv",
@@ -719,17 +721,11 @@ class TestVerifyCommand:
         assert digest == "ddf2f4a344ea11d8242ba50fdfe64618475af3788b01b9b01324a8e8d300dae4"
 
 
-class _NumpyGuard:
-    """Stands in for numpy in ``sweep_cli``: any use fails the test."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} was reached where numpy must not be used")
-
-
-def assert_rejected_without_allocating(capsys, monkeypatch, argv):
-    """``main(argv)`` exits 2 with an error line and no traceback, before it
-    touches numpy (where the sample arrays would be allocated)."""
-    monkeypatch.setattr(sweep_cli, "np", _NumpyGuard())
+def assert_rejected_without_allocating(capsys, argv):
+    """``main(argv)`` exits 2 with one error line and no traceback.  That it
+    does so before numpy loads (where the sample arrays would be allocated)
+    is checked in fresh processes by
+    ``test_imports.TestCommandsWithoutNumpy``."""
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -859,10 +855,11 @@ class TestParserReuse:
 
 class TestFormatting:
     def test_float_formatting_round_trips(self):
-        for value in (0.1, 1.0, 4.7912878474779195, 2.0 / 3.0, math.inf):
-            text = sweep_cli._fmt(value)
-            assert float(text) == value
-        assert sweep_cli._fmt(math.inf) == "inf"
+        values = (0.1, 1.0, 4.7912878474779195, 2.0 / 3.0, 2.0, math.inf)
+        texts = phase._cost_texts(np.array(values))
+        assert [float(text) for text in texts] == list(values)
+        assert texts == [repr(value) for value in values]
+        assert texts[-1] == "inf"
 
     def test_sweep_lines_schema(self):
         lines = sweep_lines(SweepSpec(0.0, 1.0, 0.0, 1.0, 2, 2))

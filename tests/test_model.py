@@ -11,21 +11,9 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 from value_contract import assert_value_contract
 
-from twospring import model as model_module
-from twospring.model import (
-    SpringPair,
-    Topology,
-    Weights,
-    box_may_be_feasible,
-    cost,
-    feasible_grid,
-    force,
-    force_grid,
-    multiperf,
-    multiperf_grid,
-    resistance,
-    resistance_grid,
-)
+from twospring import oracle as oracle_module
+from twospring.model import SpringPair, Topology, Weights, cost, force, multiperf, resistance
+from twospring.oracle import box_may_be_feasible, feasible_grid, force_grid, multiperf_grid, resistance_grid
 
 P = Topology.PARALLEL
 S = Topology.SERIAL
@@ -292,7 +280,7 @@ class TestFeasibleGrid:
         def no_performance(*args):
             raise AssertionError("performance evaluated on a block with no strong point")
 
-        monkeypatch.setattr(model_module, "_weigh", no_performance)
+        monkeypatch.setattr(oracle_module, "_weigh", no_performance)
         axis = np.arange(60) * 0.005  # every limit below 0.3: weak in both wirings
         assert not feasible_grid(Weights(1.0, 1.0), k, axis[:, None], axis[None, :]).any()
         monkeypatch.undo()

