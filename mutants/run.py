@@ -168,9 +168,51 @@ MUTANTS = [
     Mutant(
         "chunk-and-newline-one-write",
         "src/twospring/sweep_cli.py",
-        '        fh.write("\\n".join(lines))\n        fh.write("\\n")\n',
-        '        fh.write("\\n".join(lines) + "\\n")\n',
+        '        fh.write(chunk)\n        fh.write("\\n")\n',
+        '        fh.write(chunk + "\\n")\n',
         ("tests/test_cli.py",),
+    ),
+    # a sweep chunk that ends with its last row's newline, so the writer's
+    # own newline leaves a blank line
+    Mutant(
+        "sweep-chunk-keeps-last-newline",
+        "src/twospring/phase.py",
+        '    parts[-1] = ""  # no newline after the chunk\'s last row\n',
+        "",
+        ("tests/test_cli.py::TestSweepParity",),
+    ),
+    # the "a," texts of a chunk read from column 0, wrong only for a chunk
+    # that starts inside a row
+    Mutant(
+        "sweep-a-texts-from-column-0",
+        "src/twospring/phase.py",
+        "a_run[offset : offset + a.size]",
+        "a_run[: a.size]",
+        ("tests/test_cli.py::TestSweepParity",),
+    ),
+    # the scalar kernel's root branch taken on the line a + k*b = 1 as well
+    Mutant(
+        "kernel-root-test-loose",
+        "src/twospring/solver.py",
+        "    if a + kk * b - 1.0 < 0.0:\n",
+        "    if a + kk * b - 1.0 <= 0.0:\n",
+        ("tests/test_solver.py", "tests/test_fast_path.py"),
+    ),
+    # the tile bound's resistance taken at the high corners, where it is smallest
+    Mutant(
+        "bound-resistance-at-high-corner",
+        "src/twospring/oracle.py",
+        "    return f_hi, _resistance(k, lo1, lo2), ~(f_hi < 1.0)\n",
+        "    return f_hi, _resistance(k, hi1, hi2), ~(f_hi < 1.0)\n",
+        ("tests/test_model.py", "tests/test_oracle.py"),
+    ),
+    # the layout's strength mask keeps tiles that a block does not have
+    Mutant(
+        "layout-strong-ignores-tiles",
+        "src/twospring/oracle.py",
+        "~(f_hi < 1.0) & tiles)",
+        "~(f_hi < 1.0))",
+        ("tests/test_oracle.py",),
     ),
 ]
 

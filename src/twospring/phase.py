@@ -16,11 +16,13 @@ so overflow saturates to ``inf`` as in Python floats, whatever error state
 the caller set.
 
 :func:`sweep_rows` computes and formats the rows of a sweep a chunk at a
-time: one :func:`winner_grid` call per chunk, where the costs 1.0, 2.0 and
-``inf`` take their text from a table and every other number is formatted
-with ``repr`` where it occurs.  ``sweep_cli`` imports this module only when
-a sweep runs, so the commands that answer one weight pair, and
-``boundaries``, never load numpy.
+time: one :func:`winner_grid` call per chunk, and one ``"".join`` that
+builds the chunk's text as a single string.  The costs 1.0, 2.0 and ``inf``
+take their text from a table and every other cost is formatted with
+``repr`` where it occurs; the ``a`` axis is formatted once per sweep when a
+row fits in a chunk.  ``sweep_cli`` imports this module only when a sweep
+runs, so the commands that answer one weight pair, and ``boundaries``,
+never load numpy.
 """
 
 from __future__ import annotations
@@ -39,8 +41,11 @@ if TYPE_CHECKING:
 
 __all__ = ["total_cost_grid", "winner_grid", "sweep_rows"]
 
-# "region,winner" text at index region * len(Winner) + best of winner_grid's codes
-_PAIR_TEXT = np.array([f"{r.value},{w.value}" for r in RegionLabel for w in Winner], dtype=object)
+# "region,winner," text at index region * len(Winner) + best of winner_grid's codes
+_PAIR_TEXT = np.array([f"{r.value},{w.value}," for r in RegionLabel for w in Winner], dtype=object)
+# the text slots of one sweep cell: "a,", "b,", "region,winner,", the
+# parallel cost, ",", the serial cost and the row's newline
+_CELL = [None, None, None, None, ",", None, "\n"]
 # about three quarters of the costs of the default sweep are one of these
 _COST_TEXT = ((1.0, "1.0"), (2.0, "2.0"), (math.inf, "inf"))
 
@@ -95,9 +100,10 @@ def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return region, best, cost_p, cost_s
 
 
-def _texts(values: np.ndarray) -> np.ndarray:
-    """``repr`` of each float of ``values``, as an object array of str."""
-    return np.fromiter(map(repr, values.tolist()), dtype=object, count=values.size)
+def _texts(values: np.ndarray, end: str = "") -> list[str]:
+    """``repr`` of each float of ``values``, followed by ``end``."""
+    texts = list(map(repr, values.tolist()))
+    return [text + end for text in texts] if end else texts
 
 
 def _cost_texts(costs: np.ndarray) -> list[str]:
@@ -112,29 +118,46 @@ def _cost_texts(costs: np.ndarray) -> list[str]:
     return text.tolist()
 
 
-def sweep_rows(spec: SweepSpec, chunk: int) -> Iterator[list[str]]:
+def sweep_rows(spec: SweepSpec, chunk: int) -> Iterator[str]:
     """CSV rows of a sweep, without the header, in row-major order (b outer,
-    a inner) in lists of at most ``chunk``.
+    a inner), in strings of at most ``chunk`` rows joined by newlines, with
+    no newline after the last.
 
     Each chunk is one :func:`winner_grid` call on its own samples, taken from
     the two axes; every operation is elementwise, so any chunking gives the
-    same bytes.  A chunk may begin and end inside a row of ``b``.  Each
-    distinct sample of a chunk is formatted once: its ``a`` column repeats
-    every ``na`` cells and its ``b`` column is a run of consecutive samples.
+    same bytes.  A chunk may begin and end inside a row of ``b``.  The ``a``
+    axis is formatted once per sweep when a row fits in a chunk, and with
+    each chunk otherwise, so memory stays bounded by the chunk.
     """
-    a_axis = np.linspace(spec.a_min, spec.a_max, spec.na)
+    na, cells = spec.na, spec.na * spec.nb
+    a_axis = np.linspace(spec.a_min, spec.a_max, na)
     b_axis = np.linspace(spec.b_min, spec.b_max, spec.nb)
-    cells = spec.na * spec.nb
+    # "a," texts from any column on, for a chunk of whole or partial rows
+    a_run = _texts(a_axis, ",") * (chunk // na + 2) if na <= chunk else None
     for start in range(0, cells, chunk):
-        b_index, a_index = np.divmod(np.arange(start, min(start + chunk, cells)), spec.na)
-        a, b = a_axis[a_index], b_axis[b_index]
-        region, best, cost_p, cost_s = winner_grid(a, b)
-        first_b = int(b_index[0])
-        columns = zip(
-            np.resize(_texts(a[: spec.na]), a.size).tolist(),
-            _texts(b_axis[first_b : int(b_index[-1]) + 1])[b_index - first_b].tolist(),
-            _PAIR_TEXT[region * len(Winner) + best].tolist(),
-            _cost_texts(cost_p),
-            _cost_texts(cost_s),
-        )
-        yield list(map(",".join, columns))
+        yield _rows(a_axis, b_axis, a_run, start, min(start + chunk, cells))
+
+
+def _rows(a_axis: np.ndarray, b_axis: np.ndarray, a_run: list[str] | None, start: int, stop: int) -> str:
+    """Cells ``start`` to ``stop`` of a sweep as one string of rows.
+
+    The string is one ``"".join`` over seven slots per cell (see ``_CELL``),
+    each column put in place by one slice assignment.  The ``a`` texts come
+    from ``a_run`` (the axis's texts, repeated) or, if it is ``None``, are
+    formatted here; each ``b`` sample of the chunk is formatted once.  The
+    chunk's arrays and lists are freed when this returns, before the string
+    is written.
+    """
+    b_index, a_index = np.divmod(np.arange(start, stop), a_axis.size)
+    a, b = a_axis[a_index], b_axis[b_index]
+    region, best, cost_p, cost_s = winner_grid(a, b)
+    first_b, offset = int(b_index[0]), int(a_index[0])
+    b_texts = np.array(_texts(b_axis[first_b : int(b_index[-1]) + 1], ","), dtype=object)
+    parts = _CELL * a.size
+    parts[0::7] = _texts(a, ",") if a_run is None else a_run[offset : offset + a.size]
+    parts[1::7] = b_texts[b_index - first_b].tolist()
+    parts[2::7] = _PAIR_TEXT[region * len(Winner) + best].tolist()
+    parts[3::7] = _cost_texts(cost_p)
+    parts[5::7] = _cost_texts(cost_s)
+    parts[-1] = ""  # no newline after the chunk's last row
+    return "".join(parts)

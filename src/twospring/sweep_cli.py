@@ -11,9 +11,11 @@ byte-identical output.
 
 ``sweep`` and ``boundaries`` stream their lines in chunks of at most
 ``CHUNK_LINES``, each formatted and written before the next is computed, so
-their memory does not grow with the size of the request.  A ``sweep`` chunk
-is computed and formatted by :func:`~twospring.phase.sweep_rows`, one call
-of the array kernel :func:`~twospring.phase.winner_grid`.  ``boundaries``
+their memory does not grow with the size of the request.  A chunk is one
+string, its lines joined by newlines; the writer adds the last newline.  A
+``sweep`` chunk is computed and formatted by
+:func:`~twospring.phase.sweep_rows`, one call of the array kernel
+:func:`~twospring.phase.winner_grid` and one ``"".join``.  ``boundaries``
 computes its samples as Python floats and formats them with ``repr``.
 Every command writes through one helper, which turns a reader that closed
 the pipe into exit status 3.  ``solve`` and ``classify`` answer one weight
@@ -79,8 +81,12 @@ MAX_SWEEP_CELLS = 4_000_000
 # most samples per polyline that ``boundaries --na`` accepts
 MAX_BOUNDARY_POINTS = 1_000_000
 # most lines ``sweep`` and ``boundaries`` compute and format at a time; their
-# working memory is bounded by this, whatever the size of the request
-CHUNK_LINES = 65_536
+# working memory is bounded by this, whatever the size of the request.  At
+# this size a chunk's largest buffers (its text and the list it is joined
+# from, about 0.2 MB each) are reused from chunk to chunk and request to
+# request in a long-running process, where larger chunks were mapped and
+# unmapped again each time (see the README)
+CHUNK_LINES = 4_096
 # most weight pairs that ``verify --samples`` accepts
 MAX_VERIFY_SAMPLES = 1_000_000
 
@@ -121,10 +127,11 @@ def _jsonable(value):
     return value
 
 
-def _write(chunks: Iterable[list[str]], out: str | None) -> None:
+def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write each chunk of lines to the file ``out``, or to stdout if it is
-    ``None``, as soon as the chunk is formatted.  Every command's output
-    takes this path.
+    ``None``, as soon as the chunk is formatted.  A chunk is one string of
+    lines joined by newlines, without the last newline.  Every command's
+    output takes this path.
 
     When the reader of stdout goes away, the ``BrokenPipeError`` propagates
     (:func:`main` reports it and exits 3), after what is still buffered is
@@ -145,32 +152,37 @@ def _write(chunks: Iterable[list[str]], out: str | None) -> None:
         raise
 
 
-def _write_chunks(chunks: Iterable[list[str]], fh) -> None:
+def _write_chunks(chunks: Iterable[str], fh) -> None:
     """Write each chunk of lines to ``fh`` as soon as it is formatted.
 
     Each chunk's last newline is a write of its own.  With unbuffered
     stdout, a pipe write that a closing reader cuts short is not reported,
     but the write after it fails; so no part of a chunk is lost unreported.
     """
-    for lines in chunks:
-        fh.write("\n".join(lines))
+    for chunk in chunks:
+        fh.write(chunk)
         fh.write("\n")
 
 
+def _lines(chunks: Iterable[str]) -> list[str]:
+    """The lines of chunks as :func:`_write` takes them."""
+    return [line for chunk in chunks for line in chunk.split("\n")]
+
+
 def _emit(lines: list[str], out: str | None) -> None:
-    _write((lines,), out)
+    _write(("\n".join(lines),), out)
 
 
 def _emit_record(record: dict, out: str | None) -> None:
     _emit([json.dumps(_jsonable(record))], out)
 
 
-def _sweep_chunks(spec: SweepSpec) -> Iterator[list[str]]:
-    """CSV lines of a sweep: the header, then its rows in lists of at most
-    ``CHUNK_LINES`` (see :func:`~twospring.phase.sweep_rows`)."""
+def _sweep_chunks(spec: SweepSpec) -> Iterator[str]:
+    """CSV lines of a sweep in chunks: the header, then its rows, at most
+    ``CHUNK_LINES`` to a chunk (see :func:`~twospring.phase.sweep_rows`)."""
     from .phase import sweep_rows  # numpy loads here, only when a sweep runs
 
-    yield [SWEEP_HEADER]
+    yield SWEEP_HEADER
     yield from sweep_rows(spec, CHUNK_LINES)
 
 
@@ -180,12 +192,12 @@ def sweep_lines(spec: SweepSpec) -> list[str]:
     The same lines ``twospring sweep`` writes, which it streams a chunk of
     at most ``CHUNK_LINES`` rows at a time instead of holding them all.
     """
-    return list(itertools.chain.from_iterable(_sweep_chunks(spec)))
+    return _lines(_sweep_chunks(spec))
 
 
-def _boundary_chunks(resolution: int) -> Iterator[list[str]]:
-    """CSV lines of the region boundaries: the header, then each polyline in
-    lists of at most ``CHUNK_LINES`` lines.
+def _boundary_chunks(resolution: int) -> Iterator[str]:
+    """CSV lines of the region boundaries in chunks: the header, then each
+    polyline, at most ``CHUNK_LINES`` lines to a chunk.
 
     Sample ``i`` of a polyline is ``i * step + start``, with ``step = (stop
     - start) / (resolution - 1)``, and the last one is ``stop``: the
@@ -202,16 +214,18 @@ def _boundary_chunks(resolution: int) -> Iterator[list[str]]:
         ("b=2-4a", B2_SEGMENT_A_MIN, B2_SEGMENT_A_MAX, b2_boundary),
     )
     polylines = (
-        [
-            f"{name},{a!r},{curve(a)!r}"
-            for i in range(lo, min(lo + CHUNK_LINES, resolution))
-            for a in [i * step + start if i < last else stop]
-        ]
+        "\n".join(
+            [
+                f"{name},{a!r},{curve(a)!r}"
+                for i in range(lo, min(lo + CHUNK_LINES, resolution))
+                for a in [i * step + start if i < last else stop]
+            ]
+        )
         for name, start, stop, curve in curves
         for step in [(stop - start) / last]
         for lo in range(0, resolution, CHUNK_LINES)
     )
-    return itertools.chain(([BOUNDARY_HEADER],), polylines)
+    return itertools.chain((BOUNDARY_HEADER,), polylines)
 
 
 def boundary_lines(resolution: int) -> list[str]:
@@ -224,7 +238,7 @@ def boundary_lines(resolution: int) -> list[str]:
     writes, which it streams a chunk of at most ``CHUNK_LINES`` lines at a
     time instead of holding them all.
     """
-    return list(itertools.chain.from_iterable(_boundary_chunks(resolution)))
+    return _lines(_boundary_chunks(resolution))
 
 
 def _weights_from(args: argparse.Namespace) -> Weights:

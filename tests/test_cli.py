@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -397,6 +398,24 @@ class TestSweepParity:
                 inexact.add((f"{a},{b},{label},{best}", exact))
         assert inexact == expected
 
+    def test_a_axis_is_formatted_once_per_sweep(self, monkeypatch):
+        """With rows shorter than a chunk and chunks shorter than the sweep,
+        each ``a`` sample is formatted once, not once per chunk."""
+        # a, b and both costs (about 2.7 and 2.0) take disjoint values here
+        spec = SweepSpec(0.3, 0.31, 0.5, 0.6, 7, 9)
+        formatted = collections.Counter()
+        texts = phase._texts
+
+        def counting_texts(values, *args):
+            formatted.update(values.tolist())
+            return texts(values, *args)
+
+        monkeypatch.setattr(phase, "_texts", counting_texts)
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 10)
+        assert sweep_lines(spec) == reference_sweep_lines(spec)
+        a_axis = np.linspace(spec.a_min, spec.a_max, spec.na).tolist()
+        assert [formatted[a] for a in a_axis] == [1] * spec.na
+
     # the default sweep is 121 x 121; one-cell chunks would take 14,641 array calls
     @pytest.mark.parametrize("chunk", [7, 120, 121, 122, 1000, 121 * 121])
     def test_default_sweep_bytes_at_any_chunk_size(self, chunk, monkeypatch, tmp_path):
@@ -503,12 +522,15 @@ class TestSweepStreaming:
 
     def test_unbuffered_pipe_closed_inside_the_last_chunk_exits_3(self):
         """With unbuffered stdout, a reader that closes while the one chunk of
-        rows (about 1.3 MB, past what a pipe buffers) is being written cuts
-        that write short without an error; the chunk's own newline write
-        must then fail, so the run exits 3 instead of 0."""
+        rows (past what a pipe buffers) is being written cuts that write
+        short without an error; the chunk's own newline write must then
+        fail, so the run exits 3 instead of 0."""
+        na, nb = 64, sweep_cli.CHUNK_LINES // 64  # the rows fill one chunk
+        spec = SweepSpec(0.0, 1.2, 0.0, 1.2, na, nb)
+        assert len("\n".join(sweep_lines(spec)).encode()) > 2 * 65536  # twice a default pipe buffer
         src = Path(sweep_cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
-        command = [sys.executable, "-m", "twospring.sweep_cli", "sweep", "--na", "200", "--nb", "200"]
+        command = [sys.executable, "-m", "twospring.sweep_cli", *sweep_argv(spec)]
         with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
             assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
             assert proc.stdout.readline().startswith(b"0.0,0.0,")
@@ -609,7 +631,7 @@ class TestBoundariesStreaming:
         }
         monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
         for num in (2, 3, 50, 63, 64, 65, 129, 1001):
-            chunks = list(sweep_cli._boundary_chunks(num))[1:]
+            chunks = [chunk.split("\n") for chunk in list(sweep_cli._boundary_chunks(num))[1:]]
             assert all(1 <= len(lines) <= chunk for lines in chunks)
             rows = [line.split(",")[1:] for lines in chunks for line in lines if line.startswith(curve + ",")]
             a = [float(a) for a, _ in rows]

@@ -235,6 +235,19 @@ def assert_feasible_grid_matches_reference(w, k, c1, c2):
     return got
 
 
+def assert_feasible_grid_matches_scalar(w, k, c1, c2):
+    """:func:`assert_feasible_grid_matches_reference`, and each point's mask
+    equal to the scalar spec ``force >= 1 and multiperf >= 1``.  A NaN limit
+    is an array-only case (``SpringPair`` rejects it), so only the array
+    reference checks those points."""
+    got = assert_feasible_grid_matches_reference(w, k, c1, c2)
+    for x1, x2, ok in np.nditer(np.broadcast_arrays(c1, c2, got)):
+        if not (np.isnan(x1) or np.isnan(x2)):
+            s = SpringPair(float(x1), float(x2))
+            assert bool(ok) == (force(k, s) >= 1.0 and multiperf(w, k, s) >= 1.0), (w, k, s)
+    return got
+
+
 FEASIBLE_WEIGHTS = [
     Weights(0.7, 0.3),
     Weights(0.2, 0.2),
@@ -273,7 +286,7 @@ class TestFeasibleGrid:
     @pytest.mark.parametrize("k", [P, S])
     def test_extreme_magnitudes(self, w, k):
         axis = np.array([0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, 1.0, 1e300, 1e308, 1.7e308, np.nan])
-        assert_feasible_grid_matches_reference(w, k, axis[:, None], axis[None, :])
+        assert_feasible_grid_matches_scalar(w, k, axis[:, None], axis[None, :])
 
     @pytest.mark.parametrize("k", [P, S])
     def test_all_weak_block_short_circuits(self, k, monkeypatch):
@@ -287,16 +300,16 @@ class TestFeasibleGrid:
         assert_feasible_grid_matches_reference(Weights(1.0, 1.0), k, axis[:, None], axis[None, :])
 
     @given(
-        a=st.floats(0.0, 1e6),
-        b=st.floats(0.0, 1e6),
+        a=st.floats(0.0, 1e6) | edge_values,
+        b=st.floats(0.0, 1e6) | edge_values,
         k=st.sampled_from([P, S]),
         data=st.data(),
     )
     def test_property_matches_reference(self, a, b, k, data):
         shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=5))
-        limits = st.floats(min_value=0.0, allow_infinity=False) | st.just(math.nan)
+        limits = st.floats(min_value=0.0, allow_infinity=False) | edge_values | st.just(math.nan)
         c1, c2 = (data.draw(hnp.arrays(np.float64, shape, elements=limits)) for shape in shapes.input_shapes)
-        assert_feasible_grid_matches_reference(Weights(a, b), k, c1, c2)
+        assert_feasible_grid_matches_scalar(Weights(a, b), k, c1, c2)
 
 
 # limits over the whole extended range: zero, subnormals, near the largest
