@@ -97,6 +97,18 @@ MUTANTS = [
         "",
         ("tests/test_model.py", "tests/test_oracle.py"),
     ),
+    # the kernel's comparisons written so that a NaN limit passes both
+    Mutant(
+        "feasible-nan-passes",
+        "src/twospring/oracle.py",
+        "    ok = f >= 1.0\n    if ok.any():\n"
+        "        r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)\n"
+        "        ok &= _weigh(w, f, r) >= 1.0\n",
+        "    ok = ~(f < 1.0)\n    if ok.any():\n"
+        "        r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)\n"
+        "        ok &= ~(_weigh(w, f, r) < 1.0)\n",
+        ("tests/test_model.py::TestFeasibleGrid::test_nan_limit_is_infeasible",),
+    ),
     # the oracle's half of each block one column short: the middle point
     # of the block's last diagonal, when that diagonal is even, is skipped
     Mutant(
@@ -198,13 +210,14 @@ MUTANTS = [
         "    if a + kk * b - 1.0 <= 0.0:\n",
         ("tests/test_solver.py", "tests/test_fast_path.py"),
     ),
-    # the tile bound's resistance taken at the high corners, where it is smallest
+    # the tile bound's resistance taken at the top of each column segment,
+    # where it is smallest
     Mutant(
         "bound-resistance-at-high-corner",
         "src/twospring/oracle.py",
-        "    return f_hi, _resistance(k, lo1, lo2), ~(f_hi < 1.0)\n",
-        "    return f_hi, _resistance(k, hi1, hi2), ~(f_hi < 1.0)\n",
-        ("tests/test_model.py", "tests/test_oracle.py"),
+        "f, r = _force(k, c1, hi2), _resistance(k, c1, lo2)\n",
+        "f, r = _force(k, c1, hi2), _resistance(k, c1, hi2)\n",
+        ("tests/test_oracle.py",),
     ),
     # the layout's strength mask keeps tiles that a block does not have
     Mutant(

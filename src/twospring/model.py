@@ -10,10 +10,8 @@ the module imports only the standard library: it is the scalar spec that
 every other module reads.  Resistance uses extended arithmetic (a zero
 divisor yields ``+inf``) so every constraint can be evaluated on the whole
 closed quadrant ``c1, c2 >= 0`` without special cases.  The array twins of
-these formulas (``force_grid``, ``resistance_grid``, ``multiperf_grid``,
-``feasible_grid`` and the corner bound ``box_may_be_feasible``) live in
-:mod:`twospring.oracle`, their only caller, so that loading the model loads
-no numpy.
+these formulas live in :mod:`twospring.oracle`, their only caller, so that
+loading the model loads no numpy.
 
 The formulas carry two contracts the oracle rests on.  Force is
 non-decreasing and resistance non-increasing in each limit, for both

@@ -14,28 +14,26 @@ scalar formulas of :mod:`twospring.model`, defined here because the scan is
 their only caller.  On arrays, overflow saturates to ``inf`` and underflow
 rounds toward zero without a warning, as Python floats do, whatever numpy
 error state the caller set.  Each formula is defined once, as a private
-function that enters no error-state scope; each public ``*_grid`` function
-is a thin wrapper that enters one scope around it, and a scan enters one
-scope and calls the private formulas directly.  :func:`feasible_grid` is
-the constraint kernel: the mask of points that are both strong (force
-``>= 1``) and performant (``a*force + b*resistance >= 1``).  It tests
-strength first and evaluates the performance only when some point is
-strong, reusing the force it already holds (in parallel the resistance is
-``1 / force``).  :func:`multiperf_grid`, :func:`feasible_grid` and the
-tile bound share one private helper for the ``a*F + b*R`` rule and its
-``0 * inf == 0`` convention, so the three cannot drift apart; each passes
-it the force and resistance arrays, and it adds the resistance only when
-``b > 0``.
+function that enters no error-state scope; :func:`feasible_grid`, the one
+public array function, enters one scope around them, and a scan enters one
+scope and calls them directly.  :func:`feasible_grid` is the constraint
+kernel: the mask of points that are both strong (force ``>= 1``) and
+performant (``a*force + b*resistance >= 1``).  It tests strength first and
+evaluates the performance only when some point is strong, reusing the
+force it already holds (in parallel the resistance is ``1 / force``).  The
+kernel and the tile bound share one private helper for the ``a*F + b*R``
+rule and its ``0 * inf == 0`` convention, so the two cannot drift apart;
+each passes it the force and resistance arrays, and it adds the resistance
+only when ``b > 0``.
 
 A block is split into tiles of ``TILE_COLUMNS`` grid columns.  Force is
 non-decreasing and resistance non-increasing in each limit, for both
 wirings and in rounded arithmetic (the model's monotonicity contract).  In
 each column of a tile the block's points form a segment of ``c2``, so the
 force at its top and the resistance at its bottom bound the force and the
-resistance of every point of the segment from above (:func:`_box_terms`,
-the weight-free half of :func:`box_may_be_feasible`); the largest of each
+resistance of every point of the segment from above; the largest of each
 over the tile's columns bound the whole tile, and the performance formed
-from them bounds its performance (:func:`_box_keep`, the weighted half).
+from them bounds its performance (:func:`_box_keep`).
 A tile whose bound is below 1 holds no feasible point and is not
 evaluated; each block is tested with one call of the kernel over the
 columns from its first to its last remaining tile, and a block with none
@@ -83,11 +81,7 @@ __all__ = [
     "GridSpec",
     "OracleResult",
     "oracle_solve",
-    "force_grid",
-    "resistance_grid",
-    "multiperf_grid",
     "feasible_grid",
-    "box_may_be_feasible",
 ]
 
 
@@ -101,16 +95,8 @@ MAX_GRID_POINTS = 10**8
 _LAYOUT_CHUNK = 2**12
 
 
-def _extended() -> np.errstate:
-    """The error state of the array formulas: overflow saturates to ``inf``,
-    underflow rounds to a subnormal or zero, ``1 / 0`` gives ``inf`` and
-    ``0 * inf`` gives NaN, all without a warning or an error, whatever the
-    caller's own error state."""
-    return np.errstate(all="ignore")
-
-
 # The private array formulas below enter no error-state scope of their own:
-# each public ``*_grid`` function enters one :func:`_extended` scope around
+# :func:`feasible_grid` enters one ``np.errstate(all="ignore")`` scope around
 # them, and the oracle one per scan.
 
 
@@ -154,75 +140,28 @@ def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.nda
     return ok
 
 
-def _box_terms(
-    k: Topology, lo1: np.ndarray, lo2: np.ndarray, hi1: np.ndarray, hi2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weight-free half of :func:`box_may_be_feasible`: the force ``f_hi`` at
-    the high corners, the resistance ``r_lo`` at the low corners, and the
-    mask ``strong`` of the boxes that ``f_hi < 1`` does not rule out."""
-    f_hi = _force(k, hi1, hi2)
-    return f_hi, _resistance(k, lo1, lo2), ~(f_hi < 1.0)
-
-
 def _box_keep(w: Weights, f_hi: np.ndarray, r_lo: np.ndarray, strong: np.ndarray) -> np.ndarray:
-    """Weighted half of :func:`box_may_be_feasible`: ``strong`` without the
-    boxes whose ``p_hi = a*f_hi + b*r_lo`` is below 1.  The terms are only
-    read, so they may be cached and read-only."""
+    """The tile bound: ``strong`` without the tiles whose ``a*f_hi + b*r_lo``
+    is below 1.  False proves that no point of the tile passes
+    :func:`feasible_grid`, and a NaN bound keeps the tile.  The terms are
+    only read, so they may be cached and read-only."""
     keep = ~(_weigh(w, f_hi.copy(), r_lo.copy()) < 1.0)
     keep &= strong
     return keep
 
 
-def force_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`force` over coordinate arrays."""
-    with _extended():
-        return _force(k, c1, c2)
-
-
-def resistance_grid(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`resistance`; 1/0 maps to ``inf``."""
-    with _extended():
-        return _resistance(k, c1, c2)
-
-
-def multiperf_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Vectorized twin of :func:`multiperf` over float coordinate arrays,
-    same ``0 * inf == 0`` convention."""
-    with _extended():
-        return _weigh(w, _force(k, c1, c2), _resistance(k, c1, c2))
-
-
 def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Mask of the points meeting both constraints, strength and performance.
 
-    Equal, bit for bit, to ``(multiperf_grid(w, k, c1, c2) >= 1.0) &
-    (force_grid(k, c1, c2) >= 1.0)``, but the force is computed once and
-    the performance only when some point is strong: an input with no strong
-    point returns its all-False strength mask at once.
+    At each point whose limits are not NaN the mask is the scalar spec of
+    :mod:`twospring.model`, ``force(k, s) >= 1 and multiperf(w, k, s) >= 1``
+    for ``s = SpringPair(c1, c2)``; a point with a NaN limit is False.  The
+    force is computed once and the performance only when some point is
+    strong: an input with no strong point returns its all-False strength
+    mask at once.
     """
-    with _extended():
+    with np.errstate(all="ignore"):
         return _feasible(w, k, c1, c2)
-
-
-def box_may_be_feasible(
-    w: Weights, k: Topology, lo1: np.ndarray, lo2: np.ndarray, hi1: np.ndarray, hi2: np.ndarray
-) -> np.ndarray:
-    """Mask of the boxes ``[lo1, hi1] x [lo2, hi2]`` that may hold a point
-    passing :func:`feasible_grid`; False proves that none does.
-
-    Force is non-decreasing and resistance non-increasing in each limit, for
-    both wirings, and rounding keeps that order.  So ``f_hi``, the force at
-    the high corner, and ``p_hi = a*f_hi + b*r_lo``, with the resistance at
-    the low corner, bound the force and the performance of every point of
-    the box from above, computed as the kernel computes them.  A box is
-    ruled out only when ``f_hi < 1`` or ``p_hi < 1``; a NaN bound (an
-    infinite ``f_hi`` under ``a = 0``) keeps it.  The weight-free terms
-    ``f_hi`` and ``r_lo`` come from :func:`_box_terms` and the test on
-    ``p_hi`` from :func:`_box_keep`, so a caller that bounds the same boxes
-    for many weights can compute the first half once.
-    """
-    with _extended():
-        return _box_keep(w, *_box_terms(k, lo1, lo2, hi1, hi2))
 
 
 @dataclass(frozen=True)
@@ -333,8 +272,8 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
     points form the segment ``j_lo = max(s0 - i, 0)`` to
     ``j_hi = min(s0 + width - 1 - i, last)``.  ``bounds[k]`` holds the
     weight-free half of the tile bound for wiring ``k``: ``f_hi`` and
-    ``r_lo``, the largest over a tile's columns of the
-    :func:`_box_terms` of each column's segment, and
+    ``r_lo``, the largest over a tile's columns of the force at
+    the top of each column's segment and the resistance at its bottom, and
     ``strong``, the tiles ``f_hi < 1`` does not rule out.  By the
     monotonicity contract of the model the segment's terms are its largest
     force and resistance, so the tile's are the largest over its own
@@ -352,7 +291,7 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
     padded[width - 1 : width + last] = axis
     terms = {k: (np.empty(tiles.shape), np.empty(tiles.shape)) for k in Topology}
     rows = max(1, _LAYOUT_CHUNK // g.size)
-    with _extended():
+    with np.errstate(all="ignore"):
         for b in range(0, len(s0), rows):
             blocks = slice(b, b + rows)
             # column r of each block; past a block's last column, repeat it,
@@ -362,7 +301,7 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
             lo2 = axis[np.maximum(s0[blocks] - i, 0)]
             hi2 = axis[np.minimum(s0[blocks] + width - 1 - i, last)]
             for k, (f_hi, r_lo) in terms.items():
-                f, r, _ = _box_terms(k, c1, lo2, c1, hi2)
+                f, r = _force(k, c1, hi2), _resistance(k, c1, lo2)
                 f_hi[blocks] = np.maximum.reduceat(f, start, axis=1)
                 r_lo[blocks] = np.maximum.reduceat(r, start, axis=1)
     bounds = {k: (f_hi, r_lo, ~(f_hi < 1.0) & tiles) for k, (f_hi, r_lo) in terms.items()}
@@ -399,7 +338,7 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     width, tile = BLOCK_DIAGONALS, TILE_COLUMNS
     layout = _layout(g, width, tile)
     last = g.size - 1
-    with _extended():  # the one error-state scope of the scan
+    with np.errstate(all="ignore"):  # the one error-state scope of the scan
         keep = _box_keep(w, *layout.bounds[k])
         for block in np.flatnonzero(keep.any(axis=1)).tolist():
             s0 = block * width

@@ -13,7 +13,7 @@ from value_contract import assert_value_contract
 
 from twospring import oracle as oracle_module
 from twospring.model import SpringPair, Topology, Weights, cost, force, multiperf, resistance
-from twospring.oracle import box_may_be_feasible, feasible_grid, force_grid, multiperf_grid, resistance_grid
+from twospring.oracle import _box_keep, _force, _resistance, _weigh, feasible_grid
 
 P = Topology.PARALLEL
 S = Topology.SERIAL
@@ -168,19 +168,20 @@ def bits(x):
     data=st.data(),
 )
 def test_grids_swap_symmetry(a, b, k, data):
-    """Swapping c1 and c2 changes no bit of any grid formula, NaN included:
+    """Swapping c1 and c2 changes no bit of any array formula, NaN included:
     the symmetry the oracle's half-diagonal scan rests on."""
     shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=5))
     limits = st.floats(min_value=0.0, allow_infinity=False) | edge_values | st.just(math.nan)
     c1, c2 = (data.draw(hnp.arrays(np.float64, shape, elements=limits)) for shape in shapes.input_shapes)
     w = Weights(a, b)
     for grid in (
-        lambda x, y: force_grid(k, x, y),
-        lambda x, y: resistance_grid(k, x, y),
-        lambda x, y: multiperf_grid(w, k, x, y),
+        lambda x, y: _force(k, x, y),
+        lambda x, y: _resistance(k, x, y),
+        lambda x, y: _weigh(w, _force(k, x, y), _resistance(k, x, y)),
         lambda x, y: feasible_grid(w, k, x, y),
     ):
-        straight, swapped = bits(grid(c1, c2)), bits(grid(c2, c1))
+        with np.errstate(all="ignore"):  # the oracle's own scope
+            straight, swapped = bits(grid(c1, c2)), bits(grid(c2, c1))
         assert straight.shape == swapped.shape
         assert np.array_equal(straight, swapped)
 
@@ -200,16 +201,18 @@ def test_scaling(c1, c2, t):
 
 
 def test_grid_twins_match_scalar_functions():
-    """The vectorized kernels agree pointwise with the scalar definitions."""
+    """The oracle's array formulas, in its error-state scope, agree
+    pointwise with the scalar definitions."""
     rng = np.random.default_rng(123)
     c1 = rng.uniform(0.0, 10.0, size=200)
     c2 = rng.uniform(0.0, 10.0, size=200)
     c1[:5] = 0.0  # exercise the extended-arithmetic branch
     for w in (Weights(0.7, 0.3), Weights(0.0, 1.0), Weights(1.0, 0.0)):
         for k in (P, S):
-            f = force_grid(k, c1, c2)
-            r = resistance_grid(k, c1, c2)
-            m = multiperf_grid(w, k, c1, c2)
+            with np.errstate(all="ignore"):
+                f = _force(k, c1, c2)
+                r = _resistance(k, c1, c2)
+                m = _weigh(w, _force(k, c1, c2), _resistance(k, c1, c2))
             for idx in range(c1.size):
                 s = SpringPair(float(c1[idx]), float(c2[idx]))
                 assert f[idx] == force(k, s)
@@ -219,32 +222,31 @@ def test_grid_twins_match_scalar_functions():
 
 def test_grid_twins_broadcast():
     axis = np.array([0.0, 0.5, 1.0])
-    r = resistance_grid(P, axis[:, None], axis[None, :])
+    with np.errstate(all="ignore"):
+        r = _resistance(P, axis[:, None], axis[None, :])
     assert r.shape == (3, 3)
     assert r[0, 0] == math.inf
     assert r[1, 1] == 1.0
 
 
-def assert_feasible_grid_matches_reference(w, k, c1, c2):
-    """``feasible_grid`` equals both constraints evaluated everywhere, bit for bit."""
-    ref = (multiperf_grid(w, k, c1, c2) >= 1.0) & (force_grid(k, c1, c2) >= 1.0)
-    got = feasible_grid(w, k, c1, c2)
-    assert got.shape == ref.shape
-    assert got.dtype == ref.dtype
-    assert np.array_equal(got, ref)
-    return got
+def feasible_point(w, k, c1, c2):
+    """The scalar spec of feasibility at one point."""
+    s = SpringPair(float(c1), float(c2))
+    return force(k, s) >= 1.0 and multiperf(w, k, s) >= 1.0
 
 
 def assert_feasible_grid_matches_scalar(w, k, c1, c2):
-    """:func:`assert_feasible_grid_matches_reference`, and each point's mask
-    equal to the scalar spec ``force >= 1 and multiperf >= 1``.  A NaN limit
-    is an array-only case (``SpringPair`` rejects it), so only the array
-    reference checks those points."""
-    got = assert_feasible_grid_matches_reference(w, k, c1, c2)
+    """Each point of ``feasible_grid`` is the scalar spec ``force >= 1 and
+    multiperf >= 1``, and a point with a NaN limit, which ``SpringPair``
+    rejects, is False."""
+    got = feasible_grid(w, k, c1, c2)
+    assert got.shape == np.broadcast(c1, c2).shape
+    assert got.dtype == bool
     for x1, x2, ok in np.nditer(np.broadcast_arrays(c1, c2, got)):
-        if not (np.isnan(x1) or np.isnan(x2)):
-            s = SpringPair(float(x1), float(x2))
-            assert bool(ok) == (force(k, s) >= 1.0 and multiperf(w, k, s) >= 1.0), (w, k, s)
+        if np.isnan(x1) or np.isnan(x2):
+            assert not ok, (w, k, x1, x2)
+        else:
+            assert bool(ok) == feasible_point(w, k, x1, x2), (w, k, x1, x2)
     return got
 
 
@@ -264,20 +266,27 @@ class TestFeasibleGrid:
     @pytest.mark.parametrize("k", [P, S])
     def test_oracle_shaped_blocks(self, w, k):
         # c1 of shape (n,) against a (32, n) window of a NaN-padded axis,
-        # laid out as the grid oracle lays out its blocks
+        # laid out as the grid oracle lays out its blocks; each point's
+        # expected mask is gathered from the scalar spec over the square
         width, axis = 32, np.arange(121) * 0.05
         n = axis.size
+        square = np.array([[feasible_point(w, k, x1, x2) for x2 in axis] for x1 in axis])
         padded = np.full(2 * n + 2 * width, np.nan)
         padded[width - 1 : width - 1 + n] = axis
         runs = sliding_window_view(padded, n)
+        i = np.broadcast_to(n - 1 - np.arange(n), (width, n))  # c1 = axis[::-1]
         for q in range(0, runs.shape[0] - width + 1, 7):
-            assert_feasible_grid_matches_reference(w, k, axis[::-1], runs[q : q + width])
+            j = q + np.arange(width)[:, None] + np.arange(n) - (width - 1)
+            inside = (0 <= j) & (j < n)  # the rest is NaN padding
+            expected = np.zeros((width, n), dtype=bool)
+            expected[inside] = square[i[inside], j[inside]]
+            assert np.array_equal(feasible_grid(w, k, axis[::-1], runs[q : q + width]), expected)
 
     @pytest.mark.parametrize("w", FEASIBLE_WEIGHTS)
     @pytest.mark.parametrize("k", [P, S])
     def test_zero_row_and_column(self, w, k):
         axis = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 4.0])
-        got = assert_feasible_grid_matches_reference(w, k, axis[:, None], axis[None, :])
+        got = assert_feasible_grid_matches_scalar(w, k, axis[:, None], axis[None, :])
         if k is S:
             # a zero limit caps the serial force at 0, whatever 1/0 gives
             assert not got[0].any() and not got[:, 0].any()
@@ -297,7 +306,18 @@ class TestFeasibleGrid:
         axis = np.arange(60) * 0.005  # every limit below 0.3: weak in both wirings
         assert not feasible_grid(Weights(1.0, 1.0), k, axis[:, None], axis[None, :]).any()
         monkeypatch.undo()
-        assert_feasible_grid_matches_reference(Weights(1.0, 1.0), k, axis[:, None], axis[None, :])
+        assert_feasible_grid_matches_scalar(Weights(1.0, 1.0), k, axis[:, None], axis[None, :])
+
+    @pytest.mark.parametrize("k", [P, S])
+    def test_nan_limit_is_infeasible(self, k):
+        """A point with a NaN limit is False under every weight, the edge
+        values included: the NaN padding of the oracle's blocks rests on it."""
+        axis = np.array([0.0, 5e-324, 0.5, 1.0, 2.0, 1e300, 1e308, math.nan])
+        nan = np.isnan(axis[:, None]) | np.isnan(axis[None, :])
+        edges = [0.0, 5e-324, 0.3, 1.0, 1e6, 1e308]
+        for w in FEASIBLE_WEIGHTS + [Weights(a, b) for a in edges for b in edges]:
+            got = feasible_grid(w, k, axis[:, None], axis[None, :])
+            assert not got[nan].any(), w
 
     @given(
         a=st.floats(0.0, 1e6) | edge_values,
@@ -324,65 +344,74 @@ ordered_limits = st.lists(extended_limits, min_size=2, max_size=2).map(sorted)
 def test_force_rises_and_resistance_falls_in_each_limit(c1, c2, k):
     """The monotonicity, in rounded arithmetic, that the oracle's tile bound rests on."""
     corners = np.array([[c1[0], c2[0]], [c1[1], c2[0]], [c1[0], c2[1]], [c1[1], c2[1]]])
-    f = force_grid(k, corners[:, 0], corners[:, 1])
-    r = resistance_grid(k, corners[:, 0], corners[:, 1])
+    with np.errstate(all="ignore"):
+        f = _force(k, corners[:, 0], corners[:, 1])
+        r = _resistance(k, corners[:, 0], corners[:, 1])
     # each pair raises one limit: (lo, lo) -> (hi, lo) -> (hi, hi), (lo, lo) -> (lo, hi) -> (hi, hi)
     for low, high in ((0, 1), (0, 2), (1, 3), (2, 3)):
         assert f[low] <= f[high]
         assert r[low] >= r[high]
 
 
+def segment_keep(w, k, c1, lo2, hi2):
+    """The tile bound over the column segments ``c1 x [lo2, hi2]``, from the
+    terms ``_layout`` builds for a segment: the force at its top, the
+    resistance at its bottom, and the mask of segments ``f_hi < 1`` does not
+    rule out."""
+    c1, lo2, hi2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (c1, lo2, hi2))
+    with np.errstate(all="ignore"):
+        f_hi = _force(k, c1, hi2)
+        return _box_keep(w, f_hi, _resistance(k, c1, lo2), ~(f_hi < 1.0))
+
+
 class TestBoxBound:
+    """The tile bound ``_box_keep``, fed the terms of one column segment,
+    the only box shape the oracle's layout builds."""
+
     @given(
         a=st.floats(0.0, 1.5),
         b=st.floats(0.0, 1.5),
         k=st.sampled_from([P, S]),
-        c1=ordered_limits,
+        c1=extended_limits,
         c2=ordered_limits,
-        u=hnp.arrays(np.float64, (2, 16), elements=st.floats(0.0, 1.0)),
+        u=hnp.arrays(np.float64, 16, elements=st.floats(0.0, 1.0)),
     )
     def test_property_no_feasible_point_in_a_ruled_out_box(self, a, b, k, c1, c2, u):
-        """No point of a box passes ``feasible_grid`` when its corner bound rules it out."""
-        (lo1, hi1), (lo2, hi2) = c1, c2
+        """No point of a column segment passes ``feasible_grid`` when its bound rules it out."""
+        lo2, hi2 = c2
         with np.errstate(over="ignore", invalid="ignore"):
-            x1 = np.clip(lo1 + u[0] * (hi1 - lo1), lo1, hi1)
-            x2 = np.clip(lo2 + u[1] * (hi2 - lo2), lo2, hi2)
-        x1 = np.where(np.isnan(x1), hi1, x1)  # 0 * inf or inf - inf
-        x2 = np.where(np.isnan(x2), hi2, x2)
-        # the corners themselves, and every pairing of the drawn coordinates
-        x1 = np.concatenate([[lo1, hi1], x1])[:, None]
-        x2 = np.concatenate([[lo2, hi2], x2])[None, :]
-        box = [np.array([x]) for x in (lo1, lo2, hi1, hi2)]
-        if not box_may_be_feasible(Weights(a, b), k, *box)[0]:
-            assert not feasible_grid(Weights(a, b), k, x1, x2).any()
+            x2 = np.clip(lo2 + u * (hi2 - lo2), lo2, hi2)
+        x2 = np.where(np.isnan(x2), hi2, x2)  # 0 * inf or inf - inf
+        x2 = np.concatenate([[lo2, hi2], x2])  # the segment's ends, and the drawn points
+        if not segment_keep(Weights(a, b), k, c1, lo2, hi2)[0]:
+            assert not feasible_grid(Weights(a, b), k, np.array([c1]), x2).any()
 
     @pytest.mark.parametrize(
         "w,k,lo,hi",
         [
             # a feasible point at (1, 1), where b*r dominates: the resistance
-            # must be taken at the low corner
+            # must be taken at the segment's low end
             (Weights(0.1, 0.6), S, 1.0, 5.0),
             (Weights(0.0, 0.7), S, 1.0, 3.0),
             (Weights(0.0, 1.0), P, 0.5, 2.0),
         ],
     )
     def test_box_holding_a_performance_bound_point_is_kept(self, w, k, lo, hi):
-        axis = np.linspace(lo, hi, 9)
-        assert feasible_grid(w, k, axis[:, None], axis[None, :]).any()
-        box = [np.array([x]) for x in (lo, lo, hi, hi)]
-        assert box_may_be_feasible(w, k, *box)[0]
+        assert feasible_grid(w, k, np.array([lo]), np.linspace(lo, hi, 9)).any()
+        assert segment_keep(w, k, lo, lo, hi)[0]
 
     @pytest.mark.parametrize("w", FEASIBLE_WEIGHTS + [Weights(0.5, 0.25), Weights(1.0, 0.0)])
     @pytest.mark.parametrize("k", [P, S])
     def test_single_point_box_is_the_kernel(self, w, k):
-        # a box of one point bounds it exactly: equal to the kernel wherever
-        # the bound is not NaN, and it keeps every point the kernel passes
+        # a segment of one point bounds it exactly: equal to the kernel
+        # wherever the bound is not NaN, and it keeps every point the kernel passes
         axis = np.array([0.0, 5e-324, 0.25, 0.5, 1.0, 2.0, 1e300, 1.7e308, math.inf])
         c1, c2 = (np.ravel(c) for c in np.meshgrid(axis, axis))
-        kept = box_may_be_feasible(w, k, c1, c2, c1, c2)
+        kept = segment_keep(w, k, c1, c2, c2)
         feasible = feasible_grid(w, k, c1, c2)
         assert (kept | ~feasible).all()
-        nan_bound = np.isnan(multiperf_grid(w, k, c1, c2))
+        with np.errstate(all="ignore"):
+            nan_bound = np.isnan(_weigh(w, _force(k, c1, c2), _resistance(k, c1, c2)))
         assert np.array_equal(kept[~nan_bound], feasible[~nan_bound])
 
     @pytest.mark.parametrize(
@@ -397,19 +426,14 @@ class TestBoxBound:
     def test_bound_of_exactly_one_is_kept(self, w, k, point):
         c1, c2 = np.array([point[0]]), np.array([point[1]])
         assert feasible_grid(w, k, c1, c2)[0]
-        assert box_may_be_feasible(w, k, c1, c2, c1, c2)[0]
+        assert segment_keep(w, k, c1, c2, c2)[0]
 
     @pytest.mark.parametrize("k", [P, S])
     def test_rules_out_weak_and_underperforming_boxes(self, k):
-        lo, hi = np.array([0.1, 2.0]), np.array([0.4, 4.0])
-        # [0.1, 0.4]^2 is weak in both wirings; [2, 4]^2 is strong, and under
-        # a = 0, b = 0.3 its performance is at most 0.3 * r(2, 2) < 1
-        assert not box_may_be_feasible(Weights(1.0, 1.0), k, lo[:1], lo[:1], hi[:1], hi[:1])[0]
-        assert not box_may_be_feasible(Weights(0.0, 0.3), k, lo[1:], lo[1:], hi[1:], hi[1:])[0]
-        assert box_may_be_feasible(Weights(1.0, 0.3), k, lo[1:], lo[1:], hi[1:], hi[1:])[0]
-
-    def test_nan_bound_keeps_the_box(self):
-        # a = 0 and an infinite force: 0 * inf is NaN, which rules nothing out
-        inf, one = np.array([math.inf]), np.array([1.0])
-        assert box_may_be_feasible(Weights(0.0, 0.0), P, one, one, inf, one)[0]
-        assert not feasible_grid(Weights(0.0, 0.0), P, inf, one)[0]
+        # every column of [0.1, 0.4]^2 is weak in both wirings; every column
+        # of [2, 4]^2 is strong, and under a = 0, b = 0.3 its performance is
+        # at most 0.3 * r(c1, 2) < 1
+        weak, strong = np.linspace(0.1, 0.4, 4), np.linspace(2.0, 4.0, 5)
+        assert not segment_keep(Weights(1.0, 1.0), k, weak, 0.1, 0.4).any()
+        assert not segment_keep(Weights(0.0, 0.3), k, strong, 2.0, 4.0).any()
+        assert segment_keep(Weights(1.0, 0.3), k, strong, 2.0, 4.0).all()

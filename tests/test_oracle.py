@@ -13,15 +13,7 @@ from value_contract import assert_value_contract
 from twospring import oracle as oracle_module
 from twospring import verify as verify_module
 from twospring.model import SpringPair, Topology, Weights, cost
-from twospring.oracle import (
-    GridSpec,
-    OracleResult,
-    feasible_grid,
-    force_grid,
-    multiperf_grid,
-    oracle_solve,
-    resistance_grid,
-)
+from twospring.oracle import GridSpec, OracleResult, feasible_grid, oracle_solve
 from twospring.solver import solve_reduced
 from twospring.verify import VerificationVerdict, verify_reduction
 
@@ -33,10 +25,7 @@ DEFAULT_GRID = GridSpec(6.0, 0.005)
 def full_square_scan(w, k, g):
     """Reference oracle: evaluate the whole square, keep the cheapest diagonal."""
     axis = g.axis()
-    c1 = axis[:, None]
-    c2 = axis[None, :]
-    feasible = (multiperf_grid(w, k, c1, c2) >= 1.0) & (force_grid(k, c1, c2) >= 1.0)
-    ii, jj = np.nonzero(feasible)
+    ii, jj = np.nonzero(feasible_grid(w, k, axis[:, None], axis[None, :]))
     if ii.size == 0:
         return OracleResult(False, None, math.inf, None, False, axis.size**2)
     sums = ii + jj
@@ -392,8 +381,9 @@ def brute_force_terms(k, g, width, tile):
         i, j = np.meshgrid(np.arange(lo, min(lo + 64, g.size)), np.arange(g.size), indexing="ij")
         where = tile_of(i, j, g, width, tile)
         # force and resistance are nonnegative, so the zeros are neutral
-        np.maximum.at(f_max, where, force_grid(k, axis[i], axis[j]))
-        np.maximum.at(r_max, where, resistance_grid(k, axis[i], axis[j]))
+        with np.errstate(all="ignore"):  # the oracle's own scope
+            np.maximum.at(f_max, where, oracle_module._force(k, axis[i], axis[j]))
+            np.maximum.at(r_max, where, oracle_module._resistance(k, axis[i], axis[j]))
         np.add.at(count, where, 1)
     return f_max, r_max, count
 
@@ -401,7 +391,7 @@ def brute_force_terms(k, g, width, tile):
 def scan_keep(w, k, g):
     """The tiles the scan of ``g`` keeps for ``w``: its weighted half of the
     bound over the cached terms, in the scan's error-state scope."""
-    with oracle_module._extended():
+    with np.errstate(all="ignore"):
         return oracle_module._box_keep(w, *scan_layout(g).bounds[k])
 
 
