@@ -52,8 +52,6 @@ __all__ = [
     "MAX_VERIFY_SAMPLES",
     "CHUNK_LINES",
     "SweepSpec",
-    "sweep_lines",
-    "boundary_lines",
     "build_parser",
     "main",
     "EXIT_OK",
@@ -164,11 +162,6 @@ def _write_chunks(chunks: Iterable[str], fh) -> None:
         fh.write("\n")
 
 
-def _lines(chunks: Iterable[str]) -> list[str]:
-    """The lines of chunks as :func:`_write` takes them."""
-    return [line for chunk in chunks for line in chunk.split("\n")]
-
-
 def _emit(lines: list[str], out: str | None) -> None:
     _write(("\n".join(lines),), out)
 
@@ -179,25 +172,26 @@ def _emit_record(record: dict, out: str | None) -> None:
 
 def _sweep_chunks(spec: SweepSpec) -> Iterator[str]:
     """CSV lines of a sweep in chunks: the header, then its rows, at most
-    ``CHUNK_LINES`` to a chunk (see :func:`~twospring.phase.sweep_rows`)."""
+    ``CHUNK_LINES`` to a chunk (see :func:`~twospring.phase.sweep_rows`).
+
+    Written through :func:`_write`, these are exactly what ``twospring
+    sweep`` writes.
+    """
     from .phase import sweep_rows  # numpy loads here, only when a sweep runs
 
     yield SWEEP_HEADER
     yield from sweep_rows(spec, CHUNK_LINES)
 
 
-def sweep_lines(spec: SweepSpec) -> list[str]:
-    """CSV lines (header included) for a phase-diagram sweep.
-
-    The same lines ``twospring sweep`` writes, which it streams a chunk of
-    at most ``CHUNK_LINES`` rows at a time instead of holding them all.
-    """
-    return _lines(_sweep_chunks(spec))
-
-
 def _boundary_chunks(resolution: int) -> Iterator[str]:
     """CSV lines of the region boundaries in chunks: the header, then each
     polyline, at most ``CHUNK_LINES`` lines to a chunk.
+
+    The polylines are the A/B line ``a + 2b = 1`` and the B/C line ``a + b
+    = 1`` for ``a`` in [0, 1], then the B1/B2 segment ``b = 2 - 4a``
+    between its intersections with those lines, from (1/3, 2/3) on ``a + b
+    = 1`` to (3/7, 2/7) on ``a + 2b = 1``.  Each has ``resolution``
+    samples, at most ``MAX_BOUNDARY_POINTS``.
 
     Sample ``i`` of a polyline is ``i * step + start``, with ``step = (stop
     - start) / (resolution - 1)``, and the last one is ``stop``: the
@@ -226,19 +220,6 @@ def _boundary_chunks(resolution: int) -> Iterator[str]:
         for lo in range(0, resolution, CHUNK_LINES)
     )
     return itertools.chain((BOUNDARY_HEADER,), polylines)
-
-
-def boundary_lines(resolution: int) -> list[str]:
-    """CSV polylines for the three region boundaries.
-
-    Emits the A/B line ``a + 2b = 1`` and the B/C line ``a + b = 1`` for
-    ``a`` in [0, 1], plus the B1/B2 segment ``b = 2 - 4a`` between its
-    intersections with those lines, each with ``resolution`` samples, at
-    most ``MAX_BOUNDARY_POINTS``.  The same lines ``twospring boundaries``
-    writes, which it streams a chunk of at most ``CHUNK_LINES`` lines at a
-    time instead of holding them all.
-    """
-    return _lines(_boundary_chunks(resolution))
 
 
 def _weights_from(args: argparse.Namespace) -> Weights:

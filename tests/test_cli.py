@@ -32,16 +32,14 @@ from twospring.sweep_cli import (
     MAX_VERIFY_SAMPLES,
     SWEEP_HEADER,
     SweepSpec,
-    boundary_lines,
     main,
-    sweep_lines,
 )
 
 
 def reference_sweep_lines(spec):
     """The per-cell sweep: one scalar ``winner`` call and six ``repr`` per cell.
 
-    Parity reference for the array kernel behind ``sweep_lines``.
+    Parity reference for the array kernel behind ``twospring sweep``.
     """
     a_values = [float(a) for a in np.linspace(spec.a_min, spec.a_max, spec.na)]
     b_values = [float(b) for b in np.linspace(spec.b_min, spec.b_max, spec.nb)]
@@ -313,6 +311,10 @@ def chunk_sizes(spec):
     return [1, 7, spec.na - 1, spec.na, spec.na + 1, spec.na * spec.nb]
 
 
+def sweep_text(spec):
+    return "\n".join(sweep_cli._sweep_chunks(spec))
+
+
 def sweep_argv(spec):
     return [
         "sweep", "--a-min", repr(spec.a_min), "--a-max", repr(spec.a_max), "--b-min", repr(spec.b_min),
@@ -340,10 +342,10 @@ class TestSweepParity:
         ],
     )
     def test_fixed_windows(self, spec, monkeypatch):
-        expected = reference_sweep_lines(spec)
+        expected = "\n".join(reference_sweep_lines(spec))
         for chunk in chunk_sizes(spec):
             monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
-            assert sweep_lines(spec) == expected, chunk
+            assert sweep_text(spec) == expected, chunk
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -355,10 +357,10 @@ class TestSweepParity:
     )
     def test_random_windows(self, a, b, na, nb, chunk):
         spec = SweepSpec(a[0], a[1], b[0], b[1], na, nb)
-        expected = reference_sweep_lines(spec)
-        assert sweep_lines(spec) == expected
+        expected = "\n".join(reference_sweep_lines(spec))
+        assert sweep_text(spec) == expected
         with mock.patch.object(sweep_cli, "CHUNK_LINES", chunk_sizes(spec)[chunk]):
-            assert sweep_lines(spec) == expected
+            assert sweep_text(spec) == expected
 
     def test_stdout_and_out_file_match_at_any_chunk_size(self, capsys, monkeypatch, tmp_path):
         spec = SweepSpec(0.0, 1.2, 0.0, 1.2, 11, 9)
@@ -412,7 +414,7 @@ class TestSweepParity:
 
         monkeypatch.setattr(phase, "_texts", counting_texts)
         monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 10)
-        assert sweep_lines(spec) == reference_sweep_lines(spec)
+        assert sweep_text(spec) == "\n".join(reference_sweep_lines(spec))
         a_axis = np.linspace(spec.a_min, spec.a_max, spec.na).tolist()
         assert [formatted[a] for a in a_axis] == [1] * spec.na
 
@@ -527,7 +529,7 @@ class TestSweepStreaming:
         fail, so the run exits 3 instead of 0."""
         na, nb = 64, sweep_cli.CHUNK_LINES // 64  # the rows fill one chunk
         spec = SweepSpec(0.0, 1.2, 0.0, 1.2, na, nb)
-        assert len("\n".join(sweep_lines(spec)).encode()) > 2 * 65536  # twice a default pipe buffer
+        assert len(sweep_text(spec).encode()) > 2 * 65536  # twice a default pipe buffer
         src = Path(sweep_cli.__file__).resolve().parents[1]
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
         command = [sys.executable, "-m", "twospring.sweep_cli", *sweep_argv(spec)]
@@ -595,19 +597,16 @@ class TestBoundariesStreaming:
 
     # the default is 101 points per polyline
     @pytest.mark.parametrize("chunk", [1, 7, 100, 101, 102])
-    def test_default_bytes_at_any_chunk_size(self, chunk, monkeypatch, tmp_path):
+    def test_default_bytes_at_any_chunk_size(self, chunk, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
         assert boundaries_digest(tmp_path) == DEFAULT_BOUNDARIES_SHA256
+        assert main(["boundaries"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEFAULT_BOUNDARIES_SHA256
 
     @pytest.mark.parametrize("chunk", [sweep_cli.CHUNK_LINES, 7919])
     def test_larger_resolution_bytes_are_pinned(self, chunk, monkeypatch, tmp_path):
         monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
         assert boundaries_digest(tmp_path, "--na", "20000") == BOUNDARIES_20000_SHA256
-
-    def test_boundary_lines_are_the_streamed_lines(self, capsys, monkeypatch):
-        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 3)
-        assert main(["boundaries", "--na", "10"]) == EXIT_OK
-        assert capsys.readouterr().out == "\n".join(boundary_lines(10)) + "\n"
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
     @pytest.mark.parametrize(
@@ -882,19 +881,6 @@ class TestFormatting:
         assert [float(text) for text in texts] == list(values)
         assert texts == [repr(value) for value in values]
         assert texts[-1] == "inf"
-
-    def test_sweep_lines_schema(self):
-        lines = sweep_lines(SweepSpec(0.0, 1.0, 0.0, 1.0, 2, 2))
-        assert lines[0] == "a,b,region,winner,cost_parallel,cost_serial"
-        for line in lines[1:]:
-            a, b, region, who, cp, cs = line.split(",")
-            assert region in {"A", "B1", "B2", "C"}
-            assert who in {"parallel", "serial", "tie", "infeasible"}
-            float(cp), float(cs)  # parseable, 'inf' included
-
-    def test_boundary_lines_resolution_guard(self):
-        with pytest.raises(sweep_cli.UsageError):
-            boundary_lines(1)
 
     def test_help_exits_cleanly(self):
         assert main(["--help"]) == EXIT_OK
