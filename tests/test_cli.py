@@ -608,6 +608,11 @@ class TestBoundariesStreaming:
         monkeypatch.setattr(sweep_cli, "CHUNK_LINES", chunk)
         assert boundaries_digest(tmp_path, "--na", "20000") == BOUNDARIES_20000_SHA256
 
+    def test_boundary_lines_are_the_streamed_lines(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 3)
+        assert main(["boundaries", "--na", "10"]) == EXIT_OK
+        assert capsys.readouterr().out == "\n".join(sweep_cli._boundary_chunks(10)) + "\n"
+
     @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
     @pytest.mark.parametrize(
         "curve, start, stop",
@@ -881,6 +886,22 @@ class TestFormatting:
         assert [float(text) for text in texts] == list(values)
         assert texts == [repr(value) for value in values]
         assert texts[-1] == "inf"
+
+    def test_sweep_lines_schema(self):
+        lines = sweep_text(SweepSpec(0.0, 1.0, 0.0, 1.0, 2, 2)).split("\n")
+        assert lines[0] == "a,b,region,winner,cost_parallel,cost_serial"
+        assert len(lines) == 5
+        for line in lines[1:]:
+            a, b, region, who, cp, cs = line.split(",")
+            assert region in {"A", "B1", "B2", "C"}
+            assert who in {"parallel", "serial", "tie", "infeasible"}
+            float(cp), float(cs)  # parseable, 'inf' included
+
+    def test_boundary_lines_resolution_guard(self):
+        # the generator checks its resolution before it yields a line
+        for resolution in (1, MAX_BOUNDARY_POINTS + 1):
+            with pytest.raises(sweep_cli.UsageError):
+                next(sweep_cli._boundary_chunks(resolution))
 
     def test_help_exits_cleanly(self):
         assert main(["--help"]) == EXIT_OK
