@@ -85,8 +85,8 @@ MUTANTS = [
     Mutant(
         "weigh-adds-resistance-at-b0",
         "src/twospring/oracle.py",
-        "    if w.b > 0.0:\n        r *= w.b\n",
-        "    if w.b >= 0.0:\n        r *= w.b\n",
+        "    if w.b > 0.0:\n        p += r * w.b\n",
+        "    if w.b >= 0.0:\n        p += r * w.b\n",
         ("tests/test_model.py",),
     ),
     # the oracle's tile bound without the strength mask
@@ -101,13 +101,18 @@ MUTANTS = [
     Mutant(
         "feasible-nan-passes",
         "src/twospring/oracle.py",
-        "    ok = f >= 1.0\n    if ok.any():\n"
-        "        r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)\n"
-        "        ok &= _weigh(w, f, r) >= 1.0\n",
-        "    ok = ~(f < 1.0)\n    if ok.any():\n"
-        "        r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)\n"
-        "        ok &= ~(_weigh(w, f, r) < 1.0)\n",
+        "    ok = f >= 1.0\n    ok &= _weigh(w, f, r) >= 1.0\n",
+        "    ok = ~(f < 1.0)\n    ok &= ~(_weigh(w, f, r) < 1.0)\n",
         ("tests/test_model.py::TestFeasibleGrid::test_nan_limit_is_infeasible",),
+    ),
+    # the public kernel evaluates the performance on an input with no
+    # strong point, where it may return the strength mask at once
+    Mutant(
+        "feasible-grid-skips-weak-check",
+        "src/twospring/oracle.py",
+        "        if not strong.any():\n            return strong\n",
+        "",
+        ("tests/test_model.py::TestFeasibleGrid::test_all_weak_block_short_circuits",),
     ),
     # the oracle's half of each block one column short: the middle point
     # of the block's last diagonal, when that diagonal is even, is skipped
@@ -166,6 +171,15 @@ MUTANTS = [
         "        os.dup2(devnull, sys.stdout.fileno())\n",
         "",
         ("tests/test_cli.py",),
+    ),
+    # a command's parse that leaves arguments over taken as valid, where
+    # the whole parser reports them as unrecognized
+    Mutant(
+        "dispatch-ignores-leftovers",
+        "src/twospring/sweep_cli.py",
+        "        if not extra:\n",
+        "        if True:\n",
+        ("tests/test_cli.py::TestParserReuse",),
     ),
     # the last boundary sample left at (resolution - 1) * step + start, which
     # misses stop at 50 samples on [0, 1] and at many other resolutions

@@ -19,12 +19,16 @@ public array function, enters one scope around them, and a scan enters one
 scope and calls them directly.  :func:`feasible_grid` is the constraint
 kernel: the mask of points that are both strong (force ``>= 1``) and
 performant (``a*force + b*resistance >= 1``).  It tests strength first and
-evaluates the performance only when some point is strong, reusing the
-force it already holds (in parallel the resistance is ``1 / force``).  The
-kernel and the tile bound share one private helper for the ``a*F + b*R``
-rule and its ``0 * inf == 0`` convention, so the two cannot drift apart;
-each passes it the force and resistance arrays, and it adds the resistance
-only when ``b > 0``.
+returns the strength mask at once when no point is strong; otherwise it
+evaluates both constraints, reusing the force for the performance (in
+parallel the resistance is ``1 / force``).  A scan runs the same body
+without that all-weak short-circuit, because a block the tile bound keeps
+almost always holds a strong point.  The kernel and the tile bound share
+one private helper for the ``a*F + b*R`` rule and its ``0 * inf == 0``
+convention, so the two cannot drift apart; each passes it the force and
+resistance arrays, and it adds the resistance only when ``b > 0``.  It
+returns a new array and only reads its inputs, so the bound weighs the
+layout's cached, read-only terms without copying them.
 
 A block is split into tiles of ``TILE_COLUMNS`` grid columns.  Force is
 non-decreasing and resistance non-increasing in each limit, for both
@@ -116,27 +120,27 @@ def _resistance(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
 def _weigh(w: Weights, f: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The performance rule ``a*f + b*r``, given the force ``f`` and the resistance ``r``.
 
-    ``f`` and ``r`` must be new float arrays: ``f`` is overwritten with the
-    result and ``r`` may be.  ``r`` is added only when ``b > 0``, which is
-    the ``0 * inf == 0`` convention of :func:`multiperf`.  Overflow
-    saturates to ``inf``, and an infinite force under ``a = 0`` gives NaN,
-    which fails ``>= 1`` as its limit ``b*r -> 0`` does.
+    Returns a new array and only reads ``f`` and ``r``, so they may be
+    cached and read-only.  ``r`` is added only when ``b > 0``, which is the
+    ``0 * inf == 0`` convention of :func:`multiperf`.  Overflow saturates
+    to ``inf``, and an infinite force under ``a = 0`` gives NaN, which
+    fails ``>= 1`` as its limit ``b*r -> 0`` does.
     """
-    f *= w.a
+    p = f * w.a
     if w.b > 0.0:
-        r *= w.b
-        f += r
-    return f
+        p += r * w.b
+    return p
 
 
 def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Body of :func:`feasible_grid`, in the caller's error-state scope.  In
-    parallel the resistance is ``1 / f``, as in :func:`_resistance`."""
+    """The mask of :func:`feasible_grid` without its all-weak short-circuit,
+    in the caller's error-state scope: the scan calls it only on the
+    columns the tile bound kept, which almost always hold a strong point.
+    In parallel the resistance is ``1 / f``, as in :func:`_resistance`."""
     f = _force(k, c1, c2)
+    r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)
     ok = f >= 1.0
-    if ok.any():
-        r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)
-        ok &= _weigh(w, f, r) >= 1.0
+    ok &= _weigh(w, f, r) >= 1.0
     return ok
 
 
@@ -145,7 +149,7 @@ def _box_keep(w: Weights, f_hi: np.ndarray, r_lo: np.ndarray, strong: np.ndarray
     is below 1.  False proves that no point of the tile passes
     :func:`feasible_grid`, and a NaN bound keeps the tile.  The terms are
     only read, so they may be cached and read-only."""
-    keep = ~(_weigh(w, f_hi.copy(), r_lo.copy()) < 1.0)
+    keep = ~(_weigh(w, f_hi, r_lo) < 1.0)
     keep &= strong
     return keep
 
@@ -156,11 +160,13 @@ def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np
     At each point whose limits are not NaN the mask is the scalar spec of
     :mod:`twospring.model`, ``force(k, s) >= 1 and multiperf(w, k, s) >= 1``
     for ``s = SpringPair(c1, c2)``; a point with a NaN limit is False.  The
-    force is computed once and the performance only when some point is
-    strong: an input with no strong point returns its all-False strength
-    mask at once.
+    performance is evaluated only when some point is strong: an input with
+    no strong point returns its all-False strength mask at once.
     """
     with np.errstate(all="ignore"):
+        strong = _force(k, c1, c2) >= 1.0
+        if not strong.any():
+            return strong
         return _feasible(w, k, c1, c2)
 
 
@@ -193,7 +199,15 @@ class GridSpec:
         object.__setattr__(self, "size", size)
 
     def axis(self) -> np.ndarray:
-        """Grid coordinates 0, step, 2*step, ... up to and including c_max."""
+        """Grid coordinates ``i * step`` for ``i`` in ``range(size)``.
+
+        The last one is ``(size - 1) * step``, not always ``c_max``.  A
+        quotient ``c_max / step`` within 1e-9 below a whole number counts
+        as whole, so the product may round above ``c_max``:
+        ``GridSpec(0.3, 0.1)`` ends at ``0.30000000000000004``.  A ratio
+        that is not whole ends up to one step short: ``GridSpec(1.0,
+        0.013)`` ends at ``0.988``.
+        """
         return np.arange(self.size) * self.step
 
 
@@ -327,9 +341,9 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     evaluated, and of those only the ones with
     ``i <= (s0 + width - 1) // 2``, because a point and its mirror are
     feasible together: the scan weighs the weight-free bound terms cached
-    with the layout, then runs the body of
-    :func:`feasible_grid` on each block, all inside one
-    error-state scope.  Cost ties on a diagonal are broken toward the
+    with the layout, then runs the body of :func:`feasible_grid`, without
+    its all-weak short-circuit, on each block, all inside one error-state
+    scope.  Cost ties on a diagonal are broken toward the
     smaller ``|c1 - c2|``, then the smaller ``c1``: by the symmetry that is
     the largest feasible ``i`` with ``2 * i <= s``.  The reduction runs on
     integer grid indices, so ties and tie-breaks are exact and do not
@@ -340,10 +354,10 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     last = g.size - 1
     with np.errstate(all="ignore"):  # the one error-state scope of the scan
         keep = _box_keep(w, *layout.bounds[k])
-        for block in np.flatnonzero(keep.any(axis=1)).tolist():
+        for block in keep.any(axis=1).nonzero()[0].tolist():
             s0 = block * width
             i_hi = min(last, s0 + width - 1)
-            kept = np.flatnonzero(keep[block])
+            kept = keep[block].nonzero()[0]
             # evaluated columns [r0, r1): the kept tiles' span, at i <= (s0 + width - 1) // 2
             r0 = max(int(kept[0]) * tile, i_hi - (s0 + width - 1) // 2)
             r1 = min(int(kept[-1]) * tile + tile, i_hi - max(0, s0 - last) + 1)

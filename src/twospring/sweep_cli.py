@@ -5,6 +5,11 @@ records), ``sweep`` for phase-diagram grids and ``boundaries`` for region
 dividing lines (CSV), and ``verify`` for randomized closed-form-vs-oracle
 campaigns (JSON summary, nonzero exit on any disagreement).
 
+:func:`main` keeps one parser per process and parses a valid call once,
+with the parser of the command it names.  A call that names no command or
+leaves arguments over is parsed again by the whole parser, so help, error
+messages and exit codes are those of one parse of the whole command line.
+
 Numbers are formatted with the shortest representation that round-trips, and
 infinities print as the literal ``inf``, so identical invocations produce
 byte-identical output.
@@ -339,12 +344,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser of the ``twospring`` command line; :func:`main` builds one per process."""
+    """A new parser of the ``twospring`` command line; :func:`main` builds one per process.
+
+    Its ``commands`` attribute maps each command name to the parser of its
+    arguments: the ``choices`` of the sub-command action.
+    """
     parser = argparse.ArgumentParser(
         prog="twospring",
         description="Cost-optimal two-spring network design: solve, classify, sweep, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     solve = sub.add_parser("solve", help="closed-form minimal-cost design for one weight pair")
     solve.add_argument("--a", type=float, required=True, help="weight on force capacity")
@@ -396,9 +406,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of ``argv`` for its command's handler.
+
+    A valid call is parsed once, by its command's own parser, which is what
+    the whole parser would run on ``argv[1:]``.  When ``argv[0]`` names no
+    command or arguments are left over, which are help and error paths,
+    ``_parser().parse_args(argv)`` runs instead, so that help, messages and
+    exit codes stay the whole parser's.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

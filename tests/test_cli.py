@@ -862,6 +862,17 @@ class TestParserReuse:
         ["--help"],
         ["sweep", "--na", "2", "--nb", "3", "--a-max", "0.5"],
         ["classify", "--a", "0.3", "--b", "0.5"],
+        ["verify", "--samp", "3", "--step", "0.05"],  # abbreviated option
+        ["verify", "--he"],  # abbreviated --help of the command
+        ["sweep", "--na", "3", "-h"],  # help after a command
+        ["verify", "--", "--samples", "3"],  # left over after "--"
+        ["verify", "--bogus"],  # unknown option after a command
+        ["verify", "--step", "0.05", "extra"],  # unknown positional after a command
+        ["verify", "--samples"],  # missing value
+        ["verify", "--samples", "x"],  # bad type
+        ["frobnicate"],  # unknown command
+        [],
+        ["-h", "verify"],
     ]
 
     def test_alternating_calls_match_a_fresh_parser(self, monkeypatch):
@@ -871,6 +882,17 @@ class TestParserReuse:
         fresh = [run_captured(argv) for argv in self.ARGVS * 2]
         assert reused == fresh
         assert sweep_cli.build_parser() is not sweep_cli.build_parser()
+
+    def test_one_parse_matches_the_whole_parser(self, monkeypatch):
+        """``main`` parses a valid call with its command's parser alone; the
+        exit code, stdout and stderr are those of one parse of the whole
+        command line, on valid calls, help and errors alike."""
+        direct = [run_captured(argv) for argv in self.ARGVS]
+        monkeypatch.setattr(sweep_cli, "_parse", lambda argv: sweep_cli.build_parser().parse_args(argv))
+        whole = [run_captured(argv) for argv in self.ARGVS]
+        for argv, got, expected in zip(self.ARGVS, direct, whole):
+            assert got == expected, argv
+        assert {code for code, _, _ in direct} == {EXIT_OK, EXIT_USAGE}
 
     def test_defaults_do_not_leak(self):
         for samples, argv in [(3, ["--samples", "3"]), (200, []), (1, ["--samples", "1"]), (200, [])]:

@@ -229,6 +229,26 @@ def test_grid_twins_broadcast():
     assert r[1, 1] == 1.0
 
 
+@pytest.mark.parametrize(
+    "w", [Weights(0.7, 0.3), Weights(1.0, 0.0), Weights(0.0, 1.0), Weights(0.0, 0.0), Weights(1e308, 1e308)]
+)
+def test_weigh_reads_its_inputs_and_returns_a_new_array(w):
+    """``_weigh`` leaves read-only inputs as they were, byte for byte, and
+    returns ``f*a (+ r*b)`` as Python floats compute it, bit for bit: the
+    resistance is added only when ``b > 0``, so ``r = inf`` under ``b = 0``
+    adds nothing."""
+    f = np.array([0.0, 5e-324, 0.5, 1.0, 2.0, 1e308, math.inf, 0.3])
+    r = np.array([math.inf, 1e308, 2.0, 1.0, 0.5, 1e-308, 0.0, math.inf])
+    before = f.tobytes(), r.tobytes()
+    f.flags.writeable = r.flags.writeable = False
+    with np.errstate(all="ignore"):  # the oracle's own scope
+        got = _weigh(w, f, r)
+    assert (f.tobytes(), r.tobytes()) == before
+    assert not np.shares_memory(got, f) and not np.shares_memory(got, r)
+    expected = [fi * w.a + ri * w.b if w.b > 0.0 else fi * w.a for fi, ri in zip(f.tolist(), r.tolist())]
+    assert np.array_equal(bits(got), bits(np.array(expected)))
+
+
 def feasible_point(w, k, c1, c2):
     """The scalar spec of feasibility at one point."""
     s = SpringPair(float(c1), float(c2))

@@ -100,6 +100,16 @@ class TestGridSpec:
         assert axis.size == 1201
         assert float(axis[200]) == 1.0  # the strength bound lands on the grid
 
+    @pytest.mark.parametrize(
+        "c_max,step,last",
+        [(0.3, 0.1, 0.30000000000000004), (0.7, 0.1, 0.7000000000000001), (1.0, 0.013, 0.988)],
+    )
+    def test_last_point_is_size_minus_one_steps(self, c_max, step, last):
+        """The axis ends at ``(size - 1) * step``: above ``c_max`` where the
+        product rounds up, short of it where the ratio is not whole."""
+        g = GridSpec(c_max, step)
+        assert float(g.axis()[-1]) == (g.size - 1) * step == last
+
 
 class TestOracleSolve:
     def test_parallel_equal_split_tiebreak(self):
