@@ -105,15 +105,6 @@ MUTANTS = [
         "    ok = ~(f < 1.0)\n    ok &= ~(_weigh(w, f, r) < 1.0)\n",
         ("tests/test_model.py::TestFeasibleGrid::test_nan_limit_is_infeasible",),
     ),
-    # the public kernel evaluates the performance on an input with no
-    # strong point, where it may return the strength mask at once
-    Mutant(
-        "feasible-grid-skips-weak-check",
-        "src/twospring/oracle.py",
-        "        if not strong.any():\n            return strong\n",
-        "",
-        ("tests/test_model.py::TestFeasibleGrid::test_all_weak_block_short_circuits",),
-    ),
     # the oracle's half of each block one column short: the middle point
     # of the block's last diagonal, when that diagonal is even, is skipped
     Mutant(
@@ -240,6 +231,38 @@ MUTANTS = [
         "~(f_hi < 1.0) & tiles)",
         "~(f_hi < 1.0))",
         ("tests/test_oracle.py",),
+    ),
+    # the array kernel's B2 test taken at a parallel cost of exactly 2
+    Mutant(
+        "winner-grid-b2-loose",
+        "src/twospring/phase.py",
+        "cost_p > 2.0]",
+        "cost_p >= 2.0]",
+        ("tests/test_regions.py", "tests/test_cli.py"),
+    ),
+    # the array kernel's root branch taken on the line a + k*b = 1 as well
+    Mutant(
+        "cost-grid-root-test-loose",
+        "src/twospring/phase.py",
+        "root = ~zero & (a + kk * b - 1.0 < 0.0)",
+        "root = ~zero & (a + kk * b - 1.0 <= 0.0)",
+        ("tests/test_regions.py", "tests/test_cli.py"),
+    ),
+    # band C of the array kernel without its edge a + b = 1
+    Mutant(
+        "winner-grid-band-c-strict",
+        "src/twospring/phase.py",
+        "a + b - 1.0 >= 0.0,",
+        "a + b - 1.0 > 0.0,",
+        ("tests/test_regions.py", "tests/test_cli.py"),
+    ),
+    # band A of the array kernel with its edge a + 2b = 1
+    Mutant(
+        "winner-grid-band-a-loose",
+        "src/twospring/phase.py",
+        "[a + 2.0 * b - 1.0 < 0.0,",
+        "[a + 2.0 * b - 1.0 <= 0.0,",
+        ("tests/test_regions.py", "tests/test_cli.py"),
     ),
 ]
 

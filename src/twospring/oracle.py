@@ -14,21 +14,16 @@ scalar formulas of :mod:`twospring.model`, defined here because the scan is
 their only caller.  On arrays, overflow saturates to ``inf`` and underflow
 rounds toward zero without a warning, as Python floats do, whatever numpy
 error state the caller set.  Each formula is defined once, as a private
-function that enters no error-state scope; :func:`feasible_grid`, the one
-public array function, enters one scope around them, and a scan enters one
-scope and calls them directly.  :func:`feasible_grid` is the constraint
-kernel: the mask of points that are both strong (force ``>= 1``) and
-performant (``a*force + b*resistance >= 1``).  It tests strength first and
-returns the strength mask at once when no point is strong; otherwise it
-evaluates both constraints, reusing the force for the performance (in
-parallel the resistance is ``1 / force``).  A scan runs the same body
-without that all-weak short-circuit, because a block the tile bound keeps
-almost always holds a strong point.  The kernel and the tile bound share
-one private helper for the ``a*F + b*R`` rule and its ``0 * inf == 0``
-convention, so the two cannot drift apart; each passes it the force and
-resistance arrays, and it adds the resistance only when ``b > 0``.  It
-returns a new array and only reads its inputs, so the bound weighs the
-layout's cached, read-only terms without copying them.
+function that enters no error-state scope; a scan enters one scope and
+calls them inside it.  One kernel, :func:`_feasible`, gives the mask of
+points that are both strong (force ``>= 1``) and performant
+(``a*force + b*resistance >= 1``), reusing the force for the performance
+(in parallel the resistance is ``1 / force``).  The kernel and the tile
+bound share one private helper for the ``a*F + b*R`` rule and its
+``0 * inf == 0`` convention, so the two cannot drift apart; each passes it
+the force and resistance arrays, and it adds the resistance only when
+``b > 0``.  It returns a new array and only reads its inputs, so the bound
+weighs the layout's cached, read-only terms without copying them.
 
 A block is split into tiles of ``TILE_COLUMNS`` grid columns.  Force is
 non-decreasing and resistance non-increasing in each limit, for both
@@ -85,7 +80,6 @@ __all__ = [
     "GridSpec",
     "OracleResult",
     "oracle_solve",
-    "feasible_grid",
 ]
 
 
@@ -100,8 +94,7 @@ _LAYOUT_CHUNK = 2**12
 
 
 # The private array formulas below enter no error-state scope of their own:
-# :func:`feasible_grid` enters one ``np.errstate(all="ignore")`` scope around
-# them, and the oracle one per scan.
+# the oracle enters one ``np.errstate(all="ignore")`` scope per scan.
 
 
 def _force(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -133,10 +126,13 @@ def _weigh(w: Weights, f: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """The mask of :func:`feasible_grid` without its all-weak short-circuit,
-    in the caller's error-state scope: the scan calls it only on the
-    columns the tile bound kept, which almost always hold a strong point.
-    In parallel the resistance is ``1 / f``, as in :func:`_resistance`."""
+    """Mask of the points meeting both constraints, strength and performance.
+
+    At each point whose limits are not NaN the mask is the scalar spec of
+    :mod:`twospring.model`, ``force(k, s) >= 1 and multiperf(w, k, s) >= 1``
+    for ``s = SpringPair(c1, c2)``; a point with a NaN limit is False.  It
+    runs in the caller's error-state scope.  In parallel the resistance is
+    ``1 / f``, as in :func:`_resistance`."""
     f = _force(k, c1, c2)
     r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)
     ok = f >= 1.0
@@ -147,27 +143,11 @@ def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.nda
 def _box_keep(w: Weights, f_hi: np.ndarray, r_lo: np.ndarray, strong: np.ndarray) -> np.ndarray:
     """The tile bound: ``strong`` without the tiles whose ``a*f_hi + b*r_lo``
     is below 1.  False proves that no point of the tile passes
-    :func:`feasible_grid`, and a NaN bound keeps the tile.  The terms are
+    :func:`_feasible`, and a NaN bound keeps the tile.  The terms are
     only read, so they may be cached and read-only."""
     keep = ~(_weigh(w, f_hi, r_lo) < 1.0)
     keep &= strong
     return keep
-
-
-def feasible_grid(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Mask of the points meeting both constraints, strength and performance.
-
-    At each point whose limits are not NaN the mask is the scalar spec of
-    :mod:`twospring.model`, ``force(k, s) >= 1 and multiperf(w, k, s) >= 1``
-    for ``s = SpringPair(c1, c2)``; a point with a NaN limit is False.  The
-    performance is evaluated only when some point is strong: an input with
-    no strong point returns its all-False strength mask at once.
-    """
-    with np.errstate(all="ignore"):
-        strong = _force(k, c1, c2) >= 1.0
-        if not strong.any():
-            return strong
-        return _feasible(w, k, c1, c2)
 
 
 @dataclass(frozen=True)
@@ -341,13 +321,12 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     evaluated, and of those only the ones with
     ``i <= (s0 + width - 1) // 2``, because a point and its mirror are
     feasible together: the scan weighs the weight-free bound terms cached
-    with the layout, then runs the body of :func:`feasible_grid`, without
-    its all-weak short-circuit, on each block, all inside one error-state
-    scope.  Cost ties on a diagonal are broken toward the
-    smaller ``|c1 - c2|``, then the smaller ``c1``: by the symmetry that is
-    the largest feasible ``i`` with ``2 * i <= s``.  The reduction runs on
-    integer grid indices, so ties and tie-breaks are exact and do not
-    depend on the block or tile size.
+    with the layout, then runs the kernel :func:`_feasible` on each block,
+    all inside one error-state scope.  Cost ties on a diagonal are broken
+    toward the smaller ``|c1 - c2|``, then the smaller ``c1``: by the
+    symmetry that is the largest feasible ``i`` with ``2 * i <= s``.  The
+    reduction runs on integer grid indices, so ties and tie-breaks are
+    exact and do not depend on the block or tile size.
     """
     width, tile = BLOCK_DIAGONALS, TILE_COLUMNS
     layout = _layout(g, width, tile)

@@ -21,8 +21,8 @@ call it directly, so comparing two costs builds no intermediate object.
 Its array twin for whole weight grids,
 :func:`~twospring.phase.total_cost_grid`, lives with the sweep that uses
 it, so this module imports only the standard library and the model.  A
-single query stays on the scalar path, which costs about a microsecond
-where an array call costs about a hundred.
+single query stays on the scalar path, which is much faster than an array
+call on one pair (the README gives the measured ratio).
 
 A query builds its value objects here: :func:`solve_reduced` its
 :class:`ReducedSolution` and :func:`expand` its :class:`DesignSolution`.

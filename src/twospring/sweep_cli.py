@@ -25,8 +25,8 @@ computes its samples as Python floats and formats them with ``repr``.
 Every command writes through one helper, which turns a reader that closed
 the pipe into exit status 3.  ``solve`` and ``classify`` answer one weight
 pair through the scalar closed-form kernel, ``solver._reduced``, which
-stays the reference the array kernel is tested against and is about forty
-times faster than an array call for a single pair.
+stays the reference the array kernel is tested against and is much faster
+than an array call on one pair (the README gives the measured ratio).
 
 This module imports no numpy.  ``sweep`` loads it with
 :mod:`twospring.phase`, and ``verify`` with :mod:`twospring.oracle` and

@@ -9,6 +9,7 @@ library alone finish without numpy.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -138,6 +139,14 @@ class TestLazyNames:
         assert set(twospring.__all__) <= set(namespace)
         assert namespace["oracle_solve"] is twospring.oracle.oracle_solve
         assert namespace["VerificationVerdict"] is twospring.verify.VerificationVerdict
+
+    @pytest.mark.parametrize("module", ["model", "solver", "regions", "oracle", "verify", "phase", "sweep_cli"])
+    def test_module_star_import(self, module):
+        """Every name a module's ``__all__`` lists exists: a stale entry
+        makes the star import raise."""
+        namespace = {}
+        exec(f"from twospring.{module} import *", namespace)
+        assert set(importlib.import_module(f"twospring.{module}").__all__) <= set(namespace)
 
     def test_names_are_the_submodules_own(self):
         assert twospring.verify_reduction is twospring.verify.verify_reduction

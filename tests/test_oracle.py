@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_kernel import feasible
 from value_contract import assert_value_contract
 
 from twospring import oracle as oracle_module
 from twospring import verify as verify_module
 from twospring.model import SpringPair, Topology, Weights, cost
-from twospring.oracle import GridSpec, OracleResult, feasible_grid, oracle_solve
+from twospring.oracle import GridSpec, OracleResult, oracle_solve
 from twospring.solver import solve_reduced
 from twospring.verify import VerificationVerdict, verify_reduction
 
@@ -25,7 +26,7 @@ DEFAULT_GRID = GridSpec(6.0, 0.005)
 def full_square_scan(w, k, g):
     """Reference oracle: evaluate the whole square, keep the cheapest diagonal."""
     axis = g.axis()
-    ii, jj = np.nonzero(feasible_grid(w, k, axis[:, None], axis[None, :]))
+    ii, jj = np.nonzero(feasible(w, k, axis[:, None], axis[None, :]))
     if ii.size == 0:
         return OracleResult(False, None, math.inf, None, False, axis.size**2)
     sums = ii + jj
@@ -438,7 +439,7 @@ class TestCachedBound:
     def test_keeps_every_tile_with_a_feasible_point(self, a, b, k, g, sizes):
         w = Weights(a, b)
         axis = g.axis()
-        i, j = np.nonzero(feasible_grid(w, k, axis[:, None], axis[None, :]))
+        i, j = np.nonzero(feasible(w, k, axis[:, None], axis[None, :]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle_module, "BLOCK_DIAGONALS", sizes[0])
             mp.setattr(oracle_module, "TILE_COLUMNS", sizes[1])
