@@ -139,6 +139,17 @@ MUTANTS = [
         '    agree = status == "agree"\n',
         ("tests/test_oracle.py",),
     ),
+    # a campaign's failure record with its weights swapped and the wiring's
+    # name upper-cased
+    Mutant(
+        "campaign-failure-fields-swapped",
+        "src/twospring/verify.py",
+        '                        "a": w.a,\n                        "b": w.b,\n'
+        '                        "topology": k.name.lower(),\n',
+        '                        "a": w.b,\n                        "b": w.a,\n'
+        '                        "topology": k.name,\n',
+        ("tests/test_cli.py::TestVerifyCommand",),
+    ),
     # numpy loaded by the scalar spec, and so by every command
     Mutant(
         "model-imports-numpy",

@@ -38,7 +38,6 @@ from .solver import (
     InfeasibleError,
     ReducedSolution,
     expand,
-    roots,
     solve_reduced,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "DesignSolution",
     "solve_reduced",
     "expand",
-    "roots",
     "RegionLabel",
     "Winner",
     "RegionReport",

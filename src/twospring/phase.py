@@ -20,24 +20,22 @@ time: one :func:`winner_grid` call per chunk, and one ``"".join`` that
 builds the chunk's text as a single string.  The costs 1.0, 2.0 and ``inf``
 take their text from a table and every other cost is formatted with
 ``repr`` where it occurs; the ``a`` axis is formatted once per sweep when a
-row fits in a chunk.  ``sweep_cli`` imports this module only when a sweep
-runs, so the commands that answer one weight pair, and ``boundaries``,
-never load numpy.
+row fits in a chunk.  The window comes as a
+:class:`~twospring.regions.SweepSpec`, checked without numpy before this
+module loads.  ``sweep_cli`` imports this module only when a sweep runs, so
+the commands that answer one weight pair, and ``boundaries``, never load
+numpy.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import Topology
-from .regions import RegionLabel, Winner
-
-if TYPE_CHECKING:
-    from .sweep_cli import SweepSpec
+from .regions import RegionLabel, SweepSpec, Winner
 
 __all__ = ["total_cost_grid", "winner_grid", "sweep_rows"]
 

@@ -25,6 +25,11 @@ Their array twin for whole weight grids,
 :func:`~twospring.phase.winner_grid`, lives with the sweep that uses it,
 so this module imports only the standard library, the model and the
 solver.
+
+It also holds what the commands draw of the plane: ``BOUNDARY_CURVES``,
+the table of the three dividing curves, and :class:`SweepSpec`, the
+window of a phase diagram, checked here without numpy so that a bad
+window is refused before the array code loads.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ __all__ = [
     "b2_boundary",
     "B2_SEGMENT_A_MIN",
     "B2_SEGMENT_A_MAX",
+    "BOUNDARY_CURVES",
+    "MAX_SWEEP_CELLS",
+    "SweepSpec",
 ]
 
 
@@ -159,3 +167,38 @@ def b2_boundary(a: float) -> float | None:
     if a < B2_SEGMENT_A_MIN or a > B2_SEGMENT_A_MAX:
         return None
     return 2.0 - 4.0 * a
+
+
+# the dividing curves as (name, first a, last a, b at a): the A/B and B/C
+# lines over a in [0, 1], then the B1/B2 segment between them
+BOUNDARY_CURVES = (
+    ("a+2b=1", 0.0, 1.0, lambda a: (1.0 - a) / 2.0),
+    ("a+b=1", 0.0, 1.0, lambda a: 1.0 - a),
+    ("b=2-4a", B2_SEGMENT_A_MIN, B2_SEGMENT_A_MAX, b2_boundary),
+)
+
+# largest sweep a SweepSpec may describe, na * nb
+MAX_SWEEP_CELLS = 4_000_000
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """Inclusive rectangular sampling of the weight plane: finite bounds
+    and at most ``MAX_SWEEP_CELLS`` samples."""
+
+    a_min: float
+    a_max: float
+    b_min: float
+    b_max: float
+    na: int
+    nb: int
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.a_min <= self.a_max) or not (0.0 <= self.b_min <= self.b_max):
+            raise ValueError("need 0 <= a_min <= a_max and 0 <= b_min <= b_max")
+        if not (math.isfinite(self.a_max) and math.isfinite(self.b_max)):
+            raise ValueError("window bounds must be finite")
+        if self.na < 2 or self.nb < 2:
+            raise ValueError("need at least 2 samples per axis")
+        if self.na * self.nb > MAX_SWEEP_CELLS:
+            raise ValueError(f"na * nb must not exceed {MAX_SWEEP_CELLS}")

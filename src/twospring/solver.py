@@ -55,7 +55,6 @@ __all__ = [
     "DesignSolution",
     "solve_reduced",
     "expand",
-    "roots",
 ]
 
 
@@ -188,18 +187,3 @@ _STRENGTH_DESIGNS = tuple(
     tuple(expand(replace(sol), k) for k in (_PARALLEL, _SERIAL)) for sol in (_STRENGTH_PARALLEL, _STRENGTH_SERIAL)
 )
 
-
-def roots(w: Weights, k: Topology) -> tuple[float, float] | None:
-    """Roots ``(x1, x2)`` of ``a*x**2 - x + k*b = 0`` with ``x1 <= x2``.
-
-    Returns ``None`` when the discriminant is negative, i.e. when the
-    performance constraint holds for every positive ``x``.  Requires
-    ``a > 0``; the degenerate case ``a = 0`` raises ``ValueError``.
-    """
-    if w.a == 0.0:
-        raise ValueError("roots are undefined for a == 0")
-    disc = 1.0 - 4.0 * k.k * w.a * w.b
-    if disc < 0.0:
-        return None
-    sq = math.sqrt(disc)
-    return (1.0 - sq) / (2.0 * w.a), (1.0 + sq) / (2.0 * w.a)

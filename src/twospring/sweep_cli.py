@@ -1,9 +1,14 @@
-"""Command-line frontend for the two-spring design toolkit.
+"""Command-line frontend for the two-spring design toolkit: it parses the
+flags, checks them and writes; the library does the work.
 
 Subcommands: ``solve`` and ``classify`` for single weight pairs (JSON
 records), ``sweep`` for phase-diagram grids and ``boundaries`` for region
 dividing lines (CSV), and ``verify`` for randomized closed-form-vs-oracle
-campaigns (JSON summary, nonzero exit on any disagreement).
+campaigns (JSON summary, nonzero exit on any disagreement).  The sweep
+window (:class:`~twospring.regions.SweepSpec`) and the dividing curves
+(``regions.BOUNDARY_CURVES``) come from :mod:`twospring.regions`, the rows
+of a sweep from :func:`~twospring.phase.sweep_rows` and the campaign from
+:func:`~twospring.verify.verify_campaign`.
 
 :func:`main` keeps one parser per process and parses a valid call once,
 with the parser of the command it names.  A call that names no command or
@@ -17,11 +22,9 @@ byte-identical output.
 ``sweep`` and ``boundaries`` stream their lines in chunks of at most
 ``CHUNK_LINES``, each formatted and written before the next is computed, so
 their memory does not grow with the size of the request.  A chunk is one
-string, its lines joined by newlines; the writer adds the last newline.  A
-``sweep`` chunk is computed and formatted by
-:func:`~twospring.phase.sweep_rows`, one call of the array kernel
-:func:`~twospring.phase.winner_grid` and one ``"".join``.  ``boundaries``
-computes its samples as Python floats and formats them with ``repr``.
+string, its lines joined by newlines; the writer adds the last newline.
+``boundaries`` computes its samples as Python floats and formats them with
+``repr``.
 Every command writes through one helper, which turns a reader that closed
 the pipe into exit status 3.  ``solve`` and ``classify`` answer one weight
 pair through the scalar closed-form kernel, ``solver._reduced``, which
@@ -45,18 +48,15 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 from .model import Topology, Weights
-from .regions import B2_SEGMENT_A_MAX, B2_SEGMENT_A_MIN, b2_boundary, winner
+from .regions import BOUNDARY_CURVES, SweepSpec, winner
 from .solver import expand, solve_reduced
 
 __all__ = [
-    "MAX_SWEEP_CELLS",
     "MAX_BOUNDARY_POINTS",
     "MAX_VERIFY_SAMPLES",
     "CHUNK_LINES",
-    "SweepSpec",
     "build_parser",
     "main",
     "EXIT_OK",
@@ -79,8 +79,6 @@ class UsageError(Exception):
     """Invalid argument values; maps to exit status 2."""
 
 
-# largest sweep a SweepSpec may describe, na * nb
-MAX_SWEEP_CELLS = 4_000_000
 # most samples per polyline that ``boundaries --na`` accepts
 MAX_BOUNDARY_POINTS = 1_000_000
 # most lines ``sweep`` and ``boundaries`` compute and format at a time; their
@@ -92,32 +90,6 @@ MAX_BOUNDARY_POINTS = 1_000_000
 CHUNK_LINES = 4_096
 # most weight pairs that ``verify --samples`` accepts
 MAX_VERIFY_SAMPLES = 1_000_000
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Inclusive rectangular sampling of the weight plane.
-
-    The bounds must be finite and the sweep may hold at most
-    ``MAX_SWEEP_CELLS`` samples.
-    """
-
-    a_min: float
-    a_max: float
-    b_min: float
-    b_max: float
-    na: int
-    nb: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.a_min <= self.a_max) or not (0.0 <= self.b_min <= self.b_max):
-            raise ValueError("need 0 <= a_min <= a_max and 0 <= b_min <= b_max")
-        if not (math.isfinite(self.a_max) and math.isfinite(self.b_max)):
-            raise ValueError("window bounds must be finite")
-        if self.na < 2 or self.nb < 2:
-            raise ValueError("need at least 2 samples per axis")
-        if self.na * self.nb > MAX_SWEEP_CELLS:
-            raise ValueError(f"na * nb must not exceed {MAX_SWEEP_CELLS}")
 
 
 def _jsonable(value):
@@ -192,11 +164,9 @@ def _boundary_chunks(resolution: int) -> Iterator[str]:
     """CSV lines of the region boundaries in chunks: the header, then each
     polyline, at most ``CHUNK_LINES`` lines to a chunk.
 
-    The polylines are the A/B line ``a + 2b = 1`` and the B/C line ``a + b
-    = 1`` for ``a`` in [0, 1], then the B1/B2 segment ``b = 2 - 4a``
-    between its intersections with those lines, from (1/3, 2/3) on ``a + b
-    = 1`` to (3/7, 2/7) on ``a + 2b = 1``.  Each has ``resolution``
-    samples, at most ``MAX_BOUNDARY_POINTS``.
+    The polylines are the curves of ``regions.BOUNDARY_CURVES``, in its
+    order, each with ``resolution`` samples, at most
+    ``MAX_BOUNDARY_POINTS``.
 
     Sample ``i`` of a polyline is ``i * step + start``, with ``step = (stop
     - start) / (resolution - 1)``, and the last one is ``stop``: the
@@ -207,11 +177,6 @@ def _boundary_chunks(resolution: int) -> Iterator[str]:
     if not 2 <= resolution <= MAX_BOUNDARY_POINTS:
         raise UsageError(f"resolution must be between 2 and {MAX_BOUNDARY_POINTS}")
     last = resolution - 1
-    curves = (
-        ("a+2b=1", 0.0, 1.0, lambda a: (1.0 - a) / 2.0),
-        ("a+b=1", 0.0, 1.0, lambda a: 1.0 - a),
-        ("b=2-4a", B2_SEGMENT_A_MIN, B2_SEGMENT_A_MAX, b2_boundary),
-    )
     polylines = (
         "\n".join(
             [
@@ -220,7 +185,7 @@ def _boundary_chunks(resolution: int) -> Iterator[str]:
                 for a in [i * step + start if i < last else stop]
             ]
         )
-        for name, start, stop, curve in curves
+        for name, start, stop, curve in BOUNDARY_CURVES
         for step in [(stop - start) / last]
         for lo in range(0, resolution, CHUNK_LINES)
     )
@@ -294,53 +259,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
         raise UsageError("--tol must be positive and finite")
     # numpy loads here, after the checks that need only the standard library
-    import numpy as np
-
     from . import oracle, verify
 
     try:
         grid = oracle.GridSpec(args.c_max, args.step)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    rng = np.random.default_rng(args.seed)
-    points = rng.uniform(0.0, 1.5, size=(args.samples, 2))
-    truncated = 0
-    worst_gap = 0.0
-    failures = []
-    for a, b in points.tolist():
-        w = Weights(a, b)
-        for name, k in _TOPOLOGIES.items():
-            verdict = verify.verify_reduction(w, k, grid, args.tol)
-            truncated += verdict.beyond_grid
-            if not verdict.agree:
-                failures.append(
-                    {
-                        "a": w.a,
-                        "b": w.b,
-                        "topology": name,
-                        "status": verdict.status,
-                        "closed_cost": verdict.closed_cost,
-                        "oracle_cost": verdict.oracle_cost,
-                    }
-                )
-            elif math.isfinite(verdict.cost_gap):
-                worst_gap = max(worst_gap, abs(verdict.cost_gap))
-    checks = len(_TOPOLOGIES) * args.samples
-    summary = {
-        "samples": args.samples,
-        "seed": args.seed,
-        "c_max": args.c_max,
-        "step": args.step,
-        "tol": args.tol,
-        "checks": checks,
-        "agreements": checks - len(failures),
-        "disagreements": len(failures),
-        "truncated": truncated,
-        "worst_cost_gap": worst_gap,
-        "failures": failures,
-    }
+    flags = {"samples": args.samples, "seed": args.seed, "c_max": args.c_max, "step": args.step, "tol": args.tol}
+    summary = {**flags, **verify.verify_campaign(args.samples, args.seed, grid, args.tol)}
     _emit_record(summary, args.out)
-    return EXIT_OK if not failures else EXIT_DISAGREEMENT
+    return EXIT_OK if not summary["failures"] else EXIT_DISAGREEMENT
 
 
 def build_parser() -> argparse.ArgumentParser:

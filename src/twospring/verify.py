@@ -6,6 +6,10 @@ of :mod:`twospring.solver` and with the brute-force scan of
 whether the two agree.  This is the one module that imports both: the
 oracle imports only the model, so the check stays independent of what it
 checks.
+
+:func:`verify_campaign` runs the randomized campaign of ``twospring
+verify``: it draws the weight pairs from a seed, checks each in both
+wirings and counts the verdicts.
 """
 
 from __future__ import annotations
@@ -13,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Topology, Weights
 from .oracle import GridSpec, oracle_solve
 from .solver import solve_reduced
 
-__all__ = ["VerificationVerdict", "verify_reduction"]
+__all__ = ["VerificationVerdict", "verify_reduction", "verify_campaign"]
 
 
 @dataclass(frozen=True)
@@ -101,3 +107,44 @@ def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> Verifi
     return VerificationVerdict(
         agree, status, closed.total_cost, scanned.best_cost, gap, allowance, scanned.argmin_gap, beyond
     )
+
+
+def verify_campaign(samples: int, seed: int, g: GridSpec, tol: float) -> dict:
+    """The fields the ``twospring verify`` summary computes, in its key order,
+    for ``samples`` pairs uniform on ``[0, 1.5]^2`` from
+    ``np.random.default_rng(seed)``, each checked parallel then serial.
+
+    ``failures`` holds the pair, wiring, status and costs of each
+    disagreeing verdict, in check order; ``worst_cost_gap`` is the largest
+    finite ``|cost_gap|`` of an agreeing one.  ``samples`` and ``seed`` are
+    nonnegative, ``tol`` as for :func:`verify_reduction`.
+    """
+    points = np.random.default_rng(seed).uniform(0.0, 1.5, size=(samples, 2))
+    truncated, worst_gap, failures = 0, 0.0, []
+    for a, b in points.tolist():
+        w = Weights(a, b)
+        for k in (Topology.PARALLEL, Topology.SERIAL):
+            verdict = verify_reduction(w, k, g, tol)
+            truncated += verdict.beyond_grid
+            if not verdict.agree:
+                failures.append(
+                    {
+                        "a": w.a,
+                        "b": w.b,
+                        "topology": k.name.lower(),
+                        "status": verdict.status,
+                        "closed_cost": verdict.closed_cost,
+                        "oracle_cost": verdict.oracle_cost,
+                    }
+                )
+            elif math.isfinite(verdict.cost_gap):
+                worst_gap = max(worst_gap, abs(verdict.cost_gap))
+    checks = 2 * samples
+    return {
+        "checks": checks,
+        "agreements": checks - len(failures),
+        "disagreements": len(failures),
+        "truncated": truncated,
+        "worst_cost_gap": worst_gap,
+        "failures": failures,
+    }

@@ -10,11 +10,12 @@ import math
 import time
 
 import numpy as np
+from performance_roots import roots
 
 from twospring.model import SpringPair, Topology, Weights, cost, force, multiperf, resistance
 from twospring.oracle import GridSpec, oracle_solve
 from twospring.regions import B2_SEGMENT_A_MAX, B2_SEGMENT_A_MIN, winner
-from twospring.solver import roots, solve_reduced
+from twospring.solver import solve_reduced
 from twospring.sweep_cli import main
 
 P = Topology.PARALLEL

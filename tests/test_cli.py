@@ -19,9 +19,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from exact_reference import exact_decision
 
-from twospring import oracle, phase, sweep_cli, verify
-from twospring.model import Weights
-from twospring.regions import winner
+from twospring import oracle, phase, regions, sweep_cli, verify
+from twospring.model import Topology, Weights
+from twospring.regions import SweepSpec, winner
 from twospring.sweep_cli import (
     BOUNDARY_HEADER,
     EXIT_DISAGREEMENT,
@@ -31,7 +31,6 @@ from twospring.sweep_cli import (
     MAX_BOUNDARY_POINTS,
     MAX_VERIFY_SAMPLES,
     SWEEP_HEADER,
-    SweepSpec,
     main,
 )
 
@@ -619,7 +618,7 @@ class TestBoundariesStreaming:
         [
             ("a+2b=1", 0.0, 1.0),
             ("a+b=1", 0.0, 1.0),
-            ("b=2-4a", sweep_cli.B2_SEGMENT_A_MIN, sweep_cli.B2_SEGMENT_A_MAX),
+            ("b=2-4a", regions.B2_SEGMENT_A_MIN, regions.B2_SEGMENT_A_MAX),
         ],
     )
     def test_polyline_samples_equal_numpy_linspace(self, curve, start, stop, chunk, monkeypatch):
@@ -689,6 +688,48 @@ class TestVerifyCommand:
         assert code == EXIT_DISAGREEMENT
         assert rec["disagreements"] == 2
         assert rec["failures"][0]["status"] == "cost-mismatch"
+
+    def test_failure_records_are_pinned(self, monkeypatch):
+        """Every field of a failure record, in key order, and the records in
+        check order: each pair parallel, then serial."""
+
+        def wrong_per_wiring(w, k, g, tol):
+            serial = k is Topology.SERIAL
+            return verify.VerificationVerdict(
+                agree=False, status="split-mismatch" if serial else "feasibility-mismatch",
+                closed_cost=float(k.k), oracle_cost=math.inf if serial else 10.0,
+                cost_gap=math.inf, allowance=0.02, argmin_gap=None, beyond_grid=False,
+            )
+
+        monkeypatch.setattr(verify, "verify_reduction", wrong_per_wiring)
+        code, out, _ = run_captured(["verify", "--samples", "2", "--seed", "3"])
+        assert code == EXIT_DISAGREEMENT
+        pairs = np.random.default_rng(3).uniform(0.0, 1.5, size=(2, 2)).tolist()
+        assert all(a != b for a, b in pairs)
+        failures = json.loads(out)["failures"]
+        assert failures == [
+            record
+            for a, b in pairs
+            for record in (
+                {"a": a, "b": b, "topology": "parallel", "status": "feasibility-mismatch",
+                 "closed_cost": 1.0, "oracle_cost": 10.0},
+                {"a": a, "b": b, "topology": "serial", "status": "split-mismatch",
+                 "closed_cost": 2.0, "oracle_cost": "inf"},
+            )
+        ]
+        keys = ["a", "b", "topology", "status", "closed_cost", "oracle_cost"]
+        assert all(list(record) == keys for record in failures)
+
+    def test_campaign_runs_without_the_command_line(self, capsys):
+        """``verify_campaign`` gives the summary's computed fields, as the
+        command writes them after the flags it echoes."""
+        argv = ["verify", "--samples", "20", "--seed", "1", "--c-max", "1.5", "--step", "0.05"]
+        code, rec = run_json(capsys, argv)
+        fields = verify.verify_campaign(20, 1, oracle.GridSpec(1.5, 0.05), 0.01)
+        assert code == EXIT_OK
+        assert fields["truncated"] == 2 and fields["failures"] == []
+        assert rec == {"samples": 20, "seed": 1, "c_max": 1.5, "step": 0.05, "tol": 0.01, **fields}
+        assert list(rec) == ["samples", "seed", "c_max", "step", "tol", *fields]
 
     def test_bad_flags_are_usage_errors(self):
         assert main(["verify", "--samples", "0"]) == EXIT_USAGE
@@ -818,7 +859,7 @@ class TestFuzzMain:
     def test_exit_codes(self, argv):
         # small caps, so that values at cap - 1 and cap + 1 stay cheap
         caps = [
-            mock.patch.object(sweep_cli, "MAX_SWEEP_CELLS", 400),
+            mock.patch.object(regions, "MAX_SWEEP_CELLS", 400),
             mock.patch.object(sweep_cli, "MAX_BOUNDARY_POINTS", 8),
             mock.patch.object(sweep_cli, "MAX_VERIFY_SAMPLES", 3),
             # at c_max 3, step 0.03 fills this grid cap and step 0.029 exceeds it

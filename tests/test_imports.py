@@ -69,6 +69,9 @@ class TestCommandsWithoutNumpy:
         "argv",
         [
             ["boundaries", "--na", str(sweep_cli.MAX_BOUNDARY_POINTS + 1)],
+            ["sweep", "--na", "1"],
+            ["sweep", "--a-max", "inf"],
+            ["sweep", "--na", "3000", "--nb", "3000"],
             ["verify", "--seed", "-1"],
             ["verify", "--tol", "inf"],
             ["verify", "--tol", "nan"],

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from exact_reference import exact_decision
+from performance_roots import roots
 from value_contract import assert_value_contract
 
 from twospring import solver
@@ -24,7 +25,7 @@ from twospring.regions import (
     classify,
     winner,
 )
-from twospring.solver import expand, roots, solve_reduced
+from twospring.solver import expand, solve_reduced
 
 P = Topology.PARALLEL
 S = Topology.SERIAL

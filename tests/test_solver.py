@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from performance_roots import roots
 from value_contract import assert_value_contract
 
 from twospring.model import Topology, Weights
@@ -20,7 +21,6 @@ from twospring.solver import (
     InfeasibleError,
     ReducedSolution,
     expand,
-    roots,
     solve_reduced,
 )
 
@@ -140,29 +140,6 @@ class TestExpand:
     def test_infeasible_rejected(self):
         with pytest.raises(InfeasibleError):
             expand(solve_reduced(Weights(0.0, 0.3), P), P)
-
-
-class TestRoots:
-    def test_values_and_vieta(self):
-        x1, x2 = roots(Weights(0.2, 0.2), P)
-        assert x1 == pytest.approx(0.20871215252208003, abs=1e-12)
-        assert x2 == pytest.approx(X_STAR_PARALLEL_02_02, abs=1e-12)
-        assert x1 * x2 == pytest.approx(0.2 / 0.2, rel=1e-12)  # k*b/a
-        assert x1 + x2 == pytest.approx(1.0 / 0.2, rel=1e-12)
-
-    def test_double_root(self):
-        assert roots(Weights(0.5, 0.5), P) == (1.0, 1.0)
-
-    def test_negative_discriminant(self):
-        assert roots(Weights(0.5, 0.6), P) is None
-
-    def test_zero_force_weight_rejected(self):
-        with pytest.raises(ValueError):
-            roots(Weights(0.0, 0.5), P)
-
-    def test_ordering(self):
-        x1, x2 = roots(Weights(0.1, 0.3), S)
-        assert x1 <= x2
 
 
 def assert_grid_matches_scalar(a, b, k):
