@@ -259,21 +259,29 @@ MUTANTS = [
         "root = ~zero & (a + kk * b - 1.0 <= 0.0)",
         ("tests/test_regions.py", "tests/test_cli.py"),
     ),
-    # band C of the array kernel without its edge a + b = 1
+    # the array kernel's strength mask true where a = 0 is infeasible
     Mutant(
-        "winner-grid-band-c-strict",
+        "cost-grid-strength-ignores-infeasible",
         "src/twospring/phase.py",
-        "a + b - 1.0 >= 0.0,",
-        "a + b - 1.0 > 0.0,",
+        "    return cost, ~(infeasible | root)\n",
+        "    return cost, ~root\n",
         ("tests/test_regions.py", "tests/test_cli.py"),
     ),
-    # band A of the array kernel with its edge a + 2b = 1
+    # the array kernel's bands read from the other wiring's strength branch
     Mutant(
-        "winner-grid-band-a-loose",
+        "winner-grid-strength-swapped",
         "src/twospring/phase.py",
-        "[a + 2.0 * b - 1.0 < 0.0,",
-        "[a + 2.0 * b - 1.0 <= 0.0,",
+        "[~strength_s, strength_p,",
+        "[~strength_p, strength_s,",
         ("tests/test_regions.py", "tests/test_cli.py"),
+    ),
+    # band A of the scalar label read from the parallel kernel's branch
+    Mutant(
+        "report-band-a-from-parallel",
+        "src/twospring/regions.py",
+        "    if active_s is not _STRENGTH:\n",
+        "    if active_p is not _STRENGTH:\n",
+        ("tests/test_fast_path.py",),
     ),
 ]
 

@@ -29,7 +29,6 @@ from .regions import (
     RegionReport,
     Winner,
     b2_boundary,
-    classify,
     winner,
 )
 from .solver import (
@@ -60,7 +59,6 @@ __all__ = [
     "RegionLabel",
     "Winner",
     "RegionReport",
-    "classify",
     "winner",
     "b2_boundary",
     "GridSpec",

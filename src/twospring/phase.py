@@ -10,7 +10,9 @@ equals the scalar one bit for bit (``math.sqrt`` and ``np.sqrt`` are both
 correctly rounded, and numpy does not fuse multiply-adds).
 :func:`winner_grid`, built on it, is the array twin of
 :func:`~twospring.regions.winner`, with the same predicates in the same
-order, so it reports the same labels, winners and costs.  Both silence
+order, so it reports the same labels, winners and costs: its bands, like
+the scalar ones, are read from the kernel's strength branches, which
+:func:`total_cost_grid` returns with the costs.  The kernel silences
 numpy's floating-point errors in one ``np.errstate(all="ignore")`` scope,
 so overflow saturates to ``inf`` as in Python floats, whatever error state
 the caller set.
@@ -48,24 +50,27 @@ _CELL = [None, None, None, None, ",", None, "\n"]
 _COST_TEXT = ((1.0, "1.0"), (2.0, "2.0"), (math.inf, "inf"))
 
 
-def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> np.ndarray:
-    """The scalar kernel's ``total_cost`` (``_reduced(a, b, k)[1]``) at every
-    pair of two equal-shape float64 arrays of nonnegative weights.
+def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar kernel's ``total_cost`` and strength branch
+    (``_reduced(a, b, k)[1]`` and ``_reduced(a, b, k)[2] is STRENGTH_BOUND``)
+    at every pair of two equal-shape float64 arrays of nonnegative weights.
 
-    Branches exactly as :func:`_reduced`, its scalar reference: ``a == 0``
-    first, then the sign of ``a + k*b - 1``; the root is computed only where
-    that branch is taken, with the scalar expression's operation order.
+    Returns ``(cost, strength)``.  Branches exactly as :func:`_reduced`, its
+    scalar reference: ``a == 0`` first, then the sign of ``a + k*b - 1``;
+    the root is computed only where that branch is taken, with the scalar
+    expression's operation order.
     """
     kk = float(k.k)
     cost = np.full(a.shape, kk)
     # overflow to inf (huge b, subnormal a) and underflow are silent, as in Python floats
     with np.errstate(all="ignore"):
         zero = a == 0.0
-        cost[zero & ~(kk * b >= 1.0)] = math.inf
+        infeasible = zero & ~(kk * b >= 1.0)
+        cost[infeasible] = math.inf
         root = ~zero & (a + kk * b - 1.0 < 0.0)
         ar, br = a[root], b[root]
         cost[root] = kk * ((1.0 + np.sqrt(1.0 - 4.0 * kk * ar * br)) / (2.0 * ar))
-    return cost
+    return cost, ~(infeasible | root)
 
 
 def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -75,17 +80,17 @@ def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     indices into ``tuple(RegionLabel)`` and ``best`` indices into
     ``tuple(Winner)``, so ``tuple(Winner)[best[i]]`` is ``winner(w).winner``
     at the ``i``-th pair.  The first condition that holds picks each code,
-    in the order of the scalar tests.
+    in the order of the scalar tests; the bands come from the kernel's
+    strength branches, as in :func:`winner`.
     """
     labels, winners = list(RegionLabel), list(Winner)
-    cost_p = total_cost_grid(a, b, Topology.PARALLEL)
-    cost_s = total_cost_grid(a, b, Topology.SERIAL)
-    with np.errstate(all="ignore"):  # a huge b sums to inf, as in Python floats
-        region = np.select(
-            [a + 2.0 * b - 1.0 < 0.0, a + b - 1.0 >= 0.0, cost_p > 2.0],
-            [labels.index(RegionLabel.A), labels.index(RegionLabel.C), labels.index(RegionLabel.B2)],
-            labels.index(RegionLabel.B1),
-        )
+    cost_p, strength_p = total_cost_grid(a, b, Topology.PARALLEL)
+    cost_s, strength_s = total_cost_grid(a, b, Topology.SERIAL)
+    region = np.select(
+        [~strength_s, strength_p, cost_p > 2.0],
+        [labels.index(RegionLabel.A), labels.index(RegionLabel.C), labels.index(RegionLabel.B2)],
+        labels.index(RegionLabel.B1),
+    )
     best = np.select(
         [np.isinf(cost_p) & np.isinf(cost_s), cost_p < cost_s, cost_s < cost_p],
         [

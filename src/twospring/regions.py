@@ -6,22 +6,22 @@ locus where the minimal parallel cost equals the fixed serial cost of 2; the
 serial wiring is strictly cheaper exactly on the sub-band B2, the parallel
 wiring everywhere else (up to ties on the dividing locus itself).
 
-:func:`classify` and :func:`winner` answer one weight pair and are the
-reference.  They decide the band first, with the float tests of ``_label``,
-the one place the band order is written, and run the solver's scalar
-kernel, ``solver._reduced``, only where the answer needs a cost:
-:func:`classify` only in band B, :func:`winner` everywhere but band C.  In
-band C both wirings sit at the strength bound (costs 1 and 2, parallel
-wins) whatever the weights, so :func:`winner` returns one shared
-:class:`RegionReport` there, built once at import through the kernel path;
-whether two calls return the same object is not part of the contract.  A
-query builds no ``ReducedSolution``.  Its one value object, the
-:class:`RegionReport` of :func:`winner`, writes its fields directly from a
-hand-written ``__init__`` and stays frozen (see :mod:`twospring.model`).
+:func:`winner` answers one weight pair and is the reference.  The bands
+come from the branches of the solver's scalar kernel, ``solver._reduced``:
+band A is where the serial wiring is off its strength bound (the kernel's
+test ``a + 2b - 1 < 0``), band C where the parallel wiring is on it
+(``a + b - 1 >= 0``), and band B splits on the parallel cost.  In band C
+both wirings sit at the strength bound (costs 1 and 2, parallel wins)
+whatever the weights, so :func:`winner` tests that line itself and returns
+one shared :class:`RegionReport` there, built once at import through the
+kernel path; whether two calls return the same object is not part of the
+contract.  A query builds no ``ReducedSolution``.  Its one value object,
+the :class:`RegionReport`, writes its fields directly from a hand-written
+``__init__`` and stays frozen (see :mod:`twospring.model`).
 The labels and winners the scalar path returns are module-level aliases
 (``_A`` ... ``_TIE``): looking an enum member up on its class costs
 0.1-0.2 us on Python 3.11, a sizable share of a query.
-Their array twin for whole weight grids,
+Its array twin for whole weight grids,
 :func:`~twospring.phase.winner_grid`, lives with the sweep that uses it,
 so this module imports only the standard library, the model and the
 solver.
@@ -39,13 +39,12 @@ import math
 from dataclasses import dataclass
 
 from .model import Weights
-from .solver import _reduced
+from .solver import _STRENGTH, _reduced
 
 __all__ = [
     "RegionLabel",
     "Winner",
     "RegionReport",
-    "classify",
     "winner",
     "b2_boundary",
     "B2_SEGMENT_A_MIN",
@@ -100,37 +99,15 @@ B2_SEGMENT_A_MIN = 1.0 / 3.0
 B2_SEGMENT_A_MAX = 3.0 / 7.0
 
 
-def _label(a: float, b: float, cost_p: float | None = None) -> RegionLabel:
-    """Region of ``(a, b)``, given its minimal parallel cost ``cost_p``.
-
-    Only band B reads ``cost_p``; when it is not given, the kernel computes
-    it there and nowhere else.
-    """
-    if a + 2.0 * b - 1.0 < 0.0:
-        return _A
-    if a + b - 1.0 >= 0.0:
-        return _C
-    if cost_p is None:
-        cost_p = _reduced(a, b, 1.0)[1]
-    if cost_p > 2.0:
-        return _B2
-    return _B1
-
-
-def classify(w: Weights) -> RegionLabel:
-    """Label a weight pair A, B1, B2, or C.
-
-    B2 membership is decided by the computed minimal parallel cost exceeding
-    2.  Extended arithmetic makes the ``a = 0`` strip of band B (parallel
-    infeasible, cost ``+inf``) land in B2, matching the ``a -> 0+`` limit.
-    """
-    return _label(w.a, w.b)
-
-
 def _report(a: float, b: float) -> RegionReport:
-    """:func:`winner` at ``(a, b)`` through the kernel, in any band."""
-    cost_p = _reduced(a, b, 1.0)[1]
-    cost_s = _reduced(a, b, 2.0)[1]
+    """:func:`winner` at ``(a, b)`` through the kernel, in any band.
+
+    The label reads the kernel's active constraints.  Extended arithmetic
+    puts the ``a = 0`` strip of band B (parallel infeasible, cost ``+inf``)
+    in B2, matching the ``a -> 0+`` limit.
+    """
+    _, cost_p, active_p = _reduced(a, b, 1.0)
+    _, cost_s, active_s = _reduced(a, b, 2.0)
     if math.isinf(cost_p) and math.isinf(cost_s):
         best = _BOTH_INFEASIBLE
     elif cost_p < cost_s:
@@ -139,7 +116,15 @@ def _report(a: float, b: float) -> RegionReport:
         best = _SERIAL_WINS
     else:
         best = _TIE
-    return RegionReport(_label(a, b, cost_p), best, cost_p, cost_s)
+    if active_s is not _STRENGTH:
+        label = _A
+    elif active_p is _STRENGTH:
+        label = _C
+    elif cost_p > 2.0:
+        label = _B2
+    else:
+        label = _B1
+    return RegionReport(label, best, cost_p, cost_s)
 
 
 # Band C's answer, built once through the kernel path: both wirings sit at
@@ -150,7 +135,9 @@ _BAND_C = _report(1.0, 1.0)
 def winner(w: Weights) -> RegionReport:
     """Report both minimal costs, the region label, and the strict-argmin winner."""
     a, b = w.a, w.b
-    # the band-C test of _label; the kernel's strength tests then hold for both wirings
+    # the parallel kernel's strength test, written out so that band C, about
+    # two thirds of the benchmark's queries, needs no kernel call; asking
+    # the parallel kernel first instead was slower per query
     if a + b - 1.0 >= 0.0:
         return _BAND_C
     return _report(a, b)

@@ -16,8 +16,9 @@ the minimizer is either the strength bound ``x = 1`` or the upper root of
 
 One private scalar kernel, :func:`_reduced`, answers one weight pair on
 plain floats and is the reference.  :func:`solve_reduced` wraps its result
-in a :class:`ReducedSolution`; ``regions.classify`` and ``regions.winner``
-call it directly, so comparing two costs builds no intermediate object.
+in a :class:`ReducedSolution`; ``regions.winner`` calls it directly, so
+comparing two costs builds no intermediate object, and reads the region
+bands from the active constraints it returns.
 Its array twin for whole weight grids,
 :func:`~twospring.phase.total_cost_grid`, lives with the sweep that uses
 it, so this module imports only the standard library and the model.  A

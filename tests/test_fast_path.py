@@ -1,25 +1,26 @@
 """The scalar query's fast paths against a kernel-only reference.
 
-``winner`` and ``classify`` decide band C (and ``classify`` band A) before
-the kernel runs, and ``solve_reduced`` and ``expand`` return shared values
-for the strength bound.  The reference here answers every query through the
-kernel alone, ``solver._reduced`` and ``regions._label`` with the parallel
-cost given, so each answer must equal it field for field: the same enum
-members, and costs and limits equal bit for bit.
+``winner`` decides band C before the kernel runs, and ``solve_reduced`` and
+``expand`` return shared values for the strength bound.  The reference here
+answers every query through the kernel alone, ``solver._reduced``, and
+labels it with the line predicates as written, so each answer must equal it
+field for field: the same enum members, and costs and limits equal bit for
+bit.  The library reads its labels from the kernel's branches instead, so
+the label is checked against the lines, not against itself.
 """
 
 import dataclasses
 import math
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from near_line import NEAR_LINES
 
 from twospring import regions, solver
 from twospring.model import Topology, Weights
-from twospring.regions import RegionLabel, Winner, classify, winner
+from twospring.regions import RegionLabel, Winner, winner
 from twospring.solver import (
     ActiveConstraint,
     DesignSolution,
@@ -59,6 +60,18 @@ def ref_solution(a, b, k):
     return x_star is not None, x_star, total, active
 
 
+def ref_label(a, b, cost_p):
+    """The region of ``(a, b)`` by the lines ``a + 2b = 1`` and ``a + b = 1``
+    and, in band B, the parallel cost ``cost_p`` against the serial 2."""
+    if a + 2.0 * b - 1.0 < 0.0:
+        return RegionLabel.A
+    if a + b - 1.0 >= 0.0:
+        return RegionLabel.C
+    if cost_p > 2.0:
+        return RegionLabel.B2
+    return RegionLabel.B1
+
+
 def ref_report(a, b):
     cost_p = ref_solution(a, b, P)[2]
     cost_s = ref_solution(a, b, S)[2]
@@ -70,7 +83,7 @@ def ref_report(a, b):
         best = Winner.SERIAL
     else:
         best = Winner.TIE
-    return regions._label(a, b, cost_p), best, cost_p, cost_s
+    return ref_label(a, b, cost_p), best, cost_p, cost_s
 
 
 def ref_design(solution, k):
@@ -86,7 +99,6 @@ def assert_matches_reference(a, b):
     w = Weights(a, b)
     report = ref_report(a, b)
     assert bits(fields(winner(w))) == bits(report), (a, b)
-    assert classify(w) is report[0], (a, b)
     for k in TOPOLOGIES:
         sol = solve_reduced(w, k)
         expected = ref_solution(a, b, k)
@@ -102,36 +114,12 @@ def assert_matches_reference(a, b):
                     assert bits(fields(expand(given_sol, k2))) == bits(design), (a, b, k, k2)
 
 
-def ulps(x, n):
-    """``x`` moved by ``n`` ulps (down when ``n`` is negative), staying nonnegative."""
-    toward = -math.inf if n < 0 else math.inf
-    for _ in range(abs(n)):
-        x = max(math.nextafter(x, toward), 0.0)
-    return x
-
-
-def near_line(points):
-    """Each pair of ``points`` with each weight moved by -4 to +4 ulps."""
-    return [(ulps(a, i), ulps(b, j)) for a, b in points for i in range(-4, 5) for j in range(-4, 5)]
-
-
-T = np.random.default_rng(12).uniform(0.0, 1.0, 40).tolist()
-
-
-@pytest.mark.parametrize(
-    "pairs",
-    [
-        near_line([(t, 1.0 - t) for t in T]),  # a + b = 1
-        near_line([(t, (1.0 - t) / 2.0) for t in T]),  # a + 2b = 1
-        near_line([(0.0, 0.5), (0.0, 1.0), (0.5, 0.5), (1.0, 0.0), (1.0 / 3.0, 1.0 / 3.0)]),
-    ],
-    ids=["a+b=1", "a+2b=1", "a=0-and-corners"],
-)
+@pytest.mark.parametrize("pairs", list(NEAR_LINES.values()), ids=list(NEAR_LINES))
 def test_near_the_lines(pairs):
     for a, b in pairs:
         assert_matches_reference(a, b)
     # both sides of each line are drawn
-    assert len({classify(Weights(a, b)) for a, b in pairs}) >= 2
+    assert len({winner(Weights(a, b)).label for a, b in pairs}) >= 2
 
 
 EDGES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.25, 0.5, 1.0, 2.0, 1e300, 1.7976931348623157e308, math.inf]
@@ -159,24 +147,17 @@ BAND_B = [(0.35, 0.62), (0.3, 0.5), (0.0, 0.6), (0.0, 0.5), (0.9, 0.06)]
 
 
 def test_band_c_needs_no_kernel(monkeypatch):
-    """With the kernel unavailable, winner and classify still answer every
-    band-C pair, and classify every band-A pair; a band-B pair needs it."""
-    expected = {(a, b): (ref_report(a, b), classify(Weights(a, b))) for a, b in BAND_C + BAND_A}
+    """With the kernel unavailable, winner still answers every band-C pair;
+    a band-A or band-B pair needs it."""
+    expected = {(a, b): ref_report(a, b) for a, b in BAND_C}
     monkeypatch.setattr(regions, "_reduced", _raises)
     for a, b in BAND_C:
         report = winner(Weights(a, b))
-        assert bits(fields(report)) == bits(expected[a, b][0])
+        assert bits(fields(report)) == bits(expected[a, b])
         assert report.label is RegionLabel.C and report.winner is Winner.PARALLEL
-        assert classify(Weights(a, b)) is RegionLabel.C
-    for a, b in BAND_A:
-        assert classify(Weights(a, b)) is expected[a, b][1] is RegionLabel.A
-    for a, b in BAND_B:
+    for a, b in BAND_A + BAND_B:
         with pytest.raises(AssertionError, match="kernel"):
             winner(Weights(a, b))
-        with pytest.raises(AssertionError, match="kernel"):
-            classify(Weights(a, b))
-    with pytest.raises(AssertionError, match="kernel"):
-        winner(Weights(0.2, 0.2))
 
 
 class _NoValue:

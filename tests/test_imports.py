@@ -160,6 +160,7 @@ class TestLazyNames:
         with pytest.raises(AttributeError, match="no_such_name"):
             getattr(twospring, "no_such_name")
         assert not hasattr(twospring, "winner_grid")
+        assert not hasattr(twospring, "classify") and not hasattr(twospring.regions, "classify")
 
     def test_submodules_resolve_after_a_bare_import(self):
         script = """

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from exact_reference import exact_decision
+from near_line import NEAR_LINES
 from performance_roots import roots
 from value_contract import assert_value_contract
 
@@ -22,7 +23,6 @@ from twospring.regions import (
     RegionReport,
     Winner,
     b2_boundary,
-    classify,
     winner,
 )
 from twospring.solver import expand, solve_reduced
@@ -54,13 +54,13 @@ class TestClassify:
         ],
     )
     def test_examples(self, a, b, expected):
-        assert classify(Weights(a, b)) is expected
+        assert winner(Weights(a, b)).label is expected
 
     def test_b1_b2_divider_assigned_to_b1(self):
         # on the dividing locus the minimal parallel cost equals 2 exactly
         w = Weights(0.4, b2_boundary(0.4))
         assert solve_reduced(w, P).total_cost == 2.0
-        assert classify(w) is RegionLabel.B1
+        assert winner(w).label is RegionLabel.B1
 
 
 class TestWinner:
@@ -128,7 +128,6 @@ class TestWinner:
     def test_reports_the_canonical_members(self, a, b, label, best):
         rep = winner(Weights(a, b))
         assert rep.label is label and rep.winner is best
-        assert classify(Weights(a, b)) is label
 
 
 def test_value_contract():
@@ -210,8 +209,8 @@ class TestB2Boundary:
 def test_labels_and_winners_match_the_exact_reference():
     """Away from the dividing lines, rounding picks no side."""
     for a, b in np.random.default_rng(0).uniform(0.0, 1.5, (20_000, 2)).tolist():
-        w = Weights(a, b)
-        assert (classify(w).value, winner(w).winner.value) == exact_decision(a, b), (a, b)
+        rep = winner(Weights(a, b))
+        assert (rep.label.value, rep.winner.value) == exact_decision(a, b), (a, b)
 
 
 @pytest.mark.parametrize(
@@ -245,7 +244,6 @@ def test_labels_partition_the_quadrant():
         flags = [in_a, in_b and cost_p > 2.0, in_b and cost_p <= 2.0, in_c]
         assert sum(flags) == 1
         expected = [RegionLabel.A, RegionLabel.B2, RegionLabel.B1, RegionLabel.C][flags.index(True)]
-        assert classify(w) is expected
         assert winner(w).label is expected
 
 
@@ -316,6 +314,8 @@ def test_winner_grid_matches_scalar_reports():
         (B2_SEGMENT_A_MIN, 2.0 / 3.0), (B2_SEGMENT_A_MAX, 2.0 / 7.0),
         (0.36, 0.56 - 1e-6), (0.36, 0.56 + 1e-6),
     ]
+    # within 4 ulps of a + b = 1, a + 2b = 1 and a = 0, where rounding picks the side
+    edges += [pair for pairs in NEAR_LINES.values() for pair in pairs]
     a, b = np.concatenate([np.array(edges).T, rng.uniform(0.0, 1.5, size=(2, 4000))], axis=1)
     region, best, cost_p, cost_s = winner_grid(a, b)
     labels, winners = tuple(RegionLabel), tuple(Winner)
@@ -341,7 +341,7 @@ def test_array_kernels_raise_no_floating_point_error(a, b):
         state = np.geterr()
         region, best, cost_p, cost_s = winner_grid(x, y)
         assert np.geterr() == state
-        costs = [total_cost_grid(x, y, k)[0] for k in (P, S)]
+        costs = [total_cost_grid(x, y, k)[0][0] for k in (P, S)]
         assert np.geterr() == state
     assert costs == [cost_p[0], cost_s[0]] == [rep.cost_parallel, rep.cost_serial]
     assert (tuple(RegionLabel)[region[0]], tuple(Winner)[best[0]]) == (rep.label, rep.winner)
@@ -362,23 +362,21 @@ class _NoReducedSolution:
         (5e-324, 0.1, RegionLabel.A),
     ],
 )
-def test_winner_and_classify_build_no_reduced_solution(monkeypatch, a, b, label):
+def test_winner_builds_no_reduced_solution(monkeypatch, a, b, label):
     monkeypatch.setattr(solver, "ReducedSolution", _NoReducedSolution)
     w = Weights(a, b)
     with pytest.raises(AssertionError, match="ReducedSolution"):
         # the stub is the one the solver builds (on the root branch: the
         # strength-bound solutions are shared values built at import)
         solve_reduced(Weights(0.2, 0.2), P)
-    assert classify(w) is label
     assert winner(w).label is label
 
 
 @given(a=WEIGHTS, b=WEIGHTS)
 def test_winner_costs_are_solve_reduced_costs(a, b):
-    """winner's costs equal solve_reduced's total_cost bit for bit, and its
-    label equals classify's, on every nonnegative weight pair."""
+    """winner's costs equal solve_reduced's total_cost bit for bit on every
+    nonnegative weight pair."""
     w = Weights(a, b)
     rep = winner(w)
     assert rep.cost_parallel == solve_reduced(w, P).total_cost
     assert rep.cost_serial == solve_reduced(w, S).total_cost
-    assert rep.label is classify(w)

@@ -116,7 +116,7 @@ class TestSolveReduced:
         else:
             assert (sol.x_star, sol.total_cost, sol.active_constraint) == (None, math.inf, None)
         assert sol.feasible == (a == 2e-308 or (a == 1e-308 and k is P))
-        assert total_cost_grid(np.array([a]), np.array([0.1]), k)[0] == sol.total_cost
+        assert total_cost_grid(np.array([a]), np.array([0.1]), k)[0][0] == sol.total_cost
 
 
 class TestExpand:
@@ -143,13 +143,15 @@ class TestExpand:
 
 
 def assert_grid_matches_scalar(a, b, k):
-    """total_cost_grid equals solve_reduced's total_cost bit for bit at every pair."""
+    """total_cost_grid equals solve_reduced's total_cost bit for bit, and its
+    strength mask solve_reduced's strength branch, at every pair."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    got = total_cost_grid(a, b, k)
-    pairs = zip(a.tolist(), b.tolist())
-    want = np.array([solve_reduced(Weights(x, y), k).total_cost for x, y in pairs])
-    assert got.shape == want.shape
+    got, strength = total_cost_grid(a, b, k)
+    sols = [solve_reduced(Weights(x, y), k) for x, y in zip(a.tolist(), b.tolist())]
+    want = np.array([sol.total_cost for sol in sols])
+    assert got.shape == want.shape == strength.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert strength.tolist() == [sol.active_constraint is ActiveConstraint.STRENGTH_BOUND for sol in sols]
 
 
 class TestTotalCostGrid:
