@@ -183,6 +183,14 @@ MUTANTS = [
         "        if True:\n",
         ("tests/test_cli.py::TestParserReuse",),
     ),
+    # a usage error past the parser left to escape main as a traceback
+    Mutant(
+        "main-misses-usage-errors",
+        "src/twospring/sweep_cli.py",
+        "    except ValueError as exc:\n",
+        "    except TypeError as exc:\n",
+        ("tests/test_cli.py",),
+    ),
     # the last boundary sample left at (resolution - 1) * step + start, which
     # misses stop at 50 samples on [0, 1] and at many other resolutions
     Mutant(

@@ -31,6 +31,13 @@ pair through the scalar closed-form kernel, ``solver._reduced``, which
 stays the reference the array kernel is tested against and is much faster
 than an array call on one pair (the README gives the measured ratio).
 
+A usage error past the parser is a ``ValueError`` that reaches
+:func:`main`, which prints its message on one ``error:`` line and returns
+status 2: those of ``Weights``, ``SweepSpec`` and ``oracle.GridSpec``, this
+module's checks of ``boundaries --na`` and ``verify --samples/--seed/--tol``,
+and ``open()``'s for an ``--out`` path it cannot take.  An ``OSError`` is
+status 3.
+
 This module imports no numpy.  ``sweep`` loads it with
 :mod:`twospring.phase`, and ``verify`` with :mod:`twospring.oracle` and
 :mod:`twospring.verify` once its flags have passed the checks that need
@@ -74,10 +81,6 @@ SWEEP_HEADER = "a,b,region,winner,cost_parallel,cost_serial"
 BOUNDARY_HEADER = "curve,a,b"
 
 _TOPOLOGIES = {"parallel": Topology.PARALLEL, "serial": Topology.SERIAL}
-
-class UsageError(Exception):
-    """Invalid argument values; maps to exit status 2."""
-
 
 # most samples per polyline that ``boundaries --na`` accepts
 MAX_BOUNDARY_POINTS = 1_000_000
@@ -172,10 +175,10 @@ def _boundary_chunks(resolution: int) -> Iterator[str]:
     - start) / (resolution - 1)``, and the last one is ``stop``: the
     operations of ``np.linspace(start, stop, resolution)``, so the samples
     equal it bit for bit.  ``resolution`` is checked here, before any line
-    is formatted.
+    is formatted: out of range, it raises ``ValueError``.
     """
     if not 2 <= resolution <= MAX_BOUNDARY_POINTS:
-        raise UsageError(f"resolution must be between 2 and {MAX_BOUNDARY_POINTS}")
+        raise ValueError(f"resolution must be between 2 and {MAX_BOUNDARY_POINTS}")
     last = resolution - 1
     polylines = (
         "\n".join(
@@ -192,15 +195,8 @@ def _boundary_chunks(resolution: int) -> Iterator[str]:
     return itertools.chain((BOUNDARY_HEADER,), polylines)
 
 
-def _weights_from(args: argparse.Namespace) -> Weights:
-    try:
-        return Weights(args.a, args.b)
-    except ValueError:
-        raise UsageError("--a and --b must be nonnegative") from None
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
-    w = _weights_from(args)
+    w = Weights(args.a, args.b)
     k = _TOPOLOGIES[args.topology]
     sol = solve_reduced(w, k)
     record = {
@@ -223,7 +219,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    w = _weights_from(args)
+    w = Weights(args.a, args.b)
     report = winner(w)
     record = {
         "a": w.a,
@@ -238,10 +234,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = SweepSpec(args.a_min, args.a_max, args.b_min, args.b_max, args.na, args.nb)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = SweepSpec(args.a_min, args.a_max, args.b_min, args.b_max, args.na, args.nb)
     _write(_sweep_chunks(spec), args.out)
     return EXIT_OK
 
@@ -253,18 +246,15 @@ def cmd_boundaries(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if not 1 <= args.samples <= MAX_VERIFY_SAMPLES:
-        raise UsageError(f"--samples must be between 1 and {MAX_VERIFY_SAMPLES}")
+        raise ValueError(f"--samples must be between 1 and {MAX_VERIFY_SAMPLES}")
     if args.seed < 0:
-        raise UsageError("--seed must be nonnegative")
+        raise ValueError("--seed must be nonnegative")
     if not (args.tol > 0.0 and math.isfinite(args.tol)):
-        raise UsageError("--tol must be positive and finite")
+        raise ValueError("--tol must be positive and finite")
     # numpy loads here, after the checks that need only the standard library
     from . import oracle, verify
 
-    try:
-        grid = oracle.GridSpec(args.c_max, args.step)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    grid = oracle.GridSpec(args.c_max, args.step)
     flags = {"samples": args.samples, "seed": args.seed, "c_max": args.c_max, "step": args.step, "tol": args.tol}
     summary = {**flags, **verify.verify_campaign(args.samples, args.seed, grid, args.tol)}
     _emit_record(summary, args.out)
@@ -359,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

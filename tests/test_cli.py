@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -80,7 +81,15 @@ class TestSolveCommand:
         assert rec["x_star"] is None
 
     def test_negative_weight_is_usage_error(self, capsys):
-        assert main(["solve", "--a", "-1", "--b", "0.3", "--topology", "parallel"]) == EXIT_USAGE
+        """``main`` prints the message of the ``ValueError`` that ``Weights`` raises."""
+        for argv, pair in [
+            (["solve", "--a", "-1", "--b", "0.3", "--topology", "parallel"], "(-1.0, 0.3)"),
+            (["classify", "--a", "nan", "--b", "0.3"], "(nan, 0.3)"),
+        ]:
+            assert main(argv) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: weights must be nonnegative, got {pair}\n"
 
     def test_unknown_topology_is_usage_error(self, capsys):
         assert main(["solve", "--a", "1", "--b", "1", "--topology", "ring"]) == EXIT_USAGE
@@ -800,6 +809,30 @@ def assert_rejected_without_allocating(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+# one small call of each command
+COMMAND_ARGVS = [
+    ["solve", "--a", "1", "--b", "1", "--topology", "parallel"],
+    ["classify", "--a", "1", "--b", "1"],
+    ["sweep", "--na", "3", "--nb", "3"],
+    ["boundaries"],
+    ["verify", "--samples", "1", "--step", "0.5"],
+]
+# --out paths that open() refuses with a ValueError: an embedded null byte,
+# and a lone surrogate, which the file system encoding cannot encode
+UNOPENABLE_PATHS = ["x\x00y", "\ud800"]
+
+
+@pytest.mark.parametrize("out", UNOPENABLE_PATHS, ids=["null-byte", "lone-surrogate"])
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_unopenable_out_path_is_usage_error(monkeypatch, tmp_path, argv, out):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_captured([*argv, "--out", out])
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 EDGE_VALUES = ("-1", "0", "nan", "inf", "-inf", "1e-320", "abc")
 
 
@@ -808,6 +841,9 @@ def _flag(*valid):
     return st.integers(0, 3).flatmap(lambda i: st.sampled_from(EDGE_VALUES if i == 0 else valid))
 
 
+# an --out path: a file in the example's temporary directory, a path whose
+# directory does not exist, or one that open() refuses
+OUT_PATHS = st.sampled_from(["out.txt", "/nonexistent-dir/x.out", *UNOPENABLE_PATHS])
 # per subcommand, the values each flag is drawn from; sizes sit around the
 # caps that the fuzz test patches in (3 verify samples, 8 boundary points,
 # 400 sweep cells, a 101 x 101 oracle grid)
@@ -816,8 +852,9 @@ FUZZ_FLAGS = {
         "--a": _flag("0.2", "1e308"),
         "--b": _flag("0.3", "1e308"),
         "--topology": st.sampled_from(["parallel", "serial", "ring"]),
+        "--out": OUT_PATHS,
     },
-    "classify": {"--a": _flag("0.3", "1e308"), "--b": _flag("0.5", "1e308")},
+    "classify": {"--a": _flag("0.3", "1e308"), "--b": _flag("0.5", "1e308"), "--out": OUT_PATHS},
     "sweep": {
         "--a-min": _flag("0.2"),
         "--a-max": _flag("1.2", "1e308"),
@@ -825,14 +862,16 @@ FUZZ_FLAGS = {
         "--b-max": _flag("1.2", "1e308"),
         "--na": _flag("2", "3", "19", "20", "21"),
         "--nb": _flag("2", "3", "19", "20", "21"),
+        "--out": OUT_PATHS,
     },
-    "boundaries": {"--na": _flag("2", "3", "7", "8", "9")},
+    "boundaries": {"--na": _flag("2", "3", "7", "8", "9"), "--out": OUT_PATHS},
     "verify": {
         "--samples": _flag("1", "2", "3", "4"),
         "--seed": _flag("7", str(2**64)),
         "--c-max": _flag("1.5", "3"),
         "--step": _flag("0.5", "0.25", "0.03", "0.029"),
         "--tol": _flag("0.01", "1e308"),
+        "--out": OUT_PATHS,
     },
 }
 # given every time: argparse requires the first three, and the defaults of
@@ -867,6 +906,9 @@ class TestFuzzMain:
         ]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.ExitStack() as stack:
+            # a relative --out path names a file in a new temporary directory
+            tmp = stack.enter_context(tempfile.TemporaryDirectory())
+            argv = [os.path.join(tmp, arg) if flag == "--out" else arg for flag, arg in zip(["", *argv], argv)]
             for cap in caps:
                 stack.enter_context(cap)
             stack.enter_context(contextlib.redirect_stdout(out))
@@ -963,7 +1005,7 @@ class TestFormatting:
     def test_boundary_lines_resolution_guard(self):
         # the generator checks its resolution before it yields a line
         for resolution in (1, MAX_BOUNDARY_POINTS + 1):
-            with pytest.raises(sweep_cli.UsageError):
+            with pytest.raises(ValueError):
                 next(sweep_cli._boundary_chunks(resolution))
 
     def test_help_exits_cleanly(self):
