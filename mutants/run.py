@@ -239,8 +239,8 @@ MUTANTS = [
     Mutant(
         "bound-resistance-at-high-corner",
         "src/twospring/oracle.py",
-        "f, r = _force(k, c1, hi2), _resistance(k, c1, lo2)\n",
-        "f, r = _force(k, c1, hi2), _resistance(k, c1, hi2)\n",
+        "            r = _resistance(k, c1, bottom_rows[q[blocks], :n])\n",
+        "            r = _resistance(k, c1, top_rows[q[blocks], :n])\n",
         ("tests/test_oracle.py",),
     ),
     # the layout's strength mask keeps tiles that a block does not have
@@ -250,6 +250,24 @@ MUTANTS = [
         "~(f_hi < 1.0) & tiles)",
         "~(f_hi < 1.0))",
         ("tests/test_oracle.py",),
+    ),
+    # the parallel layout's bound without its strength mask: every tile a
+    # block has counts as strong
+    Mutant(
+        "parallel-bound-ignores-strength",
+        "src/twospring/oracle.py",
+        "bound=(f_hi, r_lo, ~(f_hi < 1.0) & tiles)",
+        "bound=(f_hi, r_lo, tiles if k is Topology.PARALLEL else ~(f_hi < 1.0) & tiles)",
+        ("tests/test_oracle.py",),
+    ),
+    # both wirings' layouts in one cache slot, so a campaign that alternates
+    # them rebuilds a layout on every call
+    Mutant(
+        "layouts-share-one-cache-slot",
+        "src/twospring/oracle.py",
+        "@functools.lru_cache(maxsize=2)",
+        "@functools.lru_cache(maxsize=1)",
+        ("tests/test_oracle.py::TestLayoutCache",),
     ),
     # the array kernel's B2 test taken at a parallel cost of exactly 2
     Mutant(

@@ -4,8 +4,8 @@
 square ``[0, c_max]^2`` that meets both the performance and the strength
 constraint.  On a grid of pitch ``step`` the cost of point ``(i, j)`` is
 ``(i + j) * step``, so the scan walks the anti-diagonals ``i + j = s`` in
-increasing ``s``, a block of ``BLOCK_DIAGONALS`` at a time, and stops at the
-first block that holds a feasible point.  Every cheaper diagonal has been
+increasing ``s``, a block of diagonals at a time, and stops at the first
+block that holds a feasible point.  Every cheaper diagonal has been
 decided in full by then, so the result is the exhaustive minimum; only
 points that cost more than it are left undecided.
 
@@ -25,14 +25,14 @@ the force and resistance arrays, and it adds the resistance only when
 ``b > 0``.  It returns a new array and only reads its inputs, so the bound
 weighs the layout's cached, read-only terms without copying them.
 
-A block is split into tiles of ``TILE_COLUMNS`` grid columns.  Force is
-non-decreasing and resistance non-increasing in each limit, for both
-wirings and in rounded arithmetic (the model's monotonicity contract).  In
-each column of a tile the block's points form a segment of ``c2``, so the
-force at its top and the resistance at its bottom bound the force and the
-resistance of every point of the segment from above; the largest of each
-over the tile's columns bound the whole tile, and the performance formed
-from them bounds its performance (:func:`_box_keep`).
+A block is split into tiles of grid columns.  Force is non-decreasing and
+resistance non-increasing in each limit, for both wirings and in rounded
+arithmetic (the model's monotonicity contract).  In each column of a tile
+the block's points form a segment of ``c2``, so the force at its top and
+the resistance at its bottom bound the force and the resistance of every
+point of the segment from above; the largest of each over the tile's
+columns bound the whole tile, and the performance formed from them bounds
+its performance (:func:`_box_keep`).
 A tile whose bound is below 1 holds no feasible point and is not
 evaluated; each block is tested with one call of the kernel over the
 columns from its first to its last remaining tile, and a block with none
@@ -43,16 +43,25 @@ on the same diagonal, in the same block, and in a tile the bound keeps if
 the point is feasible; so the scan evaluates only the columns
 ``i <= (s0 + width - 1) // 2`` of a block that starts at diagonal ``s0``,
 and skips a block with none of them left.  Because the bound reads only
-the tile's own points, and the parallel force is constant along a
-diagonal, a scan seldom evaluates a block before the one that holds the
-answer.  A scan that finds nothing has still decided the whole square,
-mostly by the bound.  The tile layout depends on the grid alone and is
-kept for the last grid scanned, together with the weight-free half of the
+the tile's own points, a scan seldom evaluates a block before the one that
+holds the answer.  A scan that finds nothing has still decided the whole
+square, mostly by the bound.
+
+Each wiring has its own block shape, ``BLOCK_SHAPES[k]``: series scans
+blocks of 32 diagonals in tiles of 32 columns, parallel blocks of 8
+diagonals in one tile each.  The parallel force ``c1 + c2`` is constant
+along a diagonal up to rounding, so every tile of a parallel block has
+about the bound of the block's top and bottom diagonals, and narrower
+tiles would rule out nothing more; the bound works per strip of 8
+diagonals instead, and the block that holds the answer has about
+``8 * s / 2`` points to evaluate rather than ``32 * s / 2``.  A layout
+depends on the grid and the wiring alone; one layout per wiring is kept
+for the last grid scanned, each with its wiring's weight-free half of the
 bound: the largest force and resistance of every tile, and its strength
-mask, for both wirings.  A scan only weighs them.  Memory stays bounded by
-one block, at most ``BLOCK_DIAGONALS`` points per grid row, plus per tile
-and wiring two bound terms and a mask, whatever ``c_max / step``; the
-layout builds the terms over a bounded number of grid columns at a time.
+mask.  A scan only weighs them.  Memory stays bounded by one block, at
+most 32 points per grid row, plus per tile two bound terms and a mask,
+whatever ``c_max / step``; a layout builds its terms over a bounded
+number of block points at a time.
 
 The scan knows nothing about the one-variable reduction or the closed form:
 no start point, bound or constant comes from the solver, and the only
@@ -74,23 +83,25 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .model import SpringPair, Topology, Weights, cost
 
 __all__ = [
-    "BLOCK_DIAGONALS",
+    "BLOCK_SHAPES",
     "MAX_GRID_POINTS",
-    "TILE_COLUMNS",
     "GridSpec",
     "OracleResult",
     "oracle_solve",
 ]
 
 
-# anti-diagonals i + j evaluated per block of the cost-ordered scan
-BLOCK_DIAGONALS = 32
-# columns per tile, the unit the bound may rule out within a block
-TILE_COLUMNS = 32
 # largest square a GridSpec may describe: 10**4 points per side
 MAX_GRID_POINTS = 10**8
-# block columns whose bound terms a layout builds at a time, to bound its memory
-_LAYOUT_CHUNK = 2**12
+# (anti-diagonals i + j per block, grid columns per tile) of each wiring's
+# scan, a tile being the unit the bound may rule out within a block; a
+# parallel tile is as wide as the largest grid, so it spans its whole block
+BLOCK_SHAPES = {
+    Topology.PARALLEL: (8, math.isqrt(MAX_GRID_POINTS)),
+    Topology.SERIAL: (32, 32),
+}
+# block points whose bound terms a layout builds at a time, to bound its memory
+_LAYOUT_CHUNK = 2**13
 
 
 # The private array formulas below enter no error-state scope of their own:
@@ -237,25 +248,25 @@ def _points_below(t: int, size: int) -> int:
 
 
 class _Layout(NamedTuple):
-    """Arrays of the scan that depend on the grid alone (see :func:`_layout`)."""
+    """Arrays of one wiring's scan that depend on the grid and its block shape alone (see :func:`_layout`)."""
 
     axis: np.ndarray
     descending: np.ndarray
     runs: np.ndarray
     tiles: np.ndarray
-    bounds: dict[Topology, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    bound: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-@functools.lru_cache(maxsize=1)
-def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
-    """Lay out the scan of grid ``g`` in blocks of ``width`` diagonals and
-    tiles of ``tile`` columns; the arrays are shared and read-only.
+@functools.lru_cache(maxsize=2)  # one layout per wiring, for the last grid scanned
+def _layout(g: GridSpec, k: Topology, width: int, tile: int) -> _Layout:
+    """Lay out the scan of grid ``g`` in wiring ``k``, in blocks of ``width``
+    diagonals and tiles of ``tile`` columns; the arrays are shared and read-only.
 
     A block is a ``(width, columns)`` array: row ``d`` is the diagonal
     ``s0 + d`` and column ``r`` the point ``i = i_hi - r``,
     ``j = s0 + d - i_hi + r``, so both c1 and c2 are read from memory in
     order.  Its c1 starts at ``descending[last - i_hi]`` and its c2 at row
-    ``s0 - i_hi + width - 1`` of ``runs``: row ``q`` of ``runs`` is
+    ``q = s0 - i_hi + width - 1`` of ``runs``: row ``q`` of ``runs`` is
     ``padded[q : q + size]``, where ``padded[p] = axis[p - width + 1]`` and
     NaN elsewhere, which masks every ``j`` outside ``[0, last]`` (NaN fails
     both constraints).
@@ -264,49 +275,62 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
     and ``tiles`` marks the tiles a block has: a block near a corner of the
     square has fewer columns than ``size``.  In column ``i`` the block's
     points form the segment ``j_lo = max(s0 - i, 0)`` to
-    ``j_hi = min(s0 + width - 1 - i, last)``.  ``bounds[k]`` holds the
+    ``j_hi = min(s0 + width - 1 - i, last)``.  ``bound`` holds the
     weight-free half of the tile bound for wiring ``k``: ``f_hi`` and
     ``r_lo``, the largest over a tile's columns of the force at
     the top of each column's segment and the resistance at its bottom, and
     ``strong``, the tiles ``f_hi < 1`` does not rule out.  By the
     monotonicity contract of the model the segment's terms are its largest
     force and resistance, so the tile's are the largest over its own
-    points.  They are built for a bounded number of blocks at a time, and a
-    scan only weighs them.
+    points.  The tops and bottoms of a block's segments are the rows ``q +
+    width - 1`` and ``q`` of ``runs`` with ``j`` clamped into ``[0, last]``,
+    so the terms are built from slices, a bounded number of block points
+    at a time, and a scan only weighs them.
     """
     axis = g.axis()
-    last = g.size - 1
-    s0 = np.arange(0, 2 * last + 1, width)[:, None]
+    size, last = g.size, g.size - 1
+    s0 = np.arange(0, 2 * last + 1, width)
     i_hi = np.minimum(s0 + width - 1, last)
-    i_lo = np.maximum(s0 - last, 0)
-    start = np.arange(0, g.size, tile)
-    tiles = start < i_hi - i_lo + 1
+    columns = i_hi - np.maximum(s0 - last, 0) + 1
+    start = np.arange(0, size, tile)
+    tiles = start < columns[:, None]
+    descending = axis[::-1].copy()
     padded = np.full(2 * last + 2 * width, np.nan)
     padded[width - 1 : width + last] = axis
-    terms = {k: (np.empty(tiles.shape), np.empty(tiles.shape)) for k in Topology}
-    rows = max(1, _LAYOUT_CHUNK // g.size)
+    # column r of a block: c1 in row last - i_hi of c1_rows, and the top and
+    # bottom of its segment, j = q + r and j = q + r - width + 1 clamped
+    # into [0, last], in row q of top_rows and bottom_rows.  Past a block's
+    # last column, c1 or the bottom is NaN, which fmax passes over, or the
+    # top is (i, last) for an i below the block's, whose force is at most
+    # that of the block's own (i_lo, last)
+    nan = np.full(size + width, np.nan)
+    c1_rows = sliding_window_view(np.concatenate([descending, nan]), size)
+    top_rows = sliding_window_view(np.concatenate([axis, np.full(size + width, axis[-1])]), size)
+    bottom_rows = sliding_window_view(np.concatenate([np.full(width - 1, axis[0]), axis, nan]), size)
+    q = s0 - i_hi + width - 1
+    f_hi, r_lo = np.full(tiles.shape, np.nan), np.full(tiles.shape, np.nan)
+    # blocks widest first, so that no block of a chunk is wider than its first
+    order = np.argsort(-columns, kind="stable")
+    b = 0
     with np.errstate(all="ignore"):
-        for b in range(0, len(s0), rows):
-            blocks = slice(b, b + rows)
-            # column r of each block; past a block's last column, repeat it,
-            # which leaves the largest terms of its last tile as they are
-            i = np.maximum(i_hi[blocks] - np.arange(g.size), i_lo[blocks])
-            c1 = axis[i]
-            lo2 = axis[np.maximum(s0[blocks] - i, 0)]
-            hi2 = axis[np.minimum(s0[blocks] + width - 1 - i, last)]
-            for k, (f_hi, r_lo) in terms.items():
-                f, r = _force(k, c1, hi2), _resistance(k, c1, lo2)
-                f_hi[blocks] = np.maximum.reduceat(f, start, axis=1)
-                r_lo[blocks] = np.maximum.reduceat(r, start, axis=1)
-    bounds = {k: (f_hi, r_lo, ~(f_hi < 1.0) & tiles) for k, (f_hi, r_lo) in terms.items()}
+        while b < order.size:
+            n = int(columns[order[b]])
+            blocks = order[b : b + max(1, _LAYOUT_CHUNK // n)]
+            b += blocks.size
+            c1 = c1_rows[last - i_hi[blocks], :n]
+            f = _force(k, c1, top_rows[q[blocks], :n])
+            r = _resistance(k, c1, bottom_rows[q[blocks], :n])
+            ends = start[start < n]
+            f_hi[blocks, : ends.size] = np.fmax.reduceat(f, ends, axis=1)
+            r_lo[blocks, : ends.size] = np.fmax.reduceat(r, ends, axis=1)
     layout = _Layout(
         axis=axis,
-        descending=axis[::-1].copy(),
-        runs=sliding_window_view(padded, g.size),
+        descending=descending,
+        runs=sliding_window_view(padded, size),
         tiles=tiles,
-        bounds=bounds,
+        bound=(f_hi, r_lo, ~(f_hi < 1.0) & tiles),
     )
-    for array in (axis, layout.descending, tiles, *bounds[Topology.PARALLEL], *bounds[Topology.SERIAL]):
+    for array in (axis, descending, tiles, *layout.bound):
         array.flags.writeable = False
     return layout
 
@@ -314,9 +338,9 @@ def _layout(g: GridSpec, width: int, tile: int) -> _Layout:
 def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     """Exhaustive minimum of ``c1 + c2`` over the grid, under both constraints.
 
-    Anti-diagonals ``i + j = s`` are scanned in blocks of ``BLOCK_DIAGONALS``
-    in increasing ``s``; the first block with a feasible point holds the
-    cheapest one.  Within a block only the columns from the first to the
+    Anti-diagonals ``i + j = s`` are scanned in blocks of the wiring's
+    shape, ``BLOCK_SHAPES[k]``, in increasing ``s``; the first block with a
+    feasible point holds the cheapest one.  Within a block only the columns from the first to the
     last tile that the bound of the tile's own points cannot rule out are
     evaluated, and of those only the ones with
     ``i <= (s0 + width - 1) // 2``, because a point and its mirror are
@@ -328,13 +352,13 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     reduction runs on integer grid indices, so ties and tie-breaks are
     exact and do not depend on the block or tile size.
     """
-    width, tile = BLOCK_DIAGONALS, TILE_COLUMNS
-    layout = _layout(g, width, tile)
+    width, tile = BLOCK_SHAPES[k]
+    layout = _layout(g, k, width, tile)
     last = g.size - 1
     with np.errstate(all="ignore"):  # the one error-state scope of the scan
-        keep = _box_keep(w, *layout.bounds[k])
-        for block in keep.any(axis=1).nonzero()[0].tolist():
-            s0 = block * width
+        keep = _box_keep(w, *layout.bound)
+        for block in keep.any(axis=1).nonzero()[0]:
+            s0 = int(block) * width
             i_hi = min(last, s0 + width - 1)
             kept = keep[block].nonzero()[0]
             # evaluated columns [r0, r1): the kept tiles' span, at i <= (s0 + width - 1) // 2

@@ -26,10 +26,13 @@ string, its lines joined by newlines; the writer adds the last newline.
 ``boundaries`` computes its samples as Python floats and formats them with
 ``repr``.
 Every command writes through one helper, which turns a reader that closed
-the pipe into exit status 3.  ``solve`` and ``classify`` answer one weight
-pair through the scalar closed-form kernel, ``solver._reduced``, which
-stays the reference the array kernel is tested against and is much faster
-than an array call on one pair (the README gives the measured ratio).
+the pipe into exit status 3.  ``verify`` opens its ``--out`` file before
+its campaign, so that a path ``open()`` refuses costs no scan, and the
+helper writes its record through that handle.  ``solve`` and ``classify``
+answer one weight pair through the scalar closed-form kernel,
+``solver._reduced``, which stays the reference the array kernel is tested
+against and is much faster than an array call on one pair (the README
+gives the measured ratio).
 
 A usage error past the parser is a ``ValueError`` that reaches
 :func:`main`, which prints its message on one ``error:`` line and returns
@@ -48,6 +51,7 @@ never load it, so they start without numpy's import time.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -55,6 +59,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from typing import TextIO
 
 from .model import Topology, Weights
 from .regions import BOUNDARY_CURVES, SweepSpec, winner
@@ -105,9 +110,15 @@ def _jsonable(value):
     return value
 
 
-def _write(chunks: Iterable[str], out: str | None) -> None:
-    """Write each chunk of lines to the file ``out``, or to stdout if it is
-    ``None``, as soon as the chunk is formatted.  A chunk is one string of
+def _open(path: str) -> TextIO:
+    """The file ``path``, opened for a command's output."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write(chunks: Iterable[str], out: str | TextIO | None) -> None:
+    """Write each chunk of lines to ``out`` as soon as the chunk is
+    formatted: to the file of that name, to a file the caller opened and
+    closes, or to stdout if it is ``None``.  A chunk is one string of
     lines joined by newlines, without the last newline.  Every command's
     output takes this path.
 
@@ -116,9 +127,12 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
     sent to the null device: else the interpreter's flush at exit fails on
     the same pipe again and prints a second error.
     """
-    if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+    if isinstance(out, str):
+        with _open(out) as fh:
             _write_chunks(chunks, fh)
+        return
+    if out is not None:
+        _write_chunks(chunks, out)
         return
     try:
         _write_chunks(chunks, sys.stdout)
@@ -142,11 +156,11 @@ def _write_chunks(chunks: Iterable[str], fh) -> None:
         fh.write("\n")
 
 
-def _emit(lines: list[str], out: str | None) -> None:
+def _emit(lines: list[str], out: str | TextIO | None) -> None:
     _write(("\n".join(lines),), out)
 
 
-def _emit_record(record: dict, out: str | None) -> None:
+def _emit_record(record: dict, out: str | TextIO | None) -> None:
     _emit([json.dumps(_jsonable(record))], out)
 
 
@@ -256,8 +270,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     grid = oracle.GridSpec(args.c_max, args.step)
     flags = {"samples": args.samples, "seed": args.seed, "c_max": args.c_max, "step": args.step, "tol": args.tol}
-    summary = {**flags, **verify.verify_campaign(args.samples, args.seed, grid, args.tol)}
-    _emit_record(summary, args.out)
+    # --out is opened before the campaign, so that a path open() refuses costs no scan
+    with contextlib.nullcontext() if args.out is None else _open(args.out) as out:
+        summary = {**flags, **verify.verify_campaign(args.samples, args.seed, grid, args.tol)}
+        _emit_record(summary, out)
     return EXIT_OK if not summary["failures"] else EXIT_DISAGREEMENT
 
 

@@ -833,6 +833,26 @@ def test_unopenable_out_path_is_usage_error(monkeypatch, tmp_path, argv, out):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "out,status",
+    [*((path, EXIT_USAGE) for path in UNOPENABLE_PATHS), ("/nonexistent-dir/x.json", EXIT_IO)],
+    ids=["null-byte", "lone-surrogate", "missing-dir"],
+)
+def test_verify_opens_out_before_its_campaign(monkeypatch, tmp_path, out, status):
+    """An --out path open() refuses fails before a scan: at the largest
+    --samples the campaign would take minutes."""
+
+    def no_campaign(*args):
+        raise AssertionError("the campaign ran before --out was opened")
+
+    monkeypatch.setattr(verify, "verify_campaign", no_campaign)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_captured(["verify", "--samples", str(MAX_VERIFY_SAMPLES), "--out", out])
+    assert (code, stdout) == (status, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 EDGE_VALUES = ("-1", "0", "nan", "inf", "-inf", "1e-320", "abc")
 
 

@@ -21,6 +21,9 @@ from twospring.verify import VerificationVerdict, verify_reduction
 P = Topology.PARALLEL
 S = Topology.SERIAL
 DEFAULT_GRID = GridSpec(6.0, 0.005)
+# a grid whose parallel force overflows near its top corner: 1e308 + 1e308
+OVERFLOW_GRID = GridSpec(1e308, 1e306)
+EDGE_FLOATS = st.sampled_from([0.0, 5e-324, 1e308])
 
 
 def full_square_scan(w, k, g):
@@ -183,7 +186,7 @@ class TestOracleSolve:
 # around small block widths
 PARITY_GRIDS = [(0.5, 0.5), (1.0, 0.3), (2.0, 0.07), (1.6, 0.1), (3.0, 0.1), (6.0, 0.05)]
 PARITY_WIDTHS = [1, 2, 3, 7, 16, 31, 32, 33, 64]
-# tile widths around the default and one wider than any row
+# tile widths around the serial default and one wider than any row, as in parallel
 PARITY_TILES = [1, 2, 3, 31, 32, 33, 63, 64, 65, 10**6]
 # weights with an empty scan, a feasible corner, a truncated argmin, and an
 # optimum at force and performance exactly 1 (serial (1, 1) under 0.5, 0.25)
@@ -199,7 +202,18 @@ TILE_WEIGHTS = [
 
 
 class TestFullScanParity:
-    """The cost-ordered scan returns what the full-square scan returns."""
+    """The cost-ordered scan returns what the full-square scan returns, at
+    each wiring's own block shape and at others patched into ``BLOCK_SHAPES``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
+        b=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
+        k=st.sampled_from([P, S]),
+        grid=st.sampled_from([OVERFLOW_GRID, *(GridSpec(*grid) for grid in PARITY_GRIDS)]),
+    )
+    def test_production_shapes_match_full_scan(self, a, b, k, grid):
+        assert_same_as_full_scan(Weights(a, b), k, grid)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -212,20 +226,18 @@ class TestFullScanParity:
     )
     def test_matches_full_scan(self, a, b, k, grid, width, tile):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle_module, "BLOCK_DIAGONALS", width)
-            mp.setattr(oracle_module, "TILE_COLUMNS", tile)
+            mp.setitem(oracle_module.BLOCK_SHAPES, k, (width, tile))
             assert_same_as_full_scan(Weights(a, b), k, GridSpec(*grid))
 
     @pytest.mark.parametrize("tile", PARITY_TILES)
     def test_every_tile_width_on_every_grid_and_block_width(self, tile, monkeypatch):
-        monkeypatch.setattr(oracle_module, "TILE_COLUMNS", tile)
         for grid in PARITY_GRIDS:
             g = GridSpec(*grid)
             for w in TILE_WEIGHTS:
                 for k in (P, S):
                     ref = full_square_scan(w, k, g)
                     for width in PARITY_WIDTHS:
-                        monkeypatch.setattr(oracle_module, "BLOCK_DIAGONALS", width)
+                        monkeypatch.setitem(oracle_module.BLOCK_SHAPES, k, (width, tile))
                         assert_same_as_full_scan(w, k, g, ref)
 
     @pytest.mark.parametrize(
@@ -251,9 +263,10 @@ class TestFullScanParity:
         "w,k,width",
         [
             # parallel points are strong from diagonal 200 (c1 + c2 >= 1) on,
-            # serial ones from diagonal 400 (min(c1, c2) >= 1)
+            # serial ones from diagonal 400 (min(c1, c2) >= 1); each wiring
+            # keeps its own tile width
             (Weights(1.0, 1.0), P, 32),  # 200 inside block [192, 224), feasible there
-            (Weights(1.0, 1.0), P, 8),  # 200 opens a block
+            (Weights(1.0, 1.0), P, 8),  # 200 opens a block, at the parallel shape
             (Weights(1.0, 1.0), P, 201),  # 200 closes block [0, 201)
             (Weights(0.2, 0.2), P, 40),  # 200 opens a block, feasible blocks later
             (Weights(1.0, 1.0), S, 32),  # 400 inside block [384, 416)
@@ -263,7 +276,7 @@ class TestFullScanParity:
         ],
     )
     def test_first_strong_diagonal_inside_or_on_block_edge(self, w, k, width, monkeypatch):
-        monkeypatch.setattr(oracle_module, "BLOCK_DIAGONALS", width)
+        monkeypatch.setitem(oracle_module.BLOCK_SHAPES, k, (width, oracle_module.BLOCK_SHAPES[k][1]))
         assert_same_as_full_scan(w, k, DEFAULT_GRID)
 
     def test_truncated_argmin(self):
@@ -335,12 +348,13 @@ class TestTilePruning:
         """Each tile is bounded by its own points, so a scan rarely evaluates
         a block before the one that holds the answer, and it evaluates only
         the half of each block at ``i <= (s0 + width - 1) // 2``.  On these
-        pairs that gives 1.025 blocks and 4,528 points per parallel call, and
-        0.99 blocks and 527 points per serial call.  Whole diagonals give
-        9,032 and 1,068 points; a bound over each tile's bounding box gives
-        2.13 blocks and 17,769 points per parallel call, and 1.045 blocks
-        per serial call.  A block with no column left to evaluate is
-        skipped, not passed to the kernel empty."""
+        pairs that gives 1.02 blocks and 1,075 points per parallel call, in
+        one-tile blocks of 8 diagonals, and 0.99 blocks and 527 points per
+        serial call, in 32 x 32 tiles.  Parallel blocks of 32 x 32 tiles
+        gave 1.025 blocks and 4,528 points; whole serial diagonals give
+        1,068 points, and a bound over each tile's bounding box 1.045 serial
+        blocks.  A block with no column left to evaluate is skipped, not
+        passed to the kernel empty."""
         blocks, points = [], []
         kernel = oracle_module._feasible
 
@@ -353,7 +367,7 @@ class TestTilePruning:
 
         monkeypatch.setattr(oracle_module, "_feasible", counting)
         pairs = np.random.default_rng(0).uniform(0.0, 1.5, (400, 2)).tolist()
-        for k, max_blocks, max_points in [(P, 1.1, 5_000), (S, 1.05, 600)]:
+        for k, max_blocks, max_points in [(P, 1.05, 1_200), (S, 1.05, 600)]:
             blocks.clear()
             points.clear()
             for a, b in pairs:
@@ -364,14 +378,10 @@ class TestTilePruning:
             assert np.mean(points) <= max_points
 
 
-# a grid whose parallel force overflows near its top corner: 1e308 + 1e308
-OVERFLOW_GRID = GridSpec(1e308, 1e306)
-EDGE_FLOATS = st.sampled_from([0.0, 5e-324, 1e308])
 
-
-def scan_layout(g):
-    """The layout a scan of ``g`` reads, at the current block and tile sizes."""
-    return oracle_module._layout(g, oracle_module.BLOCK_DIAGONALS, oracle_module.TILE_COLUMNS)
+def scan_layout(g, k):
+    """The layout a scan of ``g`` in wiring ``k`` reads, at the wiring's current block shape."""
+    return oracle_module._layout(g, k, *oracle_module.BLOCK_SHAPES[k])
 
 
 def tile_of(i, j, g, width, tile):
@@ -403,30 +413,31 @@ def scan_keep(w, k, g):
     """The tiles the scan of ``g`` keeps for ``w``: its weighted half of the
     bound over the cached terms, in the scan's error-state scope."""
     with np.errstate(all="ignore"):
-        return oracle_module._box_keep(w, *scan_layout(g).bounds[k])
+        return oracle_module._box_keep(w, *scan_layout(g, k).bound)
 
 
-LAYOUT_SIZES = [(32, 32), (8, 5)]
+# each wiring's block shape, the parallel one-tile and the serial 32 x 32,
+# and a narrow one of several tiles, each tried in both wirings
+LAYOUT_SHAPES = [*dict.fromkeys(oracle_module.BLOCK_SHAPES.values()), (8, 5)]
 BOUND_GRIDS = [DEFAULT_GRID, OVERFLOW_GRID, *(GridSpec(*grid) for grid in PARITY_GRIDS)]
 
 
 class TestCachedBound:
     """The weight-free half of the tile bound, cached with the layout."""
 
-    @pytest.mark.parametrize("sizes", LAYOUT_SIZES)
+    @pytest.mark.parametrize("shape", LAYOUT_SHAPES)
+    @pytest.mark.parametrize("k", [P, S])
     @pytest.mark.parametrize("g", BOUND_GRIDS, ids=lambda g: f"{g.c_max!r}-{g.step!r}")
-    def test_terms_are_the_largest_over_each_tiles_own_points(self, g, sizes, monkeypatch):
-        monkeypatch.setattr(oracle_module, "BLOCK_DIAGONALS", sizes[0])
-        monkeypatch.setattr(oracle_module, "TILE_COLUMNS", sizes[1])
-        layout = scan_layout(g)
-        for k in (P, S):
-            f_max, r_max, count = brute_force_terms(k, g, *sizes)
-            assert np.array_equal(layout.tiles, count > 0)
-            f_hi, r_lo, strong = layout.bounds[k]
-            assert f_hi.shape == r_lo.shape == strong.shape == layout.tiles.shape
-            assert np.array_equal(f_hi[layout.tiles], f_max[layout.tiles])
-            assert np.array_equal(r_lo[layout.tiles], r_max[layout.tiles])
-            assert np.array_equal(strong, ~(f_hi < 1.0) & layout.tiles)
+    def test_terms_are_the_largest_over_each_tiles_own_points(self, g, k, shape, monkeypatch):
+        monkeypatch.setitem(oracle_module.BLOCK_SHAPES, k, shape)
+        layout = scan_layout(g, k)
+        f_max, r_max, count = brute_force_terms(k, g, *shape)
+        assert np.array_equal(layout.tiles, count > 0)
+        f_hi, r_lo, strong = layout.bound
+        assert f_hi.shape == r_lo.shape == strong.shape == layout.tiles.shape
+        assert np.array_equal(f_hi[layout.tiles], f_max[layout.tiles])
+        assert np.array_equal(r_lo[layout.tiles], r_max[layout.tiles])
+        assert np.array_equal(strong, ~(f_hi < 1.0) & layout.tiles)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -434,36 +445,53 @@ class TestCachedBound:
         b=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
         k=st.sampled_from([P, S]),
         g=st.sampled_from(BOUND_GRIDS[1:]),  # the small ones
-        sizes=st.sampled_from([*LAYOUT_SIZES, (1, 1), (3, 2), (7, 64)]),
+        shape=st.sampled_from([*LAYOUT_SHAPES, (1, 1), (3, 2), (7, 64)]),
     )
-    def test_keeps_every_tile_with_a_feasible_point(self, a, b, k, g, sizes):
+    def test_keeps_every_tile_with_a_feasible_point(self, a, b, k, g, shape):
         w = Weights(a, b)
         axis = g.axis()
         i, j = np.nonzero(feasible(w, k, axis[:, None], axis[None, :]))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle_module, "BLOCK_DIAGONALS", sizes[0])
-            mp.setattr(oracle_module, "TILE_COLUMNS", sizes[1])
+            mp.setitem(oracle_module.BLOCK_SHAPES, k, shape)
             keep = scan_keep(w, k, g)
-            assert not (keep & ~scan_layout(g).tiles).any()
-        assert keep[tile_of(i, j, g, *sizes)].all()
+            assert not (keep & ~scan_layout(g, k).tiles).any()
+        assert keep[tile_of(i, j, g, *shape)].all()
 
     @pytest.mark.parametrize("b", [0.0, 0.3, 1e308])
     def test_nan_bound_keeps_the_tile(self, b):
-        layout = scan_layout(OVERFLOW_GRID)
-        overflowed = np.isinf(layout.bounds[P][0]) & layout.tiles
+        layout = scan_layout(OVERFLOW_GRID, P)  # one tile per block
+        assert layout.tiles.shape[1] == 1
+        overflowed = np.isinf(layout.bound[0]) & layout.tiles
         assert overflowed.any()
         # a = 0 times an infinite force is NaN, which rules nothing out
         keep = scan_keep(Weights(0.0, b), P, OVERFLOW_GRID)
         assert keep[overflowed].all()
 
+    @pytest.mark.parametrize("k", [P, S])
     @pytest.mark.parametrize("g", [DEFAULT_GRID, OVERFLOW_GRID])
-    def test_cached_arrays_are_read_only(self, g):
-        layout = scan_layout(g)
-        assert set(layout.bounds) == {P, S}
-        for f_hi, r_lo, strong in layout.bounds.values():
-            for array in (f_hi, r_lo, strong):
-                assert not array.flags.writeable
-            assert not (strong & ~layout.tiles).any()
+    def test_cached_arrays_are_read_only(self, g, k):
+        layout = scan_layout(g, k)
+        for array in (layout.axis, layout.descending, layout.tiles, *layout.bound):
+            assert not array.flags.writeable
+        assert not (layout.bound[2] & ~layout.tiles).any()
+
+
+class TestLayoutCache:
+    def test_each_wiring_builds_its_layout_once(self):
+        """A campaign alternates the wirings on one grid; both layouts stay cached."""
+        oracle_module._layout.cache_clear()
+        pairs = np.random.default_rng(7).uniform(0.0, 1.5, (25, 2)).tolist()
+        for a, b in pairs:
+            for k in (P, S):
+                oracle_solve(Weights(a, b), k, DEFAULT_GRID)
+        info = oracle_module._layout.cache_info()
+        assert (info.misses, info.hits) == (2, 48)
+
+    def test_default_parallel_scan_uses_narrow_blocks(self):
+        # diagonal 200, the first strong one, opens the 8-wide block [200, 208)
+        res = oracle_solve(Weights(1.0, 1.0), P, DEFAULT_GRID)
+        assert res.best_cost == 1.0
+        assert res.points_scanned == oracle_module._points_below(208, DEFAULT_GRID.size)
 
 
 class TestErrorState:
