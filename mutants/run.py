@@ -89,13 +89,14 @@ MUTANTS = [
         "    if w.b >= 0.0:\n        p += r * w.b\n",
         ("tests/test_model.py",),
     ),
-    # the oracle's tile bound without the strength mask
+    # the oracle's tile bound without the strength mask: the layout keeps
+    # every tile a block has
     Mutant(
-        "box-keep-ignores-strength",
+        "tile-bound-ignores-strength",
         "src/twospring/oracle.py",
-        "    keep &= strong\n",
-        "",
-        ("tests/test_model.py", "tests/test_oracle.py"),
+        "    strong = ~(f_hi < 1.0) & tiles\n",
+        "    strong = tiles\n",
+        ("tests/test_oracle.py",),
     ),
     # the kernel's comparisons written so that a NaN limit passes both
     Mutant(
@@ -108,10 +109,10 @@ MUTANTS = [
     # the oracle's half of each block one column short: the middle point
     # of the block's last diagonal, when that diagonal is even, is skipped
     Mutant(
-        "oracle-half-bound-off-by-one",
+        "oracle-half-block-one-short",
         "src/twospring/oracle.py",
-        "            r0 = max(int(kept[0]) * tile, i_hi - (s0 + width - 1) // 2)\n",
-        "            r0 = max(int(kept[0]) * tile, i_hi - (s0 + width - 2) // 2)\n",
+        "            r0 = max(int(layout.columns[t]), i_hi - (s0 + width - 1) // 2)\n",
+        "            r0 = max(int(layout.columns[t]), i_hi - (s0 + width - 2) // 2)\n",
         ("tests/test_oracle.py",),
     ),
     # the oracle's answer looked for from i = (s + 1) // 2, the larger c1 on
@@ -121,6 +122,23 @@ MUTANTS = [
         "src/twospring/oracle.py",
         "    c = max(0, i_hi - s // 2 - r0)",
         "    c = max(0, i_hi - (s + 1) // 2 - r0)",
+        ("tests/test_oracle.py",),
+    ),
+    # the answer taken at the diagonal's largest feasible i, the larger c1
+    # of a pair off the diagonal, without the search from i = s // 2
+    Mutant(
+        "oracle-answer-first-hit",
+        "src/twospring/oracle.py",
+        "            if i > s // 2:\n",
+        "            if False:\n",
+        ("tests/test_oracle.py",),
+    ),
+    # the evaluated columns of a block ending at its first kept tile, not its last
+    Mutant(
+        "oracle-span-ends-at-first-kept-tile",
+        "src/twospring/oracle.py",
+        "int(layout.columns[e]) + tile",
+        "int(layout.columns[t]) + tile",
         ("tests/test_oracle.py",),
     ),
     # a block with no column left to evaluate passed to the kernel empty
@@ -247,8 +265,8 @@ MUTANTS = [
     Mutant(
         "layout-strong-ignores-tiles",
         "src/twospring/oracle.py",
-        "~(f_hi < 1.0) & tiles)",
-        "~(f_hi < 1.0))",
+        "    strong = ~(f_hi < 1.0) & tiles\n",
+        "    strong = ~(f_hi < 1.0)\n",
         ("tests/test_oracle.py",),
     ),
     # the parallel layout's bound without its strength mask: every tile a
@@ -256,8 +274,8 @@ MUTANTS = [
     Mutant(
         "parallel-bound-ignores-strength",
         "src/twospring/oracle.py",
-        "bound=(f_hi, r_lo, ~(f_hi < 1.0) & tiles)",
-        "bound=(f_hi, r_lo, tiles if k is Topology.PARALLEL else ~(f_hi < 1.0) & tiles)",
+        "    strong = ~(f_hi < 1.0) & tiles\n",
+        "    strong = tiles if k is Topology.PARALLEL else ~(f_hi < 1.0) & tiles\n",
         ("tests/test_oracle.py",),
     ),
     # both wirings' layouts in one cache slot, so a campaign that alternates

@@ -29,23 +29,23 @@ A block is split into tiles of grid columns.  Force is non-decreasing and
 resistance non-increasing in each limit, for both wirings and in rounded
 arithmetic (the model's monotonicity contract).  In each column of a tile
 the block's points form a segment of ``c2``, so the force at its top and
-the resistance at its bottom bound the force and the resistance of every
-point of the segment from above; the largest of each over the tile's
-columns bound the whole tile, and the performance formed from them bounds
-its performance (:func:`_box_keep`).
-A tile whose bound is below 1 holds no feasible point and is not
-evaluated; each block is tested with one call of the kernel over the
-columns from its first to its last remaining tile, and a block with none
-is not evaluated at all.  Force and resistance are also symmetric in the
-two limits, in rounded arithmetic (the model's symmetry contract), so a
-point is feasible exactly when its mirror ``(j, i)`` is.  The mirror lies
-on the same diagonal, in the same block, and in a tile the bound keeps if
-the point is feasible; so the scan evaluates only the columns
-``i <= (s0 + width - 1) // 2`` of a block that starts at diagonal ``s0``,
-and skips a block with none of them left.  Because the bound reads only
-the tile's own points, a scan seldom evaluates a block before the one that
-holds the answer.  A scan that finds nothing has still decided the whole
-square, mostly by the bound.
+the resistance at its bottom bound those of every point of the segment
+from above; the largest of each over the tile's columns bound the whole
+tile, and the performance formed from them bounds its performance.  A tile
+whose bound is below 1 holds no feasible point and is not evaluated.  The
+layout drops the weak tiles, whose force bound is below 1, once; a scan
+weighs the strong tiles' terms in one call, finds the first kept tile and
+its block's last one with one flat search each, and tests the columns
+between them with one call of the kernel.  Force and resistance are also
+symmetric in the two limits, in rounded arithmetic (the model's symmetry
+contract), so a point is feasible exactly when its mirror ``(j, i)`` is.
+The mirror lies on the same diagonal, in the same block, and in a tile the
+bound keeps if the point is feasible; so the scan evaluates only the
+columns ``i <= (s0 + width - 1) // 2`` of a block that starts at diagonal
+``s0``, and skips a block with none of them left.  Because the bound reads
+only the tile's own points, a scan seldom evaluates a block before the one
+that holds the answer.  A scan that finds nothing has still decided the
+whole square, mostly by the bound.
 
 Each wiring has its own block shape, ``BLOCK_SHAPES[k]``: series scans
 blocks of 32 diagonals in tiles of 32 columns, parallel blocks of 8
@@ -57,9 +57,10 @@ diagonals instead, and the block that holds the answer has about
 ``8 * s / 2`` points to evaluate rather than ``32 * s / 2``.  A layout
 depends on the grid and the wiring alone; one layout per wiring is kept
 for the last grid scanned, each with its wiring's weight-free half of the
-bound: the largest force and resistance of every tile, and its strength
-mask.  A scan only weighs them.  Memory stays bounded by one block, at
-most 32 points per grid row, plus per tile two bound terms and a mask,
+bound: the largest force and resistance of every strong tile, with its
+block, its first column and the end of its block's run.  A scan only
+weighs them.  Memory stays bounded by one block, at most 32 points per
+grid row, plus per strong tile two bound terms and three indices,
 whatever ``c_max / step``; a layout builds its terms over a bounded
 number of block points at a time.
 
@@ -149,16 +150,6 @@ def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.nda
     ok = f >= 1.0
     ok &= _weigh(w, f, r) >= 1.0
     return ok
-
-
-def _box_keep(w: Weights, f_hi: np.ndarray, r_lo: np.ndarray, strong: np.ndarray) -> np.ndarray:
-    """The tile bound: ``strong`` without the tiles whose ``a*f_hi + b*r_lo``
-    is below 1.  False proves that no point of the tile passes
-    :func:`_feasible`, and a NaN bound keeps the tile.  The terms are
-    only read, so they may be cached and read-only."""
-    keep = ~(_weigh(w, f_hi, r_lo) < 1.0)
-    keep &= strong
-    return keep
 
 
 @dataclass(frozen=True)
@@ -253,8 +244,11 @@ class _Layout(NamedTuple):
     axis: np.ndarray
     descending: np.ndarray
     runs: np.ndarray
-    tiles: np.ndarray
-    bound: tuple[np.ndarray, np.ndarray, np.ndarray]
+    f_hi: np.ndarray
+    r_lo: np.ndarray
+    blocks: np.ndarray
+    columns: np.ndarray
+    ends: np.ndarray
 
 
 @functools.lru_cache(maxsize=2)  # one layout per wiring, for the last grid scanned
@@ -271,21 +265,22 @@ def _layout(g: GridSpec, k: Topology, width: int, tile: int) -> _Layout:
     NaN elsewhere, which masks every ``j`` outside ``[0, last]`` (NaN fails
     both constraints).
 
-    Tile ``t`` of a block holds its columns ``[t * tile, (t + 1) * tile)``,
-    and ``tiles`` marks the tiles a block has: a block near a corner of the
-    square has fewer columns than ``size``.  In column ``i`` the block's
-    points form the segment ``j_lo = max(s0 - i, 0)`` to
-    ``j_hi = min(s0 + width - 1 - i, last)``.  ``bound`` holds the
-    weight-free half of the tile bound for wiring ``k``: ``f_hi`` and
-    ``r_lo``, the largest over a tile's columns of the force at
-    the top of each column's segment and the resistance at its bottom, and
-    ``strong``, the tiles ``f_hi < 1`` does not rule out.  By the
+    Tile ``t`` of a block holds its columns ``[t * tile, (t + 1) * tile)``;
+    a block near a corner of the square has fewer columns than ``size``, so
+    fewer tiles.  In column ``i`` the block's points form the segment
+    ``j_lo = max(s0 - i, 0)`` to ``j_hi = min(s0 + width - 1 - i, last)``.
+    The weight-free half of the tile bound for wiring ``k`` is ``f_hi`` and
+    ``r_lo``, the largest over a tile's columns of the force at the top of
+    each column's segment and the resistance at its bottom.  By the
     monotonicity contract of the model the segment's terms are its largest
     force and resistance, so the tile's are the largest over its own
     points.  The tops and bottoms of a block's segments are the rows ``q +
     width - 1`` and ``q`` of ``runs`` with ``j`` clamped into ``[0, last]``,
     so the terms are built from slices, a bounded number of block points
-    at a time, and a scan only weighs them.
+    at a time.  Only the *strong* tiles, which ``f_hi < 1`` does not rule
+    out, are kept, as flat arrays in scan order: their terms, their block,
+    their first column, and ``ends``, the index one past the last strong
+    tile of their block.  A scan only weighs the terms.
     """
     axis = g.axis()
     size, last = g.size, g.size - 1
@@ -323,14 +318,12 @@ def _layout(g: GridSpec, k: Topology, width: int, tile: int) -> _Layout:
             ends = start[start < n]
             f_hi[blocks, : ends.size] = np.fmax.reduceat(f, ends, axis=1)
             r_lo[blocks, : ends.size] = np.fmax.reduceat(r, ends, axis=1)
-    layout = _Layout(
-        axis=axis,
-        descending=descending,
-        runs=sliding_window_view(padded, size),
-        tiles=tiles,
-        bound=(f_hi, r_lo, ~(f_hi < 1.0) & tiles),
-    )
-    for array in (axis, descending, tiles, *layout.bound):
+    strong = ~(f_hi < 1.0) & tiles
+    block, t = strong.nonzero()  # the strong tiles, in scan order
+    runs = sliding_window_view(padded, size)
+    end = np.searchsorted(block, block, side="right")
+    layout = _Layout(axis, descending, runs, f_hi[strong], r_lo[strong], block, t * tile, end)
+    for array in layout:
         array.flags.writeable = False
     return layout
 
@@ -340,51 +333,58 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
 
     Anti-diagonals ``i + j = s`` are scanned in blocks of the wiring's
     shape, ``BLOCK_SHAPES[k]``, in increasing ``s``; the first block with a
-    feasible point holds the cheapest one.  Within a block only the columns from the first to the
-    last tile that the bound of the tile's own points cannot rule out are
-    evaluated, and of those only the ones with
-    ``i <= (s0 + width - 1) // 2``, because a point and its mirror are
-    feasible together: the scan weighs the weight-free bound terms cached
-    with the layout, then runs the kernel :func:`_feasible` on each block,
-    all inside one error-state scope.  Cost ties on a diagonal are broken
-    toward the smaller ``|c1 - c2|``, then the smaller ``c1``: by the
-    symmetry that is the largest feasible ``i`` with ``2 * i <= s``.  The
-    reduction runs on integer grid indices, so ties and tie-breaks are
-    exact and do not depend on the block or tile size.
+    feasible point holds the cheapest one.  One weighing of the strong
+    tiles' cached terms rules tiles out; a search over the flat tiles finds
+    the next kept one, and one over its block's run the last.  The kernel
+    :func:`_feasible` runs once on the columns between them with ``i <= (s0
+    + width - 1) // 2``, a point and its mirror being feasible together,
+    and one search over the flat block finds its first feasible diagonal
+    at its largest feasible ``i``.  Cost ties are broken toward the smaller
+    ``|c1 - c2|``, then the smaller ``c1``: by the symmetry, the largest
+    feasible ``i`` with ``2 * i <= s``, searched for again only when that
+    first one is above ``s // 2``.  All of it runs on integer grid indices
+    in one error-state scope, so ties are exact and do not depend on the
+    block or tile size.
     """
     width, tile = BLOCK_SHAPES[k]
     layout = _layout(g, k, width, tile)
     last = g.size - 1
     with np.errstate(all="ignore"):  # the one error-state scope of the scan
-        keep = _box_keep(w, *layout.bound)
-        for block in keep.any(axis=1).nonzero()[0]:
-            s0 = int(block) * width
+        ruled = _weigh(w, layout.f_hi, layout.r_lo) < 1.0  # a NaN bound keeps its tile
+        t = 0
+        while t < ruled.size:
+            t += int(ruled[t:].argmin())  # the first kept tile from t on, if any is
+            if ruled[t]:
+                break
+            end = int(layout.ends[t])
+            e = end - 1 - int(ruled[t:end][::-1].argmin())  # the block's last kept tile
+            s0 = int(layout.blocks[t]) * width
             i_hi = min(last, s0 + width - 1)
-            kept = keep[block].nonzero()[0]
             # evaluated columns [r0, r1): the kept tiles' span, at i <= (s0 + width - 1) // 2
-            r0 = max(int(kept[0]) * tile, i_hi - (s0 + width - 1) // 2)
-            r1 = min(int(kept[-1]) * tile + tile, i_hi - max(0, s0 - last) + 1)
+            r0 = max(int(layout.columns[t]), i_hi - (s0 + width - 1) // 2)
+            r1 = min(int(layout.columns[e]) + tile, i_hi - max(0, s0 - last) + 1)
+            t = end
             if r0 >= r1:
                 continue
             c1 = layout.descending[last - i_hi + r0 : last - i_hi + r1]
             q = s0 - i_hi + width - 1
             feasible = _feasible(w, k, c1, layout.runs[q : q + width, r0:r1])
-            diagonals = feasible.any(axis=1)
-            if diagonals.any():
-                break
-        else:
-            return OracleResult(False, None, math.inf, None, False, g.size * g.size)
-    d = int(diagonals.argmax())
-    s = s0 + d
-    c = max(0, i_hi - s // 2 - r0)  # the column of i = s // 2, or the first one evaluated
-    i = i_hi - r0 - c - int(feasible[d, c:].argmax())  # the largest feasible i <= s // 2
-    j = s - i
-    pair = SpringPair(float(layout.axis[i]), float(layout.axis[j]))
-    return OracleResult(
-        feasible=True,
-        best_pair=pair,
-        best_cost=cost(pair),
-        argmin_gap=abs(pair.c1 - pair.c2),
-        truncated=(i == last or j == last),
-        points_scanned=_points_below(min(s0 + width, 2 * last + 1), g.size),
-    )
+            d, c = divmod(int(feasible.argmax()), r1 - r0)  # the first feasible diagonal, at its largest i
+            if not feasible[d, c]:
+                continue
+            s = s0 + d
+            i = i_hi - r0 - c
+            if i > s // 2:
+                c = max(0, i_hi - s // 2 - r0)  # the column of i = s // 2, or the first one evaluated
+                i = i_hi - r0 - c - int(feasible[d, c:].argmax())  # the largest feasible i <= s // 2
+            j = s - i
+            pair = SpringPair(float(layout.axis[i]), float(layout.axis[j]))
+            return OracleResult(
+                feasible=True,
+                best_pair=pair,
+                best_cost=cost(pair),
+                argmin_gap=abs(pair.c1 - pair.c2),
+                truncated=(i == last or j == last),
+                points_scanned=_points_below(min(s0 + width, 2 * last + 1), g.size),
+            )
+    return OracleResult(False, None, math.inf, None, False, g.size * g.size)

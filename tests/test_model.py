@@ -13,7 +13,7 @@ from oracle_kernel import feasible
 from value_contract import assert_value_contract
 
 from twospring.model import SpringPair, Topology, Weights, cost, force, multiperf, resistance
-from twospring.oracle import _box_keep, _force, _resistance, _weigh
+from twospring.oracle import _force, _resistance, _weigh
 
 P = Topology.PARALLEL
 S = Topology.SERIAL
@@ -370,18 +370,20 @@ def test_force_rises_and_resistance_falls_in_each_limit(c1, c2, k):
 
 def segment_keep(w, k, c1, lo2, hi2):
     """The tile bound over the column segments ``c1 x [lo2, hi2]``, from the
-    terms ``_layout`` builds for a segment: the force at its top, the
-    resistance at its bottom, and the mask of segments ``f_hi < 1`` does not
-    rule out."""
+    terms ``_layout`` builds for a segment, the force at its top and the
+    resistance at its bottom: a segment is kept when ``f_hi < 1`` does not
+    rule it out, as the layout keeps only the strong tiles, and the scan's
+    weighing ``_weigh(w, f_hi, r_lo) < 1`` does not either."""
     c1, lo2, hi2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (c1, lo2, hi2))
     with np.errstate(all="ignore"):
         f_hi = _force(k, c1, hi2)
-        return _box_keep(w, f_hi, _resistance(k, c1, lo2), ~(f_hi < 1.0))
+        return ~(f_hi < 1.0) & ~(_weigh(w, f_hi, _resistance(k, c1, lo2)) < 1.0)
 
 
 class TestBoxBound:
-    """The tile bound ``_box_keep``, fed the terms of one column segment,
-    the only box shape the oracle's layout builds."""
+    """The tile bound, the layout's strength test and the scan's weighing,
+    fed the terms of one column segment, the only box shape the oracle's
+    layout builds."""
 
     @given(
         a=st.floats(0.0, 1.5),

@@ -377,11 +377,51 @@ class TestTilePruning:
             assert np.mean(blocks) <= max_blocks
             assert np.mean(points) <= max_points
 
+    def test_each_call_weighs_the_strong_terms_once(self, monkeypatch):
+        """A call weighs the strong tiles' cached terms in one call of
+        ``_weigh``, 276 parallel and 1,062 serial ones on the default grid,
+        and makes no other call of it but the kernel's own, one a block.
+        Over the pairs above the kernel's work is exactly that of the scan
+        that weighed every tile slot: 408 blocks and 429,888 points in
+        parallel, 1.02 and 1,075 a call, and 397 blocks and 210,656 points
+        in series, 0.99 and 527 a call."""
+        weigh, kernel = oracle_module._weigh, oracle_module._feasible
+        weighed, evaluated = [], []
+
+        def counting_weigh(w, f, r):
+            weighed.append((f, r))
+            return weigh(w, f, r)
+
+        def counting_kernel(w, k, c1, c2):  # its own weighing reads the patched name
+            evaluated.append(np.broadcast(c1, c2).size)
+            return kernel(w, k, c1, c2)
+
+        monkeypatch.setattr(oracle_module, "_weigh", counting_weigh)
+        monkeypatch.setattr(oracle_module, "_feasible", counting_kernel)
+        pairs = np.random.default_rng(0).uniform(0.0, 1.5, (400, 2)).tolist()
+        for k, strong, blocks, points in [(P, 276, 408, 429_888), (S, 1_062, 397, 210_656)]:
+            layout = scan_layout(DEFAULT_GRID, k)
+            assert layout.f_hi.size == strong
+            evaluated.clear()
+            for a, b in pairs:
+                weighed.clear()
+                calls = len(evaluated)
+                oracle_solve(Weights(a, b), k, DEFAULT_GRID)
+                assert [(f is layout.f_hi, r is layout.r_lo) for f, r in weighed].count((True, True)) == 1
+                assert len(weighed) == 1 + len(evaluated) - calls
+            assert (len(evaluated), sum(evaluated)) == (blocks, points)
+
 
 
 def scan_layout(g, k):
     """The layout a scan of ``g`` in wiring ``k`` reads, at the wiring's current block shape."""
     return oracle_module._layout(g, k, *oracle_module.BLOCK_SHAPES[k])
+
+
+def slot_shape(g, width, tile):
+    """Number of blocks, and of tile slots per block, in a scan of ``g``."""
+    last = g.size - 1
+    return 2 * last // width + 1, last // tile + 1
 
 
 def tile_of(i, j, g, width, tile):
@@ -395,8 +435,7 @@ def brute_force_terms(k, g, width, tile):
     """The largest force and resistance over each tile's own points, and the
     number of points per tile, by visiting every point of the square."""
     axis = g.axis()
-    last = g.size - 1
-    shape = (2 * last // width + 1, last // tile + 1)
+    shape = slot_shape(g, width, tile)
     f_max, r_max, count = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=int)
     for lo in range(0, g.size, 64):  # 64 rows of the square at a time
         i, j = np.meshgrid(np.arange(lo, min(lo + 64, g.size)), np.arange(g.size), indexing="ij")
@@ -409,11 +448,25 @@ def brute_force_terms(k, g, width, tile):
     return f_max, r_max, count
 
 
+def grid_tiles(g, width, tile):
+    """Mask of the (block, tile) slots that hold a point of the square ``g``."""
+    tiles = np.zeros(slot_shape(g, width, tile), dtype=bool)
+    i, j = np.meshgrid(np.arange(g.size), np.arange(g.size), indexing="ij")
+    tiles[tile_of(i, j, g, width, tile)] = True
+    return tiles
+
+
 def scan_keep(w, k, g):
-    """The tiles the scan of ``g`` keeps for ``w``: its weighted half of the
-    bound over the cached terms, in the scan's error-state scope."""
+    """The tiles the scan of ``g`` keeps for ``w``, as a (block, tile) mask:
+    the layout's strong tiles that its weighing of their cached terms does
+    not rule out, in the scan's error-state scope."""
+    layout = scan_layout(g, k)
+    width, tile = oracle_module.BLOCK_SHAPES[k]
     with np.errstate(all="ignore"):
-        return oracle_module._box_keep(w, *scan_layout(g, k).bound)
+        kept = ~(oracle_module._weigh(w, layout.f_hi, layout.r_lo) < 1.0)
+    keep = np.zeros(slot_shape(g, width, tile), dtype=bool)
+    keep[layout.blocks[kept], layout.columns[kept] // tile] = True
+    return keep
 
 
 # each wiring's block shape, the parallel one-tile and the serial 32 x 32,
@@ -423,7 +476,8 @@ BOUND_GRIDS = [DEFAULT_GRID, OVERFLOW_GRID, *(GridSpec(*grid) for grid in PARITY
 
 
 class TestCachedBound:
-    """The weight-free half of the tile bound, cached with the layout."""
+    """The weight-free half of the tile bound, cached with the layout for
+    the strong tiles alone."""
 
     @pytest.mark.parametrize("shape", LAYOUT_SHAPES)
     @pytest.mark.parametrize("k", [P, S])
@@ -432,12 +486,16 @@ class TestCachedBound:
         monkeypatch.setitem(oracle_module.BLOCK_SHAPES, k, shape)
         layout = scan_layout(g, k)
         f_max, r_max, count = brute_force_terms(k, g, *shape)
-        assert np.array_equal(layout.tiles, count > 0)
-        f_hi, r_lo, strong = layout.bound
-        assert f_hi.shape == r_lo.shape == strong.shape == layout.tiles.shape
-        assert np.array_equal(f_hi[layout.tiles], f_max[layout.tiles])
-        assert np.array_equal(r_lo[layout.tiles], r_max[layout.tiles])
-        assert np.array_equal(strong, ~(f_hi < 1.0) & layout.tiles)
+        strong = ~(f_max < 1.0) & (count > 0)
+        assert layout.f_hi.shape == layout.r_lo.shape == layout.blocks.shape == layout.columns.shape
+        assert layout.ends.shape == layout.f_hi.shape
+        # the strong tiles, in scan order, and the end of each block's run
+        assert np.array_equal(layout.columns % shape[1], np.zeros_like(layout.columns))
+        where = (layout.blocks, layout.columns // shape[1])
+        assert np.array_equal(np.ravel_multi_index(where, strong.shape), np.flatnonzero(strong))
+        assert np.array_equal(layout.ends, np.cumsum(strong.sum(axis=1))[layout.blocks])
+        assert np.array_equal(layout.f_hi, f_max[where])
+        assert np.array_equal(layout.r_lo, r_max[where])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -454,26 +512,29 @@ class TestCachedBound:
         with pytest.MonkeyPatch.context() as mp:
             mp.setitem(oracle_module.BLOCK_SHAPES, k, shape)
             keep = scan_keep(w, k, g)
-            assert not (keep & ~scan_layout(g, k).tiles).any()
+        assert not (keep & ~grid_tiles(g, *shape)).any()
         assert keep[tile_of(i, j, g, *shape)].all()
 
     @pytest.mark.parametrize("b", [0.0, 0.3, 1e308])
     def test_nan_bound_keeps_the_tile(self, b):
-        layout = scan_layout(OVERFLOW_GRID, P)  # one tile per block
-        assert layout.tiles.shape[1] == 1
-        overflowed = np.isinf(layout.bound[0]) & layout.tiles
+        layout = scan_layout(OVERFLOW_GRID, P)
+        assert oracle_module.BLOCK_SHAPES[P][1] >= OVERFLOW_GRID.size  # one tile per block
+        overflowed = np.isinf(layout.f_hi)
         assert overflowed.any()
         # a = 0 times an infinite force is NaN, which rules nothing out
         keep = scan_keep(Weights(0.0, b), P, OVERFLOW_GRID)
-        assert keep[overflowed].all()
+        assert keep[layout.blocks[overflowed], 0].all()
 
     @pytest.mark.parametrize("k", [P, S])
     @pytest.mark.parametrize("g", [DEFAULT_GRID, OVERFLOW_GRID])
     def test_cached_arrays_are_read_only(self, g, k):
         layout = scan_layout(g, k)
-        for array in (layout.axis, layout.descending, layout.tiles, *layout.bound):
+        for array in layout:
             assert not array.flags.writeable
-        assert not (layout.bound[2] & ~layout.tiles).any()
+        # each strong tile starts inside its block
+        width, last = oracle_module.BLOCK_SHAPES[k][0], g.size - 1
+        s0 = layout.blocks * width
+        assert (layout.columns <= np.minimum(s0 + width - 1, last) - np.maximum(s0 - last, 0)).all()
 
 
 class TestLayoutCache:
