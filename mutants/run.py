@@ -303,6 +303,27 @@ MUTANTS = [
         "root = ~zero & (a + kk * b - 1.0 <= 0.0)",
         ("tests/test_regions.py", "tests/test_cli.py"),
     ),
+    # the lower root of the performance quadratic in the formula both kernels
+    # share; the scalar files alone kill it, and so do the array files alone
+    Mutant(
+        "root-lower",
+        "src/twospring/solver.py",
+        "1.0 + sqrt(",
+        "1.0 - sqrt(",
+        ("tests/test_solver.py", "tests/test_fast_path.py", "tests/test_regions.py", "tests/test_cli.py"),
+    ),
+    # the shared root rounded differently, about one ulp off on a third of
+    # the root-branch pairs, where the scalar-vs-array parity cannot see it
+    Mutant(
+        "root-rounded-differently",
+        "src/twospring/solver.py",
+        "    return (1.0 + sqrt(1.0 - 4.0 * kk * a * b)) / (2.0 * a)\n",
+        "    return 0.5 / a + sqrt(1.0 - 4.0 * kk * a * b) / (2.0 * a)\n",
+        (
+            "tests/test_solver.py::test_root_costs_match_the_textbook_root",
+            "tests/test_cli.py::TestSweepParity::test_default_sweep_bytes_are_pinned",
+        ),
+    ),
     # the array kernel's strength mask true where a = 0 is infeasible
     Mutant(
         "cost-grid-strength-ignores-infeasible",

@@ -5,9 +5,10 @@ answer one weight pair on Python floats and are the reference; this module
 answers whole weight grids with numpy, for ``twospring sweep``, its only
 caller.  :func:`total_cost_grid` is the array twin of the scalar kernel
 ``solver._reduced``: it makes the same branch tests in the same order and
-evaluates the root with the same operations, so every cost it returns
-equals the scalar one bit for bit (``math.sqrt`` and ``np.sqrt`` are both
-correctly rounded, and numpy does not fuse multiply-adds).
+takes the root from the same formula, ``solver._root``, called with
+``np.sqrt``, so every cost it returns equals the scalar one bit for bit
+(``math.sqrt`` and ``np.sqrt`` are both correctly rounded, and numpy does
+not fuse multiply-adds).
 :func:`winner_grid`, built on it, is the array twin of
 :func:`~twospring.regions.winner`, with the same predicates in the same
 order, so it reports the same labels, winners and costs: its bands, like
@@ -38,6 +39,7 @@ import numpy as np
 
 from .model import Topology
 from .regions import RegionLabel, SweepSpec, Winner
+from .solver import _root
 
 __all__ = ["total_cost_grid", "winner_grid", "sweep_rows"]
 
@@ -57,8 +59,8 @@ def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> tuple[np.ndarr
 
     Returns ``(cost, strength)``.  Branches exactly as :func:`_reduced`, its
     scalar reference: ``a == 0`` first, then the sign of ``a + k*b - 1``;
-    the root is computed only where that branch is taken, with the scalar
-    expression's operation order.
+    the root is computed only where that branch is taken, by the scalar
+    kernel's own ``_root``.
     """
     kk = float(k.k)
     cost = np.full(a.shape, kk)
@@ -69,7 +71,7 @@ def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> tuple[np.ndarr
         cost[infeasible] = math.inf
         root = ~zero & (a + kk * b - 1.0 < 0.0)
         ar, br = a[root], b[root]
-        cost[root] = kk * ((1.0 + np.sqrt(1.0 - 4.0 * kk * ar * br)) / (2.0 * ar))
+        cost[root] = kk * _root(ar, br, kk, np.sqrt)
     return cost, ~(infeasible | root)
 
 

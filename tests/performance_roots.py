@@ -2,9 +2,10 @@
 
 The reduced problem's performance constraint ``a*x + k*b/x >= 1`` binds on
 the roots of ``a*x**2 - x + k*b = 0``.  The library computes only the upper
-root, inside ``solver._reduced``; the tests take both from here, by the
-textbook formula, to check the branch the kernel takes and the ends of the
-B1/B2 segment.
+root, in ``solver._root``, which the scalar and the array kernel share; the
+tests take both from here, by the textbook formula, to check the branch the
+kernel takes, the ends of the B1/B2 segment, and the rounding of that
+shared formula.
 """
 
 import math

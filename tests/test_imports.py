@@ -134,6 +134,25 @@ class TestImportGraph:
         }
         assert both == {"verify"}
 
+    def test_only_the_solver_computes_the_root(self):
+        """The root formula is written once, in ``solver._root``: no other
+        module calls a ``sqrt``, and the array kernel imports the helper."""
+
+        def calls_sqrt(path):
+            return any(
+                isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) == "sqrt" or getattr(node.func, "attr", None) == "sqrt")
+                for node in ast.walk(ast.parse(path.read_text()))
+            )
+
+        assert {path.stem for path in SRC.glob("*.py") if calls_sqrt(path)} == {"solver"}
+        assert any(
+            isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) == (1, "solver")
+            and "_root" in {alias.name for alias in node.names}
+            for node in ast.walk(ast.parse((SRC / "phase.py").read_text()))
+        )
+
 
 class TestLazyNames:
     def test_star_import(self):

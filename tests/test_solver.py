@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from near_line import NEAR_LINES, near_line
 from performance_roots import roots
 from value_contract import assert_value_contract
 
@@ -20,6 +21,7 @@ from twospring.solver import (
     DesignSolution,
     InfeasibleError,
     ReducedSolution,
+    _reduced,
     expand,
     solve_reduced,
 )
@@ -183,6 +185,56 @@ class TestTotalCostGrid:
     def test_property(self, pairs, k):
         a, b = zip(*pairs)
         assert_grid_matches_scalar(a, b, k)
+
+
+# weight pairs for the root reference: the near-line pairs, both double
+# roots a = k*b = 1/2 (a zero discriminant) moved by up to 4 ulps, a
+# seeded uniform sample and the smallest positive a
+REFERENCE_PAIRS = [
+    *(pair for pairs in NEAR_LINES.values() for pair in pairs),
+    *near_line([(0.5, 0.5), (0.5, 0.25)]),
+    *np.random.default_rng(26).uniform(0.0, 1.5, size=(2000, 2)).tolist(),
+    *((a, b) for a in (5e-324, 1e-323, 1e-310, 4e-309, 1e-308, 2.2e-308) for b in (0.0, 0.1, 0.3)),
+]
+
+
+@given(
+    pairs=st.lists(
+        st.one_of(
+            st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5)),
+            st.tuples(st.floats(0.0, 1e-300), st.floats(0.0, 1.5)),
+            st.sampled_from(REFERENCE_PAIRS),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    k=st.sampled_from([P, S]),
+)
+@example(pairs=REFERENCE_PAIRS, k=P)
+@example(pairs=REFERENCE_PAIRS, k=S)
+def test_root_costs_match_the_textbook_root(pairs, k):
+    """On the root-branch pairs, ``_reduced``'s cost and ``total_cost_grid``'s
+    both equal ``k`` times the upper root of ``tests/performance_roots.py``,
+    bit for bit; where the kernel reports the root as infeasible, all three
+    are ``inf``.
+
+    The scalar-vs-array parity tests cannot see a change in the rounding of
+    the root formula the two kernels share; this reference can.
+    """
+    kk = float(k.k)
+    pairs = [(a, b) for a, b in pairs if a > 0.0 and a + kk * b - 1.0 < 0.0]
+    assume(pairs)
+    want = np.array([k.k * roots(Weights(a, b), k)[1] for a, b in pairs])
+    answers = [_reduced(a, b, kk) for a, b in pairs]
+    a, b = (np.array(column) for column in zip(*pairs))
+    grid, strength = total_cost_grid(a, b, k)
+    assert not strength.any()
+    for (x_star, _, active), expected in zip(answers, want.tolist()):
+        assert active is (None if x_star is None else ActiveConstraint.PERFORMANCE_ROOT)
+        assert (x_star is None) == math.isinf(expected)
+    scalar = np.array([cost for _, cost, _ in answers])
+    assert np.array_equal(scalar.view(np.int64), want.view(np.int64))
+    assert np.array_equal(grid.view(np.int64), want.view(np.int64))
 
 
 @given(
