@@ -84,10 +84,26 @@ MUTANTS = [
     # the resistance weighed in at b = 0, where 0 * inf must give 0
     Mutant(
         "weigh-adds-resistance-at-b0",
-        "src/twospring/oracle.py",
+        "src/twospring/model.py",
         "    if w.b > 0.0:\n        p += r * w.b\n",
         "    if w.b >= 0.0:\n        p += r * w.b\n",
         ("tests/test_model.py",),
+    ),
+    # the parallel force, shared by the scalar spec and the oracle, reads one limit twice
+    Mutant(
+        "parallel-force-one-limit",
+        "src/twospring/model.py",
+        "        return c1 + c2\n",
+        "        return c2 + c2\n",
+        ("tests/test_model.py", "tests/test_oracle.py"),
+    ),
+    # the serial resistance, shared likewise, reads one limit twice
+    Mutant(
+        "serial-resistance-one-limit",
+        "src/twospring/model.py",
+        "1.0 / c1 + 1.0 / c2",
+        "1.0 / c1 + 1.0 / c1",
+        ("tests/test_model.py", "tests/test_oracle.py"),
     ),
     # the oracle's tile bound without the strength mask: the layout keeps
     # every tile a block has
@@ -180,8 +196,9 @@ MUTANTS = [
     Mutant(
         "oracle-imports-solver",
         "src/twospring/oracle.py",
-        "from .model import SpringPair, Topology, Weights, cost\n",
-        "from .model import SpringPair, Topology, Weights, cost\nfrom .solver import solve_reduced\n",
+        "from .model import SpringPair, Topology, Weights, _force, _resistance, _weigh, cost\n",
+        "from .model import SpringPair, Topology, Weights, _force, _resistance, _weigh, cost\n"
+        "from .solver import solve_reduced\n",
         ("tests/test_imports.py::TestImportGraph",),
     ),
     # a broken stdout pipe left in place, so the flush at exit fails again

@@ -9,9 +9,12 @@ All operations are pure functions of immutable values on Python floats, and
 the module imports only the standard library: it is the scalar spec that
 every other module reads.  Resistance uses extended arithmetic (a zero
 divisor yields ``+inf``) so every constraint can be evaluated on the whole
-closed quadrant ``c1, c2 >= 0`` without special cases.  The array twins of
-these formulas live in :mod:`twospring.oracle`, their only caller, so that
-loading the model loads no numpy.
+closed quadrant ``c1, c2 >= 0`` without special cases.  Each formula is
+written once, in a private function of floats and numpy arrays alike:
+:func:`_force`, :func:`_resistance` and :func:`_weigh`.  The public
+functions call them on floats, and :mod:`twospring.oracle` on arrays,
+passing ``np.minimum`` where this module passes ``min``, so loading the
+model loads no numpy.
 
 The formulas carry two contracts the oracle rests on.  Force is
 non-decreasing and resistance non-increasing in each limit, for both
@@ -89,22 +92,49 @@ class Weights:
         d["b"] = b
 
 
+def _force(k: Topology, c1, c2, minimum):
+    """The force on floats with ``min`` or on arrays with ``np.minimum``."""
+    if k is Topology.PARALLEL:
+        return c1 + c2
+    return minimum(c1, c2)
+
+
+def _resistance(k: Topology, c1, c2):
+    """The resistance on floats or arrays.  A zero divisor raises
+    ``ZeroDivisionError`` on floats and gives ``inf`` on arrays, where a
+    subnormal one also gives ``inf``, as it does on floats."""
+    if k is Topology.PARALLEL:
+        return 1.0 / (c1 + c2)
+    return 1.0 / c1 + 1.0 / c2
+
+
+def _weigh(w: Weights, f, r):
+    """The performance rule ``a*f + b*r``, given the force ``f`` and the resistance ``r``.
+
+    On arrays it returns a new array and only reads ``f`` and ``r``, so
+    they may be cached and read-only.  ``r`` is added only when ``b > 0``,
+    which is the ``0 * inf == 0`` convention of :func:`multiperf`.
+    Overflow saturates to ``inf``, and an infinite force under ``a = 0``
+    gives NaN, which fails ``>= 1`` as its limit ``b*r -> 0`` does.
+    """
+    p = f * w.a
+    if w.b > 0.0:
+        p += r * w.b
+    return p
+
+
 def force(k: Topology, s: SpringPair) -> float:
     """Maximal force before plastic flow: the sum of limits in parallel, the
     weaker limit in series (one yielded spring caps the serial chain)."""
-    if k is Topology.PARALLEL:
-        return s.c1 + s.c2
-    return min(s.c1, s.c2)
+    return _force(k, s.c1, s.c2, min)
 
 
 def resistance(k: Topology, s: SpringPair) -> float:
     """Electrical resistance of the network, with per-spring resistance 1/c."""
-    if k is Topology.PARALLEL:
-        total = s.c1 + s.c2
-        return 1.0 / total if total > 0.0 else math.inf
-    if s.c1 > 0.0 and s.c2 > 0.0:
-        return 1.0 / s.c1 + 1.0 / s.c2
-    return math.inf
+    try:
+        return _resistance(k, s.c1, s.c2)
+    except ZeroDivisionError:
+        return math.inf
 
 
 def multiperf(w: Weights, k: Topology, s: SpringPair) -> float:
@@ -113,10 +143,7 @@ def multiperf(w: Weights, k: Topology, s: SpringPair) -> float:
     Follows the convention ``0 * inf == 0``: a zero resistance weight
     silences an infinite resistance, matching the limit ``b -> 0+``.
     """
-    value = w.a * force(k, s)
-    if w.b > 0.0:
-        value += w.b * resistance(k, s)
-    return value
+    return _weigh(w, force(k, s), resistance(k, s))
 
 
 def cost(s: SpringPair) -> float:

@@ -9,21 +9,20 @@ block that holds a feasible point.  Every cheaper diagonal has been
 decided in full by then, so the result is the exhaustive minimum; only
 points that cost more than it are left undecided.
 
-The constraints are evaluated on numpy arrays by the array twins of the
-scalar formulas of :mod:`twospring.model`, defined here because the scan is
-their only caller.  On arrays, overflow saturates to ``inf`` and underflow
-rounds toward zero without a warning, as Python floats do, whatever numpy
-error state the caller set.  Each formula is defined once, as a private
-function that enters no error-state scope; a scan enters one scope and
-calls them inside it.  One kernel, :func:`_feasible`, gives the mask of
-points that are both strong (force ``>= 1``) and performant
-(``a*force + b*resistance >= 1``), reusing the force for the performance
-(in parallel the resistance is ``1 / force``).  The kernel and the tile
-bound share one private helper for the ``a*F + b*R`` rule and its
-``0 * inf == 0`` convention, so the two cannot drift apart; each passes it
-the force and resistance arrays, and it adds the resistance only when
-``b > 0``.  It returns a new array and only reads its inputs, so the bound
-weighs the layout's cached, read-only terms without copying them.
+The constraints are evaluated on numpy arrays by the scalar spec's own
+formulas, the private ``_force``, ``_resistance`` and ``_weigh`` of
+:mod:`twospring.model`, which take floats and arrays alike.  On arrays,
+overflow saturates to ``inf`` and underflow rounds toward zero without a
+warning, as Python floats do, whatever numpy error state the caller set:
+the formulas enter no error-state scope, and a scan enters one and calls
+them inside it.  One kernel, :func:`_feasible`, gives the mask of points
+that are both strong (force ``>= 1``) and performant (``a*force +
+b*resistance >= 1``), reusing the force for the performance (in parallel
+the resistance is ``1 / force``).  The kernel and the tile bound both
+weigh with the model's ``a*F + b*R`` rule and its ``0 * inf == 0``
+convention, so the two cannot drift apart; it returns a new array and
+only reads its inputs, so the bound weighs the layout's cached, read-only
+terms without copying them.
 
 A block is split into tiles of grid columns.  Force is non-decreasing and
 resistance non-increasing in each limit, for both wirings and in rounded
@@ -81,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import SpringPair, Topology, Weights, cost
+from .model import SpringPair, Topology, Weights, _force, _resistance, _weigh, cost
 
 __all__ = [
     "BLOCK_SHAPES",
@@ -105,38 +104,6 @@ BLOCK_SHAPES = {
 _LAYOUT_CHUNK = 2**13
 
 
-# The private array formulas below enter no error-state scope of their own:
-# the oracle enters one ``np.errstate(all="ignore")`` scope per scan.
-
-
-def _force(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    if k is Topology.PARALLEL:
-        return c1 + c2
-    return np.minimum(c1, c2)
-
-
-def _resistance(k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """A zero or subnormal divisor gives ``inf``, as in :func:`resistance`."""
-    if k is Topology.PARALLEL:
-        return 1.0 / (c1 + c2)
-    return 1.0 / c1 + 1.0 / c2
-
-
-def _weigh(w: Weights, f: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The performance rule ``a*f + b*r``, given the force ``f`` and the resistance ``r``.
-
-    Returns a new array and only reads ``f`` and ``r``, so they may be
-    cached and read-only.  ``r`` is added only when ``b > 0``, which is the
-    ``0 * inf == 0`` convention of :func:`multiperf`.  Overflow saturates
-    to ``inf``, and an infinite force under ``a = 0`` gives NaN, which
-    fails ``>= 1`` as its limit ``b*r -> 0`` does.
-    """
-    p = f * w.a
-    if w.b > 0.0:
-        p += r * w.b
-    return p
-
-
 def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Mask of the points meeting both constraints, strength and performance.
 
@@ -144,8 +111,8 @@ def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.nda
     :mod:`twospring.model`, ``force(k, s) >= 1 and multiperf(w, k, s) >= 1``
     for ``s = SpringPair(c1, c2)``; a point with a NaN limit is False.  It
     runs in the caller's error-state scope.  In parallel the resistance is
-    ``1 / f``, as in :func:`_resistance`."""
-    f = _force(k, c1, c2)
+    ``1 / f``, as in the model's ``_resistance``."""
+    f = _force(k, c1, c2, np.minimum)
     r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)
     ok = f >= 1.0
     ok &= _weigh(w, f, r) >= 1.0
@@ -313,7 +280,7 @@ def _layout(g: GridSpec, k: Topology, width: int, tile: int) -> _Layout:
             blocks = order[b : b + max(1, _LAYOUT_CHUNK // n)]
             b += blocks.size
             c1 = c1_rows[last - i_hi[blocks], :n]
-            f = _force(k, c1, top_rows[q[blocks], :n])
+            f = _force(k, c1, top_rows[q[blocks], :n], np.minimum)
             r = _resistance(k, c1, bottom_rows[q[blocks], :n])
             ends = start[start < n]
             f_hi[blocks, : ends.size] = np.fmax.reduceat(f, ends, axis=1)

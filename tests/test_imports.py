@@ -153,6 +153,24 @@ class TestImportGraph:
             for node in ast.walk(ast.parse((SRC / "phase.py").read_text()))
         )
 
+    def test_only_the_model_defines_the_formulas(self):
+        """Force, resistance and the ``a*F + b*R`` rule are written once, in
+        ``model``: no other module defines a function of their names, and
+        the oracle imports the model's."""
+        formulas = {"_force", "_resistance", "_weigh"}
+
+        def defines(path):
+            tree = ast.parse(path.read_text())
+            return formulas & {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+        assert {path.stem for path in SRC.glob("*.py") if defines(path)} == {"model"}
+        assert any(
+            isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) == (1, "model")
+            and formulas <= {alias.name for alias in node.names}
+            for node in ast.walk(ast.parse((SRC / "oracle.py").read_text()))
+        )
+
 
 class TestLazyNames:
     def test_star_import(self):

@@ -12,8 +12,18 @@ from numpy.lib.stride_tricks import sliding_window_view
 from oracle_kernel import feasible
 from value_contract import assert_value_contract
 
-from twospring.model import SpringPair, Topology, Weights, cost, force, multiperf, resistance
-from twospring.oracle import _force, _resistance, _weigh
+from twospring.model import (
+    SpringPair,
+    Topology,
+    Weights,
+    _force,
+    _resistance,
+    _weigh,
+    cost,
+    force,
+    multiperf,
+    resistance,
+)
 
 P = Topology.PARALLEL
 S = Topology.SERIAL
@@ -175,9 +185,9 @@ def test_grids_swap_symmetry(a, b, k, data):
     c1, c2 = (data.draw(hnp.arrays(np.float64, shape, elements=limits)) for shape in shapes.input_shapes)
     w = Weights(a, b)
     for grid in (
-        lambda x, y: _force(k, x, y),
+        lambda x, y: _force(k, x, y, np.minimum),
         lambda x, y: _resistance(k, x, y),
-        lambda x, y: _weigh(w, _force(k, x, y), _resistance(k, x, y)),
+        lambda x, y: _weigh(w, _force(k, x, y, np.minimum), _resistance(k, x, y)),
         lambda x, y: feasible(w, k, x, y),
     ):
         with np.errstate(all="ignore"):  # the oracle's own scope
@@ -200,9 +210,52 @@ def test_scaling(c1, c2, t):
     assert cost(scaled) == pytest.approx(t * cost(s), rel=1e-12)
 
 
+# limits over the whole extended range: zero, subnormals, near the largest
+# float, and infinity
+extended_limits = st.floats(min_value=0.0) | st.sampled_from(
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, math.inf]
+)
+
+
+def written_out(w, k, c1, c2):
+    """Force, resistance and performance at one point, written out on
+    Python floats, with ``inf`` at a zero divisor."""
+
+    def inverse(c):
+        return 1.0 / c if c != 0.0 else math.inf
+
+    if k is P:
+        f, r = c1 + c2, inverse(c1 + c2)
+    else:
+        f, r = min(c1, c2), inverse(c1) + inverse(c2)
+    return f, r, f * w.a + r * w.b if w.b > 0.0 else f * w.a
+
+
+@given(
+    a=extended_limits,
+    b=extended_limits,
+    k=st.sampled_from([P, S]),
+    pairs=st.lists(st.tuples(extended_limits, extended_limits), min_size=1, max_size=8),
+)
+def test_formulas_match_written_out_reference(a, b, k, pairs):
+    """``force``, ``resistance`` and ``multiperf`` on floats, and the model's
+    private formulas on arrays in the oracle's error-state scope, give the
+    expressions written out above, bit for bit, NaN included."""
+    w = Weights(a, b)
+    expected = bits(np.array([written_out(w, k, c1, c2) for c1, c2 in pairs]))
+    springs = [SpringPair(c1, c2) for c1, c2 in pairs]
+    scalar = np.array([(force(k, s), resistance(k, s), multiperf(w, k, s)) for s in springs])
+    c1, c2 = np.array(pairs).T
+    with np.errstate(all="ignore"):
+        f, r = _force(k, c1, c2, np.minimum), _resistance(k, c1, c2)
+        array = np.stack([f, r, _weigh(w, f, r)], axis=1)
+    assert np.array_equal(bits(scalar), expected)
+    assert np.array_equal(bits(array), expected)
+
+
 def test_grid_twins_match_scalar_functions():
-    """The oracle's array formulas, in its error-state scope, agree
-    pointwise with the scalar definitions."""
+    """The model's formulas on arrays, in the oracle's error-state scope,
+    agree pointwise with the public functions on floats."""
     rng = np.random.default_rng(123)
     c1 = rng.uniform(0.0, 10.0, size=200)
     c2 = rng.uniform(0.0, 10.0, size=200)
@@ -210,9 +263,9 @@ def test_grid_twins_match_scalar_functions():
     for w in (Weights(0.7, 0.3), Weights(0.0, 1.0), Weights(1.0, 0.0)):
         for k in (P, S):
             with np.errstate(all="ignore"):
-                f = _force(k, c1, c2)
+                f = _force(k, c1, c2, np.minimum)
                 r = _resistance(k, c1, c2)
-                m = _weigh(w, _force(k, c1, c2), _resistance(k, c1, c2))
+                m = _weigh(w, _force(k, c1, c2, np.minimum), _resistance(k, c1, c2))
             for idx in range(c1.size):
                 s = SpringPair(float(c1[idx]), float(c2[idx]))
                 assert f[idx] == force(k, s)
@@ -347,11 +400,6 @@ class TestFeasibleGrid:
         assert_kernel_matches_scalar(Weights(a, b), k, c1, c2)
 
 
-# limits over the whole extended range: zero, subnormals, near the largest
-# float, and infinity
-extended_limits = st.floats(min_value=0.0) | st.sampled_from(
-    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, math.inf]
-)
 ordered_limits = st.lists(extended_limits, min_size=2, max_size=2).map(sorted)
 
 
@@ -360,7 +408,7 @@ def test_force_rises_and_resistance_falls_in_each_limit(c1, c2, k):
     """The monotonicity, in rounded arithmetic, that the oracle's tile bound rests on."""
     corners = np.array([[c1[0], c2[0]], [c1[1], c2[0]], [c1[0], c2[1]], [c1[1], c2[1]]])
     with np.errstate(all="ignore"):
-        f = _force(k, corners[:, 0], corners[:, 1])
+        f = _force(k, corners[:, 0], corners[:, 1], np.minimum)
         r = _resistance(k, corners[:, 0], corners[:, 1])
     # each pair raises one limit: (lo, lo) -> (hi, lo) -> (hi, hi), (lo, lo) -> (lo, hi) -> (hi, hi)
     for low, high in ((0, 1), (0, 2), (1, 3), (2, 3)):
@@ -376,7 +424,7 @@ def segment_keep(w, k, c1, lo2, hi2):
     weighing ``_weigh(w, f_hi, r_lo) < 1`` does not either."""
     c1, lo2, hi2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (c1, lo2, hi2))
     with np.errstate(all="ignore"):
-        f_hi = _force(k, c1, hi2)
+        f_hi = _force(k, c1, hi2, np.minimum)
         return ~(f_hi < 1.0) & ~(_weigh(w, f_hi, _resistance(k, c1, lo2)) < 1.0)
 
 
@@ -428,7 +476,7 @@ class TestBoxBound:
         passed = feasible(w, k, c1, c2)
         assert (kept | ~passed).all()
         with np.errstate(all="ignore"):
-            nan_bound = np.isnan(_weigh(w, _force(k, c1, c2), _resistance(k, c1, c2)))
+            nan_bound = np.isnan(_weigh(w, _force(k, c1, c2, np.minimum), _resistance(k, c1, c2)))
         assert np.array_equal(kept[~nan_bound], passed[~nan_bound])
 
     @pytest.mark.parametrize(

@@ -442,7 +442,7 @@ def brute_force_terms(k, g, width, tile):
         where = tile_of(i, j, g, width, tile)
         # force and resistance are nonnegative, so the zeros are neutral
         with np.errstate(all="ignore"):  # the oracle's own scope
-            np.maximum.at(f_max, where, oracle_module._force(k, axis[i], axis[j]))
+            np.maximum.at(f_max, where, oracle_module._force(k, axis[i], axis[j], np.minimum))
             np.maximum.at(r_max, where, oracle_module._resistance(k, axis[i], axis[j]))
         np.add.at(count, where, 1)
     return f_max, r_max, count
