@@ -105,66 +105,6 @@ MUTANTS = [
         "1.0 / c1 + 1.0 / c1",
         ("tests/test_model.py", "tests/test_oracle.py"),
     ),
-    # the oracle's tile bound without the strength mask: the layout keeps
-    # every tile a block has
-    Mutant(
-        "tile-bound-ignores-strength",
-        "src/twospring/oracle.py",
-        "    strong = ~(f_hi < 1.0) & tiles\n",
-        "    strong = tiles\n",
-        ("tests/test_oracle.py",),
-    ),
-    # the kernel's comparisons written so that a NaN limit passes both
-    Mutant(
-        "feasible-nan-passes",
-        "src/twospring/oracle.py",
-        "    ok = f >= 1.0\n    ok &= _weigh(w, f, r) >= 1.0\n",
-        "    ok = ~(f < 1.0)\n    ok &= ~(_weigh(w, f, r) < 1.0)\n",
-        ("tests/test_model.py::TestFeasibleGrid::test_nan_limit_is_infeasible",),
-    ),
-    # the oracle's half of each block one column short: the middle point
-    # of the block's last diagonal, when that diagonal is even, is skipped
-    Mutant(
-        "oracle-half-block-one-short",
-        "src/twospring/oracle.py",
-        "            r0 = max(int(layout.columns[t]), i_hi - (s0 + width - 1) // 2)\n",
-        "            r0 = max(int(layout.columns[t]), i_hi - (s0 + width - 2) // 2)\n",
-        ("tests/test_oracle.py",),
-    ),
-    # the oracle's answer looked for from i = (s + 1) // 2, the larger c1 on
-    # an odd diagonal
-    Mutant(
-        "oracle-answer-start-rounds-up",
-        "src/twospring/oracle.py",
-        "    c = max(0, i_hi - s // 2 - r0)",
-        "    c = max(0, i_hi - (s + 1) // 2 - r0)",
-        ("tests/test_oracle.py",),
-    ),
-    # the answer taken at the diagonal's largest feasible i, the larger c1
-    # of a pair off the diagonal, without the search from i = s // 2
-    Mutant(
-        "oracle-answer-first-hit",
-        "src/twospring/oracle.py",
-        "            if i > s // 2:\n",
-        "            if False:\n",
-        ("tests/test_oracle.py",),
-    ),
-    # the evaluated columns of a block ending at its first kept tile, not its last
-    Mutant(
-        "oracle-span-ends-at-first-kept-tile",
-        "src/twospring/oracle.py",
-        "int(layout.columns[e]) + tile",
-        "int(layout.columns[t]) + tile",
-        ("tests/test_oracle.py",),
-    ),
-    # a block with no column left to evaluate passed to the kernel empty
-    Mutant(
-        "oracle-empty-block-evaluated",
-        "src/twospring/oracle.py",
-        "            if r0 >= r1:\n                continue\n",
-        "",
-        ("tests/test_oracle.py",),
-    ),
     # a verdict agrees only on the plain "agree" status
     Mutant(
         "verdict-agree-exact",
@@ -269,41 +209,6 @@ MUTANTS = [
         "    if a + kk * b - 1.0 <= 0.0:\n",
         ("tests/test_solver.py", "tests/test_fast_path.py"),
     ),
-    # the tile bound's resistance taken at the top of each column segment,
-    # where it is smallest
-    Mutant(
-        "bound-resistance-at-high-corner",
-        "src/twospring/oracle.py",
-        "            r = _resistance(k, c1, bottom_rows[q[blocks], :n])\n",
-        "            r = _resistance(k, c1, top_rows[q[blocks], :n])\n",
-        ("tests/test_oracle.py",),
-    ),
-    # the layout's strength mask keeps tiles that a block does not have
-    Mutant(
-        "layout-strong-ignores-tiles",
-        "src/twospring/oracle.py",
-        "    strong = ~(f_hi < 1.0) & tiles\n",
-        "    strong = ~(f_hi < 1.0)\n",
-        ("tests/test_oracle.py",),
-    ),
-    # the parallel layout's bound without its strength mask: every tile a
-    # block has counts as strong
-    Mutant(
-        "parallel-bound-ignores-strength",
-        "src/twospring/oracle.py",
-        "    strong = ~(f_hi < 1.0) & tiles\n",
-        "    strong = tiles if k is Topology.PARALLEL else ~(f_hi < 1.0) & tiles\n",
-        ("tests/test_oracle.py",),
-    ),
-    # both wirings' layouts in one cache slot, so a campaign that alternates
-    # them rebuilds a layout on every call
-    Mutant(
-        "layouts-share-one-cache-slot",
-        "src/twospring/oracle.py",
-        "@functools.lru_cache(maxsize=2)",
-        "@functools.lru_cache(maxsize=1)",
-        ("tests/test_oracle.py::TestLayoutCache",),
-    ),
     # the array kernel's B2 test taken at a parallel cost of exactly 2
     Mutant(
         "winner-grid-b2-loose",
@@ -364,6 +269,57 @@ MUTANTS = [
         "    if active_s is not _STRENGTH:\n",
         "    if active_p is not _STRENGTH:\n",
         ("tests/test_fast_path.py",),
+    ),
+    # the frontier's dominance test with the resistance compared the wrong way
+    Mutant(
+        "dominance-resistance-reversed",
+        "src/twospring/oracle.py",
+        "(f >= f2) & (r >= r2)",
+        "(f >= f2) & (r <= r2)",
+        ("tests/test_oracle.py::TestFrontier",),
+    ),
+    # an infinite force taken to dominate a finite one, which it does not
+    # under a = 0; no grid reaches the case, so the rule is tested directly
+    Mutant(
+        "dominance-without-infinite-force-guard",
+        "src/twospring/oracle.py",
+        "    return (f >= f2) & (r >= r2) & ((f < math.inf) | (f2 == math.inf))\n",
+        "    return (f >= f2) & (r >= r2)\n",
+        ("tests/test_oracle.py::TestFrontier",),
+    ),
+    # each diagonal laid out by ascending i, so a point is compared with
+    # the points after it in scan order
+    Mutant(
+        "frontier-diagonal-ascending",
+        "src/twospring/oracle.py",
+        "i = s // 2 - (flat - starts[s])",
+        "i = np.maximum(s - last, 0) + (flat - starts[s])",
+        ("tests/test_oracle.py::TestFrontier",),
+    ),
+    # the column predecessor taken at j + 1, a later point
+    Mutant(
+        "frontier-predecessor-after",
+        "src/twospring/oracle.py",
+        "c2 = axis[j - 1]",
+        "c2 = axis[np.minimum(j + 1, last)]",
+        ("tests/test_oracle.py::TestFrontier",),
+    ),
+    # the row rule applied to every row, whatever its force at its ends
+    Mutant(
+        "row-rule-skips-every-row",
+        "src/twospring/oracle.py",
+        "    live = f != _force(k, axis, axis[last], np.minimum)",
+        "    live = f != f",
+        ("tests/test_oracle.py::TestFrontier",),
+    ),
+    # both wirings' frontiers in one cache slot, so a campaign that
+    # alternates them rebuilds a frontier on every call
+    Mutant(
+        "frontiers-share-one-cache-slot",
+        "src/twospring/oracle.py",
+        "@functools.lru_cache(maxsize=2)",
+        "@functools.lru_cache(maxsize=1)",
+        ("tests/test_oracle.py::TestFrontier::test_each_wiring_builds_its_frontier_once",),
     ),
 ]
 

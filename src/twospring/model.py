@@ -16,12 +16,15 @@ functions call them on floats, and :mod:`twospring.oracle` on arrays,
 passing ``np.minimum`` where this module passes ``min``, so loading the
 model loads no numpy.
 
-The formulas carry two contracts the oracle rests on.  Force is
-non-decreasing and resistance non-increasing in each limit, for both
-wirings, and every rounding step keeps that order.  And they are symmetric
+The formulas carry two contracts the oracle rests on.  They are symmetric
 in the two limits, bit for bit, because ``+``, ``min`` and ``1/c1 + 1/c2``
 are commutative in rounded arithmetic, so swapping ``c1`` and ``c2``
-changes no force, resistance, performance or feasibility, NaN included.
+changes no force, resistance, performance or feasibility, NaN included:
+the oracle searches half the grid.  And force is non-decreasing and
+resistance non-increasing in each limit, for both wirings, and every
+rounding step keeps that order: a grid row whose force is equal at both
+ends has constant force, and the oracle skips every point of it after the
+first, which its predecessor in the row dominates.
 
 :class:`SpringPair` and :class:`Weights` are built once per query, so each
 has a hand-written ``__init__`` that validates its arguments and writes the

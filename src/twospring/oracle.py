@@ -3,70 +3,55 @@
 ``oracle_solve`` looks for the cheapest pair of grid elastic limits in the
 square ``[0, c_max]^2`` that meets both the performance and the strength
 constraint.  On a grid of pitch ``step`` the cost of point ``(i, j)`` is
-``(i + j) * step``, so the scan walks the anti-diagonals ``i + j = s`` in
-increasing ``s``, a block of diagonals at a time, and stops at the first
-block that holds a feasible point.  Every cheaper diagonal has been
-decided in full by then, so the result is the exhaustive minimum; only
-points that cost more than it are left undecided.
+``(i + j) * step``, so the search visits the points in *scan order*: the
+anti-diagonals ``i + j = s`` in increasing ``s``, each in decreasing
+``i``.  Force and resistance are symmetric in the two limits, in rounded
+arithmetic (the model's symmetry contract), so a point is feasible exactly
+when its mirror ``(j, i)`` is, and the search keeps to the half square
+``i <= j``.  There the first feasible point in scan order is the
+exhaustive grid minimum, with cost ties broken toward the smaller
+``|c1 - c2|``, then the smaller ``c1``.
+
+A point *dominates* another when its force and its resistance are both at
+least as large, and its force is finite unless both forces are infinite.
+It then weighs at least as much under every pair of nonnegative weights,
+because ``a*f + b*r`` rounds monotonically in each term; the exception,
+which the guard rules out, is an infinite force, which weighs NaN under
+``a = 0``.  The *frontier* of a grid and wiring is the list of strong points
+(force ``>= 1``) of the half square that no earlier point dominates, in
+scan order.  A strong point left out has an earlier frontier point that
+dominates it, and so is feasible only if that point is: the first feasible
+frontier point is the first feasible point of the half square.  A call
+weighs the frontier once with the model's ``_weigh`` and returns its first
+point at or above 1.
+
+A frontier depends on the grid and the wiring alone, so it is built once;
+one per wiring is kept, for the last grid searched.  The build need not
+find every dominated point, since one it keeps costs a call a little work,
+not a wrong answer.  It drops each point that its column predecessor
+``(i, j - 1)`` or one of the ``_NEIGHBOURS`` points just before it in
+scan order dominates, and then each point whose force and resistance
+equal an earlier one's.  Force is non-decreasing and resistance non-increasing
+in each limit, in rounded arithmetic (the model's monotonicity contract),
+so a row whose force is equal at both ends has constant force, and each of
+its points after ``(i, i)`` is dominated by its column predecessor; the
+build evaluates none of them.  Every serial row is such a row, so a serial
+build evaluates a few points a row, and a parallel one the whole half
+square, ``_CHUNK`` points at a time: beyond the frontier itself, its
+memory is bounded by one chunk and a few values a row.
 
 The constraints are evaluated on numpy arrays by the scalar spec's own
 formulas, the private ``_force``, ``_resistance`` and ``_weigh`` of
 :mod:`twospring.model`, which take floats and arrays alike.  On arrays,
 overflow saturates to ``inf`` and underflow rounds toward zero without a
 warning, as Python floats do, whatever numpy error state the caller set:
-the formulas enter no error-state scope, and a scan enters one and calls
-them inside it.  One kernel, :func:`_feasible`, gives the mask of points
-that are both strong (force ``>= 1``) and performant (``a*force +
-b*resistance >= 1``), reusing the force for the performance (in parallel
-the resistance is ``1 / force``).  The kernel and the tile bound both
-weigh with the model's ``a*F + b*R`` rule and its ``0 * inf == 0``
-convention, so the two cannot drift apart; it returns a new array and
-only reads its inputs, so the bound weighs the layout's cached, read-only
-terms without copying them.
+the formulas enter no error-state scope, and a build and a call each enter
+one and call them inside it.
 
-A block is split into tiles of grid columns.  Force is non-decreasing and
-resistance non-increasing in each limit, for both wirings and in rounded
-arithmetic (the model's monotonicity contract).  In each column of a tile
-the block's points form a segment of ``c2``, so the force at its top and
-the resistance at its bottom bound those of every point of the segment
-from above; the largest of each over the tile's columns bound the whole
-tile, and the performance formed from them bounds its performance.  A tile
-whose bound is below 1 holds no feasible point and is not evaluated.  The
-layout drops the weak tiles, whose force bound is below 1, once; a scan
-weighs the strong tiles' terms in one call, finds the first kept tile and
-its block's last one with one flat search each, and tests the columns
-between them with one call of the kernel.  Force and resistance are also
-symmetric in the two limits, in rounded arithmetic (the model's symmetry
-contract), so a point is feasible exactly when its mirror ``(j, i)`` is.
-The mirror lies on the same diagonal, in the same block, and in a tile the
-bound keeps if the point is feasible; so the scan evaluates only the
-columns ``i <= (s0 + width - 1) // 2`` of a block that starts at diagonal
-``s0``, and skips a block with none of them left.  Because the bound reads
-only the tile's own points, a scan seldom evaluates a block before the one
-that holds the answer.  A scan that finds nothing has still decided the
-whole square, mostly by the bound.
-
-Each wiring has its own block shape, ``BLOCK_SHAPES[k]``: series scans
-blocks of 32 diagonals in tiles of 32 columns, parallel blocks of 8
-diagonals in one tile each.  The parallel force ``c1 + c2`` is constant
-along a diagonal up to rounding, so every tile of a parallel block has
-about the bound of the block's top and bottom diagonals, and narrower
-tiles would rule out nothing more; the bound works per strip of 8
-diagonals instead, and the block that holds the answer has about
-``8 * s / 2`` points to evaluate rather than ``32 * s / 2``.  A layout
-depends on the grid and the wiring alone; one layout per wiring is kept
-for the last grid scanned, each with its wiring's weight-free half of the
-bound: the largest force and resistance of every strong tile, with its
-block, its first column and the end of its block's run.  A scan only
-weighs them.  Memory stays bounded by one block, at most 32 points per
-grid row, plus per strong tile two bound terms and three indices,
-whatever ``c_max / step``; a layout builds its terms over a bounded
-number of block points at a time.
-
-The scan knows nothing about the one-variable reduction or the closed form:
-no start point, bound or constant comes from the solver, and the only
-module of the package this one imports is :mod:`twospring.model`.  That is
-what makes it usable as an independent check on the solver, which
+The search knows nothing about the one-variable reduction or the closed
+form: no start point, bound or constant comes from the solver, and the
+only module of the package this one imports is :mod:`twospring.model`.
+That is what makes it usable as an independent check on the solver, which
 :mod:`twospring.verify` performs.
 """
 
@@ -78,12 +63,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import SpringPair, Topology, Weights, _force, _resistance, _weigh, cost
 
 __all__ = [
-    "BLOCK_SHAPES",
     "MAX_GRID_POINTS",
     "GridSpec",
     "OracleResult",
@@ -93,30 +76,31 @@ __all__ = [
 
 # largest square a GridSpec may describe: 10**4 points per side
 MAX_GRID_POINTS = 10**8
-# (anti-diagonals i + j per block, grid columns per tile) of each wiring's
-# scan, a tile being the unit the bound may rule out within a block; a
-# parallel tile is as wide as the largest grid, so it spans its whole block
-BLOCK_SHAPES = {
-    Topology.PARALLEL: (8, math.isqrt(MAX_GRID_POINTS)),
-    Topology.SERIAL: (32, 32),
-}
-# block points whose bound terms a layout builds at a time, to bound its memory
-_LAYOUT_CHUNK = 2**13
+# half-square points a frontier build evaluates at a time, to bound its memory
+_CHUNK = 2**13
+# points just before it in scan order that a build compares each point with
+_NEIGHBOURS = 2
 
 
-def _feasible(w: Weights, k: Topology, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Mask of the points meeting both constraints, strength and performance.
+def _dominates(f, r, f2, r2):
+    """Where a point of force ``f`` and resistance ``r`` dominates one of
+    force ``f2`` and resistance ``r2``: both terms at least as large, and
+    the force finite unless both forces are infinite."""
+    return (f >= f2) & (r >= r2) & ((f < math.inf) | (f2 == math.inf))
 
-    At each point whose limits are not NaN the mask is the scalar spec of
-    :mod:`twospring.model`, ``force(k, s) >= 1 and multiperf(w, k, s) >= 1``
-    for ``s = SpringPair(c1, c2)``; a point with a NaN limit is False.  It
-    runs in the caller's error-state scope.  In parallel the resistance is
-    ``1 / f``, as in the model's ``_resistance``."""
-    f = _force(k, c1, c2, np.minimum)
-    r = 1.0 / f if k is Topology.PARALLEL else _resistance(k, c1, c2)
-    ok = f >= 1.0
-    ok &= _weigh(w, f, r) >= 1.0
-    return ok
+
+def _first_of_equal(f: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the points whose terms no earlier point has."""
+    order = np.lexsort((r, f))  # a stable sort: equal terms stay in order
+    f, r = f[order], r[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (f[1:] != f[:-1]) | (r[1:] != r[:-1])
+    return np.sort(order[first])
+
+
+def _merged(parts: list[tuple[np.ndarray, ...]]) -> list[tuple[np.ndarray, ...]]:
+    """The parts of a frontier build, each column concatenated into one."""
+    return [tuple(np.concatenate(column) for column in zip(*parts))]
 
 
 @dataclass(frozen=True)
@@ -166,10 +150,10 @@ class OracleResult:
 
     ``truncated`` flags an argmin on the boundary of the search square, where
     the true optimum may lie outside the scanned area.  ``points_scanned``
-    counts the grid points the scan decided: every point of the blocks up to
-    the one that holds the answer, whether evaluated, ruled out by the
-    tile bound, or decided by its mirror ``(j, i)``, which is feasible
-    exactly when the point is.
+    counts the grid points on the diagonals up to the answer's, ``i + j <=
+    s`` for the answer on diagonal ``s``: the points that a search in cost
+    order decides before it stops, the whole square when nothing is
+    feasible.
     """
 
     feasible: bool
@@ -205,153 +189,105 @@ def _points_below(t: int, size: int) -> int:
     return size * size - above * (above + 1) // 2
 
 
-class _Layout(NamedTuple):
-    """Arrays of one wiring's scan that depend on the grid and its block shape alone (see :func:`_layout`)."""
+class _Frontier(NamedTuple):
+    """One wiring's frontier of a grid, in scan order (see :func:`_frontier`)."""
 
     axis: np.ndarray
-    descending: np.ndarray
-    runs: np.ndarray
-    f_hi: np.ndarray
-    r_lo: np.ndarray
-    blocks: np.ndarray
-    columns: np.ndarray
-    ends: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    f: np.ndarray
+    r: np.ndarray
 
 
-@functools.lru_cache(maxsize=2)  # one layout per wiring, for the last grid scanned
-def _layout(g: GridSpec, k: Topology, width: int, tile: int) -> _Layout:
-    """Lay out the scan of grid ``g`` in wiring ``k``, in blocks of ``width``
-    diagonals and tiles of ``tile`` columns; the arrays are shared and read-only.
+@functools.lru_cache(maxsize=2)  # one frontier per wiring, for the last grid searched
+def _frontier(g: GridSpec, k: Topology) -> _Frontier:
+    """The frontier of grid ``g`` in wiring ``k``: its points ``(i, j)``,
+    their force ``f`` and resistance ``r``, and the grid's axis, in
+    shared, read-only arrays.
 
-    A block is a ``(width, columns)`` array: row ``d`` is the diagonal
-    ``s0 + d`` and column ``r`` the point ``i = i_hi - r``,
-    ``j = s0 + d - i_hi + r``, so both c1 and c2 are read from memory in
-    order.  Its c1 starts at ``descending[last - i_hi]`` and its c2 at row
-    ``q = s0 - i_hi + width - 1`` of ``runs``: row ``q`` of ``runs`` is
-    ``padded[q : q + size]``, where ``padded[p] = axis[p - width + 1]`` and
-    NaN elsewhere, which masks every ``j`` outside ``[0, last]`` (NaN fails
-    both constraints).
-
-    Tile ``t`` of a block holds its columns ``[t * tile, (t + 1) * tile)``;
-    a block near a corner of the square has fewer columns than ``size``, so
-    fewer tiles.  In column ``i`` the block's points form the segment
-    ``j_lo = max(s0 - i, 0)`` to ``j_hi = min(s0 + width - 1 - i, last)``.
-    The weight-free half of the tile bound for wiring ``k`` is ``f_hi`` and
-    ``r_lo``, the largest over a tile's columns of the force at the top of
-    each column's segment and the resistance at its bottom.  By the
-    monotonicity contract of the model the segment's terms are its largest
-    force and resistance, so the tile's are the largest over its own
-    points.  The tops and bottoms of a block's segments are the rows ``q +
-    width - 1`` and ``q`` of ``runs`` with ``j`` clamped into ``[0, last]``,
-    so the terms are built from slices, a bounded number of block points
-    at a time.  Only the *strong* tiles, which ``f_hi < 1`` does not rule
-    out, are kept, as flat arrays in scan order: their terms, their block,
-    their first column, and ``ends``, the index one past the last strong
-    tile of their block.  A scan only weighs the terms.
+    The diagonal points ``(i, i)`` are built first, each compared with its
+    column predecessor by the mirror ``(i - 1, i)``.  Then the points with
+    ``j > i`` of the rows whose force differs at their two ends, from the
+    first such row's diagonals to the last one's, in chunks of ``_CHUNK``
+    points of the half square laid out in scan order.  A chunk evaluates
+    its points and the ``_NEIGHBOURS`` before them, compares each of its
+    points with its column predecessor and with those before it, and keeps
+    the first of its survivors with equal terms.  The parts are merged in
+    scan order, and again only the first point of equal terms is kept.
+    Beyond the frontier, the build holds one chunk and a few arrays of one
+    value per row or diagonal; chunks of one size let each reuse the
+    memory the last one freed.
     """
     axis = g.axis()
-    size, last = g.size, g.size - 1
-    s0 = np.arange(0, 2 * last + 1, width)
-    i_hi = np.minimum(s0 + width - 1, last)
-    columns = i_hi - np.maximum(s0 - last, 0) + 1
-    start = np.arange(0, size, tile)
-    tiles = start < columns[:, None]
-    descending = axis[::-1].copy()
-    padded = np.full(2 * last + 2 * width, np.nan)
-    padded[width - 1 : width + last] = axis
-    # column r of a block: c1 in row last - i_hi of c1_rows, and the top and
-    # bottom of its segment, j = q + r and j = q + r - width + 1 clamped
-    # into [0, last], in row q of top_rows and bottom_rows.  Past a block's
-    # last column, c1 or the bottom is NaN, which fmax passes over, or the
-    # top is (i, last) for an i below the block's, whose force is at most
-    # that of the block's own (i_lo, last)
-    nan = np.full(size + width, np.nan)
-    c1_rows = sliding_window_view(np.concatenate([descending, nan]), size)
-    top_rows = sliding_window_view(np.concatenate([axis, np.full(size + width, axis[-1])]), size)
-    bottom_rows = sliding_window_view(np.concatenate([np.full(width - 1, axis[0]), axis, nan]), size)
-    q = s0 - i_hi + width - 1
-    f_hi, r_lo = np.full(tiles.shape, np.nan), np.full(tiles.shape, np.nan)
-    # blocks widest first, so that no block of a chunk is wider than its first
-    order = np.argsort(-columns, kind="stable")
-    b = 0
-    with np.errstate(all="ignore"):
-        while b < order.size:
-            n = int(columns[order[b]])
-            blocks = order[b : b + max(1, _LAYOUT_CHUNK // n)]
-            b += blocks.size
-            c1 = c1_rows[last - i_hi[blocks], :n]
-            f = _force(k, c1, top_rows[q[blocks], :n], np.minimum)
-            r = _resistance(k, c1, bottom_rows[q[blocks], :n])
-            ends = start[start < n]
-            f_hi[blocks, : ends.size] = np.fmax.reduceat(f, ends, axis=1)
-            r_lo[blocks, : ends.size] = np.fmax.reduceat(r, ends, axis=1)
-    strong = ~(f_hi < 1.0) & tiles
-    block, t = strong.nonzero()  # the strong tiles, in scan order
-    runs = sliding_window_view(padded, size)
-    end = np.searchsorted(block, block, side="right")
-    layout = _Layout(axis, descending, runs, f_hi[strong], r_lo[strong], block, t * tile, end)
-    for array in layout:
+    last = g.size - 1
+    diagonal = np.arange(2 * last + 1)
+    counts = diagonal // 2 - np.maximum(diagonal - last, 0) + 1  # half-square points per diagonal
+    ends = np.cumsum(counts)  # laid out in scan order, diagonal s holds [starts[s], ends[s])
+    starts = ends - counts
+    with np.errstate(all="ignore"):  # the one error-state scope of a build
+        f, r = _force(k, axis, axis, np.minimum), _resistance(k, axis, axis)
+        keep = f >= 1.0
+        mirror = _force(k, axis[:-1], axis[1:], np.minimum), _resistance(k, axis[:-1], axis[1:])  # (i - 1, i)
+        keep[1:] &= ~_dominates(*mirror, f[1:], r[1:])
+        (i,) = keep.nonzero()
+        parts = [(i, i, f[i], r[i])]
+        live = f != _force(k, axis, axis[last], np.minimum)  # rows whose force is not constant
+        (rows,) = live.nonzero()
+        # from the first such row's points with j > i, after diagonal 2 * i, to the last row's
+        lo, hi = (ends[2 * rows[0]], ends[rows[-1] + last]) if rows.size else (0, 0)
+        for a in range(lo, hi, _CHUNK):
+            # the chunk's points, after the _NEIGHBOURS points before them
+            flat = np.arange(max(lo, a - _NEIGHBOURS), min(hi, a + _CHUNK))
+            first, final = np.searchsorted(ends, [flat[0], flat[-1]], side="right")  # their diagonals
+            span = slice(first, final + 1)
+            s = np.repeat(diagonal[span], np.minimum(ends[span], flat[-1] + 1) - np.maximum(starts[span], flat[0]))
+            i = s // 2 - (flat - starts[s])  # descending along each diagonal
+            j = np.subtract(s, i, out=s)  # s is not needed again
+            c1, c2 = axis[i], axis[j]
+            f, r = _force(k, c1, c2, np.minimum), _resistance(k, c1, c2)
+            c2 = axis[j - 1]  # the column predecessor's
+            keep = (f >= 1.0) & (j > i) & live[i]
+            keep[: a - flat[0]] = False  # the previous chunk's
+            keep &= ~_dominates(_force(k, c1, c2, np.minimum), _resistance(k, c1, c2), f, r)
+            for d in range(1, _NEIGHBOURS + 1):  # the point d places earlier in scan order
+                keep[d:] &= ~_dominates(f[:-d], r[:-d], f[d:], r[d:])
+            (t,) = keep.nonzero()
+            t = t[_first_of_equal(f[t], r[t])]
+            parts.append((i[t], j[t], f[t], r[t]))
+            if len(parts) == 64:  # a few arrays, not one a chunk
+                parts = _merged(parts)
+    ((i, j, f, r),) = _merged(parts)
+    order = np.lexsort((-i, i + j))
+    order = order[_first_of_equal(f[order], r[order])]
+    frontier = _Frontier(axis, i[order], j[order], f[order], r[order])
+    for array in frontier:
         array.flags.writeable = False
-    return layout
+    return frontier
 
 
 def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     """Exhaustive minimum of ``c1 + c2`` over the grid, under both constraints.
 
-    Anti-diagonals ``i + j = s`` are scanned in blocks of the wiring's
-    shape, ``BLOCK_SHAPES[k]``, in increasing ``s``; the first block with a
-    feasible point holds the cheapest one.  One weighing of the strong
-    tiles' cached terms rules tiles out; a search over the flat tiles finds
-    the next kept one, and one over its block's run the last.  The kernel
-    :func:`_feasible` runs once on the columns between them with ``i <= (s0
-    + width - 1) // 2``, a point and its mirror being feasible together,
-    and one search over the flat block finds its first feasible diagonal
-    at its largest feasible ``i``.  Cost ties are broken toward the smaller
-    ``|c1 - c2|``, then the smaller ``c1``: by the symmetry, the largest
-    feasible ``i`` with ``2 * i <= s``, searched for again only when that
-    first one is above ``s // 2``.  All of it runs on integer grid indices
-    in one error-state scope, so ties are exact and do not depend on the
-    block or tile size.
+    One weighing of the cached frontier of ``g`` in wiring ``k`` and one
+    search (``argmax``) give its first feasible point, the first feasible
+    point of the half square ``i <= j`` in scan order.  Cost ties are so
+    broken toward the smaller ``|c1 - c2|``, then the smaller ``c1``: the
+    largest feasible ``i`` with ``2 * i <= s`` on the cheapest feasible
+    diagonal ``s``, decided on integer grid indices.
     """
-    width, tile = BLOCK_SHAPES[k]
-    layout = _layout(g, k, width, tile)
-    last = g.size - 1
-    with np.errstate(all="ignore"):  # the one error-state scope of the scan
-        ruled = _weigh(w, layout.f_hi, layout.r_lo) < 1.0  # a NaN bound keeps its tile
-        t = 0
-        while t < ruled.size:
-            t += int(ruled[t:].argmin())  # the first kept tile from t on, if any is
-            if ruled[t]:
-                break
-            end = int(layout.ends[t])
-            e = end - 1 - int(ruled[t:end][::-1].argmin())  # the block's last kept tile
-            s0 = int(layout.blocks[t]) * width
-            i_hi = min(last, s0 + width - 1)
-            # evaluated columns [r0, r1): the kept tiles' span, at i <= (s0 + width - 1) // 2
-            r0 = max(int(layout.columns[t]), i_hi - (s0 + width - 1) // 2)
-            r1 = min(int(layout.columns[e]) + tile, i_hi - max(0, s0 - last) + 1)
-            t = end
-            if r0 >= r1:
-                continue
-            c1 = layout.descending[last - i_hi + r0 : last - i_hi + r1]
-            q = s0 - i_hi + width - 1
-            feasible = _feasible(w, k, c1, layout.runs[q : q + width, r0:r1])
-            d, c = divmod(int(feasible.argmax()), r1 - r0)  # the first feasible diagonal, at its largest i
-            if not feasible[d, c]:
-                continue
-            s = s0 + d
-            i = i_hi - r0 - c
-            if i > s // 2:
-                c = max(0, i_hi - s // 2 - r0)  # the column of i = s // 2, or the first one evaluated
-                i = i_hi - r0 - c - int(feasible[d, c:].argmax())  # the largest feasible i <= s // 2
-            j = s - i
-            pair = SpringPair(float(layout.axis[i]), float(layout.axis[j]))
-            return OracleResult(
-                feasible=True,
-                best_pair=pair,
-                best_cost=cost(pair),
-                argmin_gap=abs(pair.c1 - pair.c2),
-                truncated=(i == last or j == last),
-                points_scanned=_points_below(min(s0 + width, 2 * last + 1), g.size),
-            )
-    return OracleResult(False, None, math.inf, None, False, g.size * g.size)
+    frontier = _frontier(g, k)
+    with np.errstate(all="ignore"):  # the one error-state scope of a call
+        ok = _weigh(w, frontier.f, frontier.r) >= 1.0
+    n = int(ok.argmax()) if ok.size else 0
+    if n == ok.size or not ok[n]:
+        return OracleResult(False, None, math.inf, None, False, g.size * g.size)
+    i, j = int(frontier.i[n]), int(frontier.j[n])
+    pair = SpringPair(float(frontier.axis[i]), float(frontier.axis[j]))
+    return OracleResult(
+        feasible=True,
+        best_pair=pair,
+        best_cost=cost(pair),
+        argmin_gap=abs(pair.c1 - pair.c2),
+        truncated=j == g.size - 1,
+        points_scanned=_points_below(i + j + 1, g.size),
+    )

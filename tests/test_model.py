@@ -179,7 +179,7 @@ def bits(x):
 )
 def test_grids_swap_symmetry(a, b, k, data):
     """Swapping c1 and c2 changes no bit of any array formula, NaN included:
-    the symmetry the oracle's half-diagonal scan rests on."""
+    the symmetry the oracle's half-square search rests on."""
     shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, max_side=5))
     limits = st.floats(min_value=0.0, allow_infinity=False) | edge_values | st.just(math.nan)
     c1, c2 = (data.draw(hnp.arrays(np.float64, shape, elements=limits)) for shape in shapes.input_shapes)
@@ -337,10 +337,10 @@ FEASIBLE_WEIGHTS = [
 class TestFeasibleGrid:
     @pytest.mark.parametrize("w", FEASIBLE_WEIGHTS)
     @pytest.mark.parametrize("k", [P, S])
-    def test_oracle_shaped_blocks(self, w, k):
-        # c1 of shape (n,) against a (32, n) window of a NaN-padded axis,
-        # laid out as the grid oracle lays out its blocks; each point's
-        # expected mask is gathered from the scalar spec over the square
+    def test_nan_padded_windows(self, w, k):
+        # c1 of shape (n,) against a (32, n) window of a NaN-padded axis;
+        # each point's expected mask is gathered from the scalar spec over
+        # the square
         width, axis = 32, np.arange(121) * 0.05
         n = axis.size
         square = np.array([[feasible_point(w, k, x1, x2) for x2 in axis] for x1 in axis])
@@ -379,7 +379,7 @@ class TestFeasibleGrid:
     @pytest.mark.parametrize("k", [P, S])
     def test_nan_limit_is_infeasible(self, k):
         """A point with a NaN limit is False under every weight, the edge
-        values included: the NaN padding of the oracle's blocks rests on it."""
+        values included."""
         axis = np.array([0.0, 5e-324, 0.5, 1.0, 2.0, 1e300, 1e308, math.nan])
         nan = np.isnan(axis[:, None]) | np.isnan(axis[None, :])
         edges = [0.0, 5e-324, 0.3, 1.0, 1e6, 1e308]
@@ -405,7 +405,13 @@ ordered_limits = st.lists(extended_limits, min_size=2, max_size=2).map(sorted)
 
 @given(c1=ordered_limits, c2=ordered_limits, k=st.sampled_from([P, S]))
 def test_force_rises_and_resistance_falls_in_each_limit(c1, c2, k):
-    """The monotonicity, in rounded arithmetic, that the oracle's tile bound rests on."""
+    """The monotonicity, in rounded arithmetic, that the oracle's row rule
+    rests on: a grid row whose force is equal at both ends has constant
+    force, so each of its points after the first is dominated by its
+    column predecessor, whose resistance is at least as large, and the
+    frontier build skips them.  The oracle's other contract, the symmetry
+    its half-square search rests on, is tested by
+    ``test_grids_swap_symmetry``."""
     corners = np.array([[c1[0], c2[0]], [c1[1], c2[0]], [c1[0], c2[1]], [c1[1], c2[1]]])
     with np.errstate(all="ignore"):
         f = _force(k, corners[:, 0], corners[:, 1], np.minimum)
@@ -414,91 +420,3 @@ def test_force_rises_and_resistance_falls_in_each_limit(c1, c2, k):
     for low, high in ((0, 1), (0, 2), (1, 3), (2, 3)):
         assert f[low] <= f[high]
         assert r[low] >= r[high]
-
-
-def segment_keep(w, k, c1, lo2, hi2):
-    """The tile bound over the column segments ``c1 x [lo2, hi2]``, from the
-    terms ``_layout`` builds for a segment, the force at its top and the
-    resistance at its bottom: a segment is kept when ``f_hi < 1`` does not
-    rule it out, as the layout keeps only the strong tiles, and the scan's
-    weighing ``_weigh(w, f_hi, r_lo) < 1`` does not either."""
-    c1, lo2, hi2 = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (c1, lo2, hi2))
-    with np.errstate(all="ignore"):
-        f_hi = _force(k, c1, hi2, np.minimum)
-        return ~(f_hi < 1.0) & ~(_weigh(w, f_hi, _resistance(k, c1, lo2)) < 1.0)
-
-
-class TestBoxBound:
-    """The tile bound, the layout's strength test and the scan's weighing,
-    fed the terms of one column segment, the only box shape the oracle's
-    layout builds."""
-
-    @given(
-        a=st.floats(0.0, 1.5),
-        b=st.floats(0.0, 1.5),
-        k=st.sampled_from([P, S]),
-        c1=extended_limits,
-        c2=ordered_limits,
-        u=hnp.arrays(np.float64, 16, elements=st.floats(0.0, 1.0)),
-    )
-    def test_property_no_feasible_point_in_a_ruled_out_box(self, a, b, k, c1, c2, u):
-        """No point of a column segment passes the kernel when its bound rules it out."""
-        lo2, hi2 = c2
-        with np.errstate(over="ignore", invalid="ignore"):
-            x2 = np.clip(lo2 + u * (hi2 - lo2), lo2, hi2)
-        x2 = np.where(np.isnan(x2), hi2, x2)  # 0 * inf or inf - inf
-        x2 = np.concatenate([[lo2, hi2], x2])  # the segment's ends, and the drawn points
-        if not segment_keep(Weights(a, b), k, c1, lo2, hi2)[0]:
-            assert not feasible(Weights(a, b), k, np.array([c1]), x2).any()
-
-    @pytest.mark.parametrize(
-        "w,k,lo,hi",
-        [
-            # a feasible point at (1, 1), where b*r dominates: the resistance
-            # must be taken at the segment's low end
-            (Weights(0.1, 0.6), S, 1.0, 5.0),
-            (Weights(0.0, 0.7), S, 1.0, 3.0),
-            (Weights(0.0, 1.0), P, 0.5, 2.0),
-        ],
-    )
-    def test_box_holding_a_performance_bound_point_is_kept(self, w, k, lo, hi):
-        assert feasible(w, k, np.array([lo]), np.linspace(lo, hi, 9)).any()
-        assert segment_keep(w, k, lo, lo, hi)[0]
-
-    @pytest.mark.parametrize("w", FEASIBLE_WEIGHTS + [Weights(0.5, 0.25), Weights(1.0, 0.0)])
-    @pytest.mark.parametrize("k", [P, S])
-    def test_single_point_box_is_the_kernel(self, w, k):
-        # a segment of one point bounds it exactly: equal to the kernel
-        # wherever the bound is not NaN, and it keeps every point the kernel passes
-        axis = np.array([0.0, 5e-324, 0.25, 0.5, 1.0, 2.0, 1e300, 1.7e308, math.inf])
-        c1, c2 = (np.ravel(c) for c in np.meshgrid(axis, axis))
-        kept = segment_keep(w, k, c1, c2, c2)
-        passed = feasible(w, k, c1, c2)
-        assert (kept | ~passed).all()
-        with np.errstate(all="ignore"):
-            nan_bound = np.isnan(_weigh(w, _force(k, c1, c2, np.minimum), _resistance(k, c1, c2)))
-        assert np.array_equal(kept[~nan_bound], passed[~nan_bound])
-
-    @pytest.mark.parametrize(
-        "w,k,point",
-        [
-            (Weights(0.3, 0.5), S, (1.0, 1.0)),  # force exactly 1, performance 1.3
-            (Weights(0.5, 0.0), S, (2.0, 3.0)),  # performance exactly 1, force 2
-            (Weights(0.5, 0.25), S, (1.0, 1.0)),  # both exactly 1: 0.5 + 0.25 * 2
-            (Weights(1.0, 0.0), P, (0.5, 0.5)),  # both exactly 1
-        ],
-    )
-    def test_bound_of_exactly_one_is_kept(self, w, k, point):
-        c1, c2 = np.array([point[0]]), np.array([point[1]])
-        assert feasible(w, k, c1, c2)[0]
-        assert segment_keep(w, k, c1, c2, c2)[0]
-
-    @pytest.mark.parametrize("k", [P, S])
-    def test_rules_out_weak_and_underperforming_boxes(self, k):
-        # every column of [0.1, 0.4]^2 is weak in both wirings; every column
-        # of [2, 4]^2 is strong, and under a = 0, b = 0.3 its performance is
-        # at most 0.3 * r(c1, 2) < 1
-        weak, strong = np.linspace(0.1, 0.4, 4), np.linspace(2.0, 4.0, 5)
-        assert not segment_keep(Weights(1.0, 1.0), k, weak, 0.1, 0.4).any()
-        assert not segment_keep(Weights(0.0, 0.3), k, strong, 2.0, 4.0).any()
-        assert segment_keep(Weights(1.0, 0.3), k, strong, 2.0, 4.0).all()

@@ -13,7 +13,7 @@ from value_contract import assert_value_contract
 
 from twospring import oracle as oracle_module
 from twospring import verify as verify_module
-from twospring.model import SpringPair, Topology, Weights, cost
+from twospring.model import SpringPair, Topology, Weights, _force, _resistance, cost
 from twospring.oracle import GridSpec, OracleResult, oracle_solve
 from twospring.solver import solve_reduced
 from twospring.verify import VerificationVerdict, verify_reduction
@@ -23,11 +23,19 @@ S = Topology.SERIAL
 DEFAULT_GRID = GridSpec(6.0, 0.005)
 # a grid whose parallel force overflows near its top corner: 1e308 + 1e308
 OVERFLOW_GRID = GridSpec(1e308, 1e306)
-EDGE_FLOATS = st.sampled_from([0.0, 5e-324, 1e308])
+# edge weights, infinity included
+EDGE_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, 1e308, math.inf])
+
+
+def bits(x):
+    """The bits of a float array, so that NaN compares equal to itself."""
+    return np.asarray(x).view(np.uint64)
 
 
 def full_square_scan(w, k, g):
-    """Reference oracle: evaluate the whole square, keep the cheapest diagonal."""
+    """Reference oracle: evaluate the whole square, keep the cheapest diagonal.
+
+    ``points_scanned`` counts the points on the diagonals up to the answer's."""
     axis = g.axis()
     ii, jj = np.nonzero(feasible(w, k, axis[:, None], axis[None, :]))
     if ii.size == 0:
@@ -47,23 +55,13 @@ def full_square_scan(w, k, g):
         best_cost=cost(pair),
         argmin_gap=abs(pair.c1 - pair.c2),
         truncated=(i == last or j == last),
-        points_scanned=axis.size**2,
+        points_scanned=int(np.count_nonzero(np.add.outer(np.arange(axis.size), np.arange(axis.size)) <= cheapest)),
     )
 
 
-def assert_same_as_full_scan(w, k, g, ref=None):
+def assert_same_as_full_scan(w, k, g):
     got = oracle_solve(w, k, g)
-    ref = ref or full_square_scan(w, k, g)
-    assert (got.feasible, got.best_pair, got.best_cost, got.argmin_gap, got.truncated) == (
-        ref.feasible,
-        ref.best_pair,
-        ref.best_cost,
-        ref.argmin_gap,
-        ref.truncated,
-    )
-    assert 0 < got.points_scanned <= ref.points_scanned
-    if not got.feasible:
-        assert got.points_scanned == ref.points_scanned
+    assert got == full_square_scan(w, k, g)
     return got
 
 
@@ -182,15 +180,13 @@ class TestOracleSolve:
                 assert res.argmin_gap <= grid.step + 1e-12
 
 
-# (c_max, step): a 2x2 grid, ratios that do not divide evenly, and sizes
-# around small block widths
+# (c_max, step): a 2x2 grid, ratios that do not divide evenly, and a
+# coarse copy of the default grid
 PARITY_GRIDS = [(0.5, 0.5), (1.0, 0.3), (2.0, 0.07), (1.6, 0.1), (3.0, 0.1), (6.0, 0.05)]
-PARITY_WIDTHS = [1, 2, 3, 7, 16, 31, 32, 33, 64]
-# tile widths around the serial default and one wider than any row, as in parallel
-PARITY_TILES = [1, 2, 3, 31, 32, 33, 63, 64, 65, 10**6]
+SMALL_GRIDS = [OVERFLOW_GRID, GridSpec(1.0, 0.013), *(GridSpec(*grid) for grid in PARITY_GRIDS)]
 # weights with an empty scan, a feasible corner, a truncated argmin, and an
 # optimum at force and performance exactly 1 (serial (1, 1) under 0.5, 0.25)
-TILE_WEIGHTS = [
+FIXED_WEIGHTS = [
     Weights(0.0, 0.3),
     Weights(0.1, 0.05),
     Weights(1.0, 1.0),
@@ -202,43 +198,23 @@ TILE_WEIGHTS = [
 
 
 class TestFullScanParity:
-    """The cost-ordered scan returns what the full-square scan returns, at
-    each wiring's own block shape and at others patched into ``BLOCK_SHAPES``."""
+    """The frontier search returns what the full-square scan returns."""
 
     @settings(max_examples=200, deadline=None)
     @given(
-        a=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
-        b=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
+        a=st.one_of(st.floats(0.0, 1.5), EDGE_WEIGHTS),
+        b=st.one_of(st.floats(0.0, 1.5), EDGE_WEIGHTS),
         k=st.sampled_from([P, S]),
-        grid=st.sampled_from([OVERFLOW_GRID, *(GridSpec(*grid) for grid in PARITY_GRIDS)]),
+        grid=st.sampled_from(SMALL_GRIDS),
     )
-    def test_production_shapes_match_full_scan(self, a, b, k, grid):
+    def test_matches_full_scan(self, a, b, k, grid):
         assert_same_as_full_scan(Weights(a, b), k, grid)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        a=st.floats(0.0, 1.5),
-        b=st.floats(0.0, 1.5),
-        k=st.sampled_from([P, S]),
-        grid=st.sampled_from(PARITY_GRIDS),
-        width=st.sampled_from(PARITY_WIDTHS),
-        tile=st.sampled_from(PARITY_TILES),
-    )
-    def test_matches_full_scan(self, a, b, k, grid, width, tile):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(oracle_module.BLOCK_SHAPES, k, (width, tile))
-            assert_same_as_full_scan(Weights(a, b), k, GridSpec(*grid))
-
-    @pytest.mark.parametrize("tile", PARITY_TILES)
-    def test_every_tile_width_on_every_grid_and_block_width(self, tile, monkeypatch):
-        for grid in PARITY_GRIDS:
-            g = GridSpec(*grid)
-            for w in TILE_WEIGHTS:
-                for k in (P, S):
-                    ref = full_square_scan(w, k, g)
-                    for width in PARITY_WIDTHS:
-                        monkeypatch.setitem(oracle_module.BLOCK_SHAPES, k, (width, tile))
-                        assert_same_as_full_scan(w, k, g, ref)
+    @pytest.mark.parametrize("w", FIXED_WEIGHTS)
+    @pytest.mark.parametrize("k", [P, S])
+    @pytest.mark.parametrize("grid", PARITY_GRIDS)
+    def test_fixed_weights_on_every_grid(self, grid, k, w):
+        assert_same_as_full_scan(w, k, GridSpec(*grid))
 
     @pytest.mark.parametrize(
         "a,b",
@@ -259,26 +235,6 @@ class TestFullScanParity:
     def test_fixed_cases_on_default_grid(self, a, b, k):
         assert_same_as_full_scan(Weights(a, b), k, DEFAULT_GRID)
 
-    @pytest.mark.parametrize(
-        "w,k,width",
-        [
-            # parallel points are strong from diagonal 200 (c1 + c2 >= 1) on,
-            # serial ones from diagonal 400 (min(c1, c2) >= 1); each wiring
-            # keeps its own tile width
-            (Weights(1.0, 1.0), P, 32),  # 200 inside block [192, 224), feasible there
-            (Weights(1.0, 1.0), P, 8),  # 200 opens a block, at the parallel shape
-            (Weights(1.0, 1.0), P, 201),  # 200 closes block [0, 201)
-            (Weights(0.2, 0.2), P, 40),  # 200 opens a block, feasible blocks later
-            (Weights(1.0, 1.0), S, 32),  # 400 inside block [384, 416)
-            (Weights(1.0, 1.0), S, 16),  # 400 opens a block
-            (Weights(0.0, 0.7), S, 25),  # a = 0; 400 opens a block
-            (Weights(0.2, 0.2), S, 401),  # 400 closes block [0, 401), feasible later
-        ],
-    )
-    def test_first_strong_diagonal_inside_or_on_block_edge(self, w, k, width, monkeypatch):
-        monkeypatch.setitem(oracle_module.BLOCK_SHAPES, k, (width, oracle_module.BLOCK_SHAPES[k][1]))
-        assert_same_as_full_scan(w, k, DEFAULT_GRID)
-
     def test_truncated_argmin(self):
         res = assert_same_as_full_scan(Weights(0.3, 0.2), P, GridSpec(1.6, 0.1))
         assert res.truncated
@@ -291,8 +247,10 @@ class TestFullScanParity:
 
 class TestPointsScanned:
     def test_cost_one_parallel_scans_a_corner(self):
+        # diagonal 200, the first strong one, holds the answer
         res = oracle_solve(Weights(1.0, 1.0), P, DEFAULT_GRID)
         assert res.best_cost == 1.0
+        assert res.points_scanned == oracle_module._points_below(201, DEFAULT_GRID.size)
         assert res.points_scanned < 0.05 * DEFAULT_GRID.size**2
 
     def test_empty_scan_covers_the_square(self):
@@ -318,241 +276,153 @@ class TestPointsScanned:
         assert peak < 8 * 2**20
 
 
-class TestTilePruning:
-    @pytest.mark.parametrize(
-        "w,k",
-        [
-            (Weights(0.0, 0.3), P),  # empty
-            (Weights(0.1, 0.05), S),  # empty
-            (Weights(0.2, 0.2), S),  # feasible past nine tenths of the square
-        ],
+def dominates(f, r, f2, r2):
+    """The dominance rule, written out: both terms at least as large, and
+    an infinite force only over an infinite force."""
+    return (f >= f2) & (r >= r2) & (np.isfinite(f) | np.isinf(f2))
+
+
+def half_square(g, k):
+    """Every point ``(i, j)`` of the half square ``i <= j``, in scan order
+    (``i + j`` ascending, then ``i`` descending), with its force and
+    resistance, by the model's formulas in the oracle's error-state scope."""
+    i, j = np.nonzero(np.less_equal.outer(np.arange(g.size), np.arange(g.size)))
+    order = np.lexsort((-i, i + j))
+    i, j = i[order], j[order]
+    axis = g.axis()
+    with np.errstate(all="ignore"):
+        f = _force(k, axis[i], axis[j], np.minimum)
+        r = _resistance(k, axis[i], axis[j])
+    return i, j, f, r
+
+
+def assert_frontier_is_complete(g, k):
+    """The frontier of ``g`` in wiring ``k`` holds strong half-square points
+    with the model's terms, in scan order, and each strong point it leaves
+    out is dominated by an earlier frontier point."""
+    i, j, f, r = half_square(g, k)
+    frontier = oracle_module._frontier(g, k)
+    # each frontier point, by its rank in scan order: strong, in the
+    # half square, with the model's terms, and in scan order
+    rank = np.full((g.size, g.size), -1)
+    rank[i, j] = np.arange(i.size)
+    kept = rank[frontier.i, frontier.j]
+    assert (kept >= 0).all()
+    assert (np.diff(kept) > 0).all()
+    assert np.array_equal(bits(frontier.f), bits(f[kept])) and np.array_equal(bits(frontier.r), bits(r[kept]))
+    assert (frontier.f >= 1.0).all()
+    # each strong point left out is dominated by an earlier frontier point
+    dropped = np.setdiff1d(np.flatnonzero(f >= 1.0), kept)
+    earlier = kept[None, :] < dropped[:, None]
+    covered = earlier & dominates(frontier.f[None, :], frontier.r[None, :], f[dropped, None], r[dropped, None])
+    assert covered.any(axis=1).all()
+
+
+@st.composite
+def small_grids(draw):
+    """Grids of 2 to 60 points a side at random steps, and the fixed small ones."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(SMALL_GRIDS))
+    step = draw(st.floats(1e-3, 10.0))
+    return GridSpec(step * (draw(st.integers(2, 60)) - 1), step)
+
+
+class TestFrontier:
+    """The cached frontier: what it keeps, what it drops, and what a call reads of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=small_grids(),
+        k=st.sampled_from([P, S]),
+        a=st.one_of(st.floats(0.0, 1.5), EDGE_WEIGHTS),
+        b=st.one_of(st.floats(0.0, 1.5), EDGE_WEIGHTS),
     )
-    def test_far_scans_evaluate_a_small_share(self, w, k, monkeypatch):
-        evaluated = []
-        kernel = oracle_module._feasible  # the name the scan calls
+    def test_property_every_dropped_point_is_dominated_earlier(self, g, k, a, b):
+        assert_frontier_is_complete(g, k)
+        assert_same_as_full_scan(Weights(a, b), k, g)
 
-        def counting(w, k, c1, c2):
-            evaluated.append(np.broadcast(c1, c2).size)
-            return kernel(w, k, c1, c2)
+    @pytest.mark.parametrize("k", [P, S])
+    @pytest.mark.parametrize("g", SMALL_GRIDS, ids=lambda g: f"{g.c_max!r}-{g.step!r}")
+    def test_every_dropped_point_is_dominated_earlier_on_fixed_grids(self, g, k):
+        assert_frontier_is_complete(g, k)
 
-        monkeypatch.setattr(oracle_module, "_feasible", counting)
-        res = oracle_solve(w, k, DEFAULT_GRID)
-        # the scan still decides the points it skips
-        assert res.points_scanned > 0.85 * DEFAULT_GRID.size**2
-        assert sum(evaluated) < 0.05 * DEFAULT_GRID.size**2
-        # the patch sees the blocks a feasible scan evaluates; the empty
-        # scans are decided by the bound alone
-        assert (sum(evaluated) > 0) == res.feasible
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(st.one_of(st.floats(0.0), st.sampled_from([0.0, 5e-324, 1.0, 1e308, math.inf])), min_size=4, max_size=4),
+        a=st.one_of(st.floats(0.0), EDGE_WEIGHTS),
+        b=st.one_of(st.floats(0.0), EDGE_WEIGHTS),
+    )
+    def test_property_a_dominating_point_weighs_at_least_as_much(self, terms, a, b):
+        f, r, f2, r2 = (np.array([x]) for x in terms)
+        w = Weights(a, b)
+        assert oracle_module._dominates(f, r, f2, r2)[0] == dominates(f, r, f2, r2)[0]
+        with np.errstate(all="ignore"):
+            if dominates(f, r, f2, r2)[0] and oracle_module._weigh(w, f2, r2)[0] >= 1.0:
+                assert oracle_module._weigh(w, f, r)[0] >= 1.0
 
-    def test_scans_evaluate_about_one_block(self, monkeypatch):
-        """Each tile is bounded by its own points, so a scan rarely evaluates
-        a block before the one that holds the answer, and it evaluates only
-        the half of each block at ``i <= (s0 + width - 1) // 2``.  On these
-        pairs that gives 1.02 blocks and 1,075 points per parallel call, in
-        one-tile blocks of 8 diagonals, and 0.99 blocks and 527 points per
-        serial call, in 32 x 32 tiles.  Parallel blocks of 32 x 32 tiles
-        gave 1.025 blocks and 4,528 points; whole serial diagonals give
-        1,068 points, and a bound over each tile's bounding box 1.045 serial
-        blocks.  A block with no column left to evaluate is skipped, not
-        passed to the kernel empty."""
-        blocks, points = [], []
-        kernel = oracle_module._feasible
+    @pytest.mark.parametrize("b", [0.3, 1.0, math.inf])
+    def test_an_infinite_force_dominates_only_an_infinite_one(self, b):
+        # under a = 0 the infinite force weighs NaN, the finite one b * r
+        f, r = np.array([math.inf, 2.0]), np.array([4.0, 4.0])
+        assert not oracle_module._dominates(f[:1], r[:1], f[1:], r[1:])[0]
+        assert oracle_module._dominates(f[:1], r[:1], f[:1], r[:1])[0]
+        with np.errstate(all="ignore"):
+            assert list(oracle_module._weigh(Weights(0.0, b), f, r) >= 1.0) == [False, True]
 
-        def counting(w, k, c1, c2):
-            size = np.broadcast(c1, c2).size
-            assert size > 0
-            blocks[-1] += 1
-            points[-1] += size
-            return kernel(w, k, c1, c2)
+    def test_default_grid_frontier_sizes(self):
+        """A serial frontier is the strong diagonal points ``(i, i)``; a
+        parallel one keeps about two points a strong diagonal, of the
+        distinct rounded forces ``c1 + c2`` along it."""
+        parallel, serial = (oracle_module._frontier(DEFAULT_GRID, k) for k in (P, S))
+        assert (parallel.f.size, serial.f.size) == (4_038, 1_001)
+        assert np.array_equal(serial.i, np.arange(200, 1201)) and np.array_equal(serial.j, serial.i)
 
-        monkeypatch.setattr(oracle_module, "_feasible", counting)
-        pairs = np.random.default_rng(0).uniform(0.0, 1.5, (400, 2)).tolist()
-        for k, max_blocks, max_points in [(P, 1.05, 1_200), (S, 1.05, 600)]:
-            blocks.clear()
-            points.clear()
-            for a, b in pairs:
-                blocks.append(0)
-                points.append(0)
-                oracle_solve(Weights(a, b), k, DEFAULT_GRID)
-            assert np.mean(blocks) <= max_blocks
-            assert np.mean(points) <= max_points
+    def test_each_call_weighs_the_frontier_once(self, monkeypatch):
+        weigh, weighed = oracle_module._weigh, []
 
-    def test_each_call_weighs_the_strong_terms_once(self, monkeypatch):
-        """A call weighs the strong tiles' cached terms in one call of
-        ``_weigh``, 276 parallel and 1,062 serial ones on the default grid,
-        and makes no other call of it but the kernel's own, one a block.
-        Over the pairs above the kernel's work is exactly that of the scan
-        that weighed every tile slot: 408 blocks and 429,888 points in
-        parallel, 1.02 and 1,075 a call, and 397 blocks and 210,656 points
-        in series, 0.99 and 527 a call."""
-        weigh, kernel = oracle_module._weigh, oracle_module._feasible
-        weighed, evaluated = [], []
-
-        def counting_weigh(w, f, r):
+        def counting(w, f, r):
             weighed.append((f, r))
             return weigh(w, f, r)
 
-        def counting_kernel(w, k, c1, c2):  # its own weighing reads the patched name
-            evaluated.append(np.broadcast(c1, c2).size)
-            return kernel(w, k, c1, c2)
-
-        monkeypatch.setattr(oracle_module, "_weigh", counting_weigh)
-        monkeypatch.setattr(oracle_module, "_feasible", counting_kernel)
-        pairs = np.random.default_rng(0).uniform(0.0, 1.5, (400, 2)).tolist()
-        for k, strong, blocks, points in [(P, 276, 408, 429_888), (S, 1_062, 397, 210_656)]:
-            layout = scan_layout(DEFAULT_GRID, k)
-            assert layout.f_hi.size == strong
-            evaluated.clear()
-            for a, b in pairs:
+        monkeypatch.setattr(oracle_module, "_weigh", counting)
+        pairs = np.random.default_rng(0).uniform(0.0, 1.5, (50, 2)).tolist()
+        for k in (P, S):
+            frontier = oracle_module._frontier(DEFAULT_GRID, k)
+            for a, b in [*pairs, (0.0, 0.3), (0.1, 0.05)]:
                 weighed.clear()
-                calls = len(evaluated)
                 oracle_solve(Weights(a, b), k, DEFAULT_GRID)
-                assert [(f is layout.f_hi, r is layout.r_lo) for f, r in weighed].count((True, True)) == 1
-                assert len(weighed) == 1 + len(evaluated) - calls
-            assert (len(evaluated), sum(evaluated)) == (blocks, points)
+                assert len(weighed) == 1
+                assert weighed[0][0] is frontier.f and weighed[0][1] is frontier.r
 
-
-
-def scan_layout(g, k):
-    """The layout a scan of ``g`` in wiring ``k`` reads, at the wiring's current block shape."""
-    return oracle_module._layout(g, k, *oracle_module.BLOCK_SHAPES[k])
-
-
-def slot_shape(g, width, tile):
-    """Number of blocks, and of tile slots per block, in a scan of ``g``."""
-    last = g.size - 1
-    return 2 * last // width + 1, last // tile + 1
-
-
-def tile_of(i, j, g, width, tile):
-    """Block and tile of the grid points ``(i, j)`` in a scan of ``g``."""
-    block = (i + j) // width
-    column = np.minimum(block * width + width - 1, g.size - 1) - i
-    return block, column // tile
-
-
-def brute_force_terms(k, g, width, tile):
-    """The largest force and resistance over each tile's own points, and the
-    number of points per tile, by visiting every point of the square."""
-    axis = g.axis()
-    shape = slot_shape(g, width, tile)
-    f_max, r_max, count = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=int)
-    for lo in range(0, g.size, 64):  # 64 rows of the square at a time
-        i, j = np.meshgrid(np.arange(lo, min(lo + 64, g.size)), np.arange(g.size), indexing="ij")
-        where = tile_of(i, j, g, width, tile)
-        # force and resistance are nonnegative, so the zeros are neutral
-        with np.errstate(all="ignore"):  # the oracle's own scope
-            np.maximum.at(f_max, where, oracle_module._force(k, axis[i], axis[j], np.minimum))
-            np.maximum.at(r_max, where, oracle_module._resistance(k, axis[i], axis[j]))
-        np.add.at(count, where, 1)
-    return f_max, r_max, count
-
-
-def grid_tiles(g, width, tile):
-    """Mask of the (block, tile) slots that hold a point of the square ``g``."""
-    tiles = np.zeros(slot_shape(g, width, tile), dtype=bool)
-    i, j = np.meshgrid(np.arange(g.size), np.arange(g.size), indexing="ij")
-    tiles[tile_of(i, j, g, width, tile)] = True
-    return tiles
-
-
-def scan_keep(w, k, g):
-    """The tiles the scan of ``g`` keeps for ``w``, as a (block, tile) mask:
-    the layout's strong tiles that its weighing of their cached terms does
-    not rule out, in the scan's error-state scope."""
-    layout = scan_layout(g, k)
-    width, tile = oracle_module.BLOCK_SHAPES[k]
-    with np.errstate(all="ignore"):
-        kept = ~(oracle_module._weigh(w, layout.f_hi, layout.r_lo) < 1.0)
-    keep = np.zeros(slot_shape(g, width, tile), dtype=bool)
-    keep[layout.blocks[kept], layout.columns[kept] // tile] = True
-    return keep
-
-
-# each wiring's block shape, the parallel one-tile and the serial 32 x 32,
-# and a narrow one of several tiles, each tried in both wirings
-LAYOUT_SHAPES = [*dict.fromkeys(oracle_module.BLOCK_SHAPES.values()), (8, 5)]
-BOUND_GRIDS = [DEFAULT_GRID, OVERFLOW_GRID, *(GridSpec(*grid) for grid in PARITY_GRIDS)]
-
-
-class TestCachedBound:
-    """The weight-free half of the tile bound, cached with the layout for
-    the strong tiles alone."""
-
-    @pytest.mark.parametrize("shape", LAYOUT_SHAPES)
-    @pytest.mark.parametrize("k", [P, S])
-    @pytest.mark.parametrize("g", BOUND_GRIDS, ids=lambda g: f"{g.c_max!r}-{g.step!r}")
-    def test_terms_are_the_largest_over_each_tiles_own_points(self, g, k, shape, monkeypatch):
-        monkeypatch.setitem(oracle_module.BLOCK_SHAPES, k, shape)
-        layout = scan_layout(g, k)
-        f_max, r_max, count = brute_force_terms(k, g, *shape)
-        strong = ~(f_max < 1.0) & (count > 0)
-        assert layout.f_hi.shape == layout.r_lo.shape == layout.blocks.shape == layout.columns.shape
-        assert layout.ends.shape == layout.f_hi.shape
-        # the strong tiles, in scan order, and the end of each block's run
-        assert np.array_equal(layout.columns % shape[1], np.zeros_like(layout.columns))
-        where = (layout.blocks, layout.columns // shape[1])
-        assert np.array_equal(np.ravel_multi_index(where, strong.shape), np.flatnonzero(strong))
-        assert np.array_equal(layout.ends, np.cumsum(strong.sum(axis=1))[layout.blocks])
-        assert np.array_equal(layout.f_hi, f_max[where])
-        assert np.array_equal(layout.r_lo, r_max[where])
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        a=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
-        b=st.one_of(st.floats(0.0, 1.5), EDGE_FLOATS),
-        k=st.sampled_from([P, S]),
-        g=st.sampled_from(BOUND_GRIDS[1:]),  # the small ones
-        shape=st.sampled_from([*LAYOUT_SHAPES, (1, 1), (3, 2), (7, 64)]),
-    )
-    def test_keeps_every_tile_with_a_feasible_point(self, a, b, k, g, shape):
-        w = Weights(a, b)
-        axis = g.axis()
-        i, j = np.nonzero(feasible(w, k, axis[:, None], axis[None, :]))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(oracle_module.BLOCK_SHAPES, k, shape)
-            keep = scan_keep(w, k, g)
-        assert not (keep & ~grid_tiles(g, *shape)).any()
-        assert keep[tile_of(i, j, g, *shape)].all()
-
-    @pytest.mark.parametrize("b", [0.0, 0.3, 1e308])
-    def test_nan_bound_keeps_the_tile(self, b):
-        layout = scan_layout(OVERFLOW_GRID, P)
-        assert oracle_module.BLOCK_SHAPES[P][1] >= OVERFLOW_GRID.size  # one tile per block
-        overflowed = np.isinf(layout.f_hi)
-        assert overflowed.any()
-        # a = 0 times an infinite force is NaN, which rules nothing out
-        keep = scan_keep(Weights(0.0, b), P, OVERFLOW_GRID)
-        assert keep[layout.blocks[overflowed], 0].all()
+    def test_build_memory_is_bounded(self):
+        """Both default-grid builds stay within 1.5 MB traced: one chunk of
+        temporaries, and the frontier itself."""
+        oracle_solve(Weights(1.0, 1.0), P, GridSpec(1.0, 0.1))  # warm up lazy imports
+        oracle_module._frontier.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in (P, S):
+                oracle_module._frontier(DEFAULT_GRID, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     @pytest.mark.parametrize("k", [P, S])
     @pytest.mark.parametrize("g", [DEFAULT_GRID, OVERFLOW_GRID])
     def test_cached_arrays_are_read_only(self, g, k):
-        layout = scan_layout(g, k)
-        for array in layout:
+        for array in oracle_module._frontier(g, k):
             assert not array.flags.writeable
-        # each strong tile starts inside its block
-        width, last = oracle_module.BLOCK_SHAPES[k][0], g.size - 1
-        s0 = layout.blocks * width
-        assert (layout.columns <= np.minimum(s0 + width - 1, last) - np.maximum(s0 - last, 0)).all()
 
-
-class TestLayoutCache:
-    def test_each_wiring_builds_its_layout_once(self):
-        """A campaign alternates the wirings on one grid; both layouts stay cached."""
-        oracle_module._layout.cache_clear()
+    def test_each_wiring_builds_its_frontier_once(self):
+        """A campaign alternates the wirings on one grid; both frontiers stay cached."""
+        oracle_module._frontier.cache_clear()
         pairs = np.random.default_rng(7).uniform(0.0, 1.5, (25, 2)).tolist()
         for a, b in pairs:
             for k in (P, S):
                 oracle_solve(Weights(a, b), k, DEFAULT_GRID)
-        info = oracle_module._layout.cache_info()
+        info = oracle_module._frontier.cache_info()
         assert (info.misses, info.hits) == (2, 48)
-
-    def test_default_parallel_scan_uses_narrow_blocks(self):
-        # diagonal 200, the first strong one, opens the 8-wide block [200, 208)
-        res = oracle_solve(Weights(1.0, 1.0), P, DEFAULT_GRID)
-        assert res.best_cost == 1.0
-        assert res.points_scanned == oracle_module._points_below(208, DEFAULT_GRID.size)
 
 
 class TestErrorState:
@@ -571,7 +441,7 @@ class TestErrorState:
     )
     @pytest.mark.parametrize("k", [P, S])
     def test_raising_caller_sees_no_floating_point_error(self, w, g, k):
-        oracle_module._layout.cache_clear()  # the first scan builds the layout
+        oracle_module._frontier.cache_clear()  # the first call builds the frontier
         with np.errstate(all="raise"):
             state = np.geterr()
             scanned = oracle_solve(w, k, g)
