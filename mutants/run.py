@@ -128,16 +128,16 @@ MUTANTS = [
     Mutant(
         "model-imports-numpy",
         "src/twospring/model.py",
-        "from dataclasses import dataclass\n",
-        "from dataclasses import dataclass\n\nimport numpy as np\n",
+        "from dataclasses import dataclass, fields\n",
+        "from dataclasses import dataclass, fields\n\nimport numpy as np\n",
         ("tests/test_imports.py::TestCommandsWithoutNumpy",),
     ),
     # the oracle made to import the closed form it is meant to check
     Mutant(
         "oracle-imports-solver",
         "src/twospring/oracle.py",
-        "from .model import SpringPair, Topology, Weights, _force, _resistance, _weigh, cost\n",
-        "from .model import SpringPair, Topology, Weights, _force, _resistance, _weigh, cost\n"
+        "from .model import SpringPair, Topology, Weights, _direct_init, _force, _resistance, _weigh, cost\n",
+        "from .model import SpringPair, Topology, Weights, _direct_init, _force, _resistance, _weigh, cost\n"
         "from .solver import solve_reduced\n",
         ("tests/test_imports.py::TestImportGraph",),
     ),
@@ -320,6 +320,32 @@ MUTANTS = [
         "@functools.lru_cache(maxsize=2)",
         "@functools.lru_cache(maxsize=1)",
         ("tests/test_oracle.py::TestFrontier::test_each_wiring_builds_its_frontier_once",),
+    ),
+    # the generated __init__ lists its parameters rotated by one, so a
+    # positional call stores each field from the next argument; rotating
+    # the stores instead breaks solver's import-time build, an error and
+    # not a kill
+    Mutant(
+        "direct-init-fields-shifted",
+        "src/twospring/model.py",
+        "{', '.join(names)}",
+        "{', '.join(names[-1:] + names[:-1])}",
+        (
+            "tests/test_solver.py::test_value_contract",
+            "tests/test_regions.py::test_value_contract",
+            "tests/test_oracle.py::test_value_contract",
+        ),
+    ),
+    # the campaign's draw keeps 52 bits of each raw word, not 53
+    Mutant(
+        "verify-draw-52-bits",
+        "src/twospring/verify.py",
+        "(words >> 11)",
+        "(words >> 12)",
+        (
+            "tests/test_oracle.py::test_campaign_pairs_come_from_the_raw_pcg64_stream",
+            "tests/test_cli.py::TestVerifyCommand::test_default_summary_bytes_are_pinned",
+        ),
     ),
 ]
 

@@ -26,22 +26,25 @@ rounding step keeps that order: a grid row whose force is equal at both
 ends has constant force, and the oracle skips every point of it after the
 first, which its predecessor in the row dominates.
 
-:class:`SpringPair` and :class:`Weights` are built once per query, so each
-has a hand-written ``__init__`` that validates its arguments and writes the
-fields straight into the instance ``__dict__``.  The ``__init__`` a frozen
-dataclass generates sets every field through ``object.__setattr__``, which
-costs more than a closed-form solve.  ``@dataclass(frozen=True)`` keeps an
-``__init__`` the class defines and still generates equality, hashing,
-``repr`` and the ``__setattr__`` that refuses assignment, so the values stay
-frozen.  The value types of ``solver``, ``regions``, ``oracle`` and
-``verify`` follow the same pattern.
+The value types are frozen dataclasses built once per query, and the
+``__init__`` a frozen dataclass generates sets every field through
+``object.__setattr__``, which costs more than a closed-form solve.  So each
+writes its fields straight into the instance ``__dict__``, one store per
+field, and ``@dataclass(frozen=True)``, which keeps an ``__init__`` the class
+defines, still gives equality, hashing, ``repr`` and the ``__setattr__`` that
+refuses assignment.  :class:`SpringPair` and :class:`Weights` validate their
+arguments, so their ``__init__`` is written by hand.  The result types of
+``solver``, ``regions``, ``oracle`` and ``verify`` take theirs from
+:func:`_direct_init`, which writes the method's source from the field list
+and compiles it once, when the class is created, as ``dataclasses`` builds
+its own methods.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "Topology",
@@ -63,6 +66,22 @@ class Topology(enum.Enum):
     @property
     def k(self) -> int:
         return self.value
+
+
+def _direct_init(cls):
+    """Give the dataclass ``cls`` an ``__init__`` of its fields, in order,
+    that stores each straight into the instance ``__dict__``.  Stacked
+    above ``@dataclass(frozen=True)``; fields with defaults are not
+    supported."""
+    names = [f.name for f in fields(cls)]
+    stores = "".join(f"\n    d[{name!r}] = {name}" for name in names)
+    namespace = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n    d = self.__dict__{stores}\n", {}, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import SpringPair, Topology, Weights, _force, _resistance, _weigh, cost
+from .model import SpringPair, Topology, Weights, _direct_init, _force, _resistance, _weigh, cost
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -144,16 +144,13 @@ class GridSpec:
         return np.arange(self.size) * self.step
 
 
+@_direct_init
 @dataclass(frozen=True)
 class OracleResult:
     """Cheapest feasible grid point, if any.
 
     ``truncated`` flags an argmin on the boundary of the search square, where
-    the true optimum may lie outside the scanned area.  ``points_scanned``
-    counts the grid points on the diagonals up to the answer's, ``i + j <=
-    s`` for the answer on diagonal ``s``: the points that a search in cost
-    order decides before it stops, the whole square when nothing is
-    feasible.
+    the true optimum may lie outside the scanned area.
     """
 
     feasible: bool
@@ -161,32 +158,6 @@ class OracleResult:
     best_cost: float
     argmin_gap: float | None
     truncated: bool
-    points_scanned: int = 0
-
-    def __init__(
-        self,
-        feasible: bool,
-        best_pair: SpringPair | None,
-        best_cost: float,
-        argmin_gap: float | None,
-        truncated: bool,
-        points_scanned: int = 0,
-    ) -> None:
-        d = self.__dict__
-        d["feasible"] = feasible
-        d["best_pair"] = best_pair
-        d["best_cost"] = best_cost
-        d["argmin_gap"] = argmin_gap
-        d["truncated"] = truncated
-        d["points_scanned"] = points_scanned
-
-
-def _points_below(t: int, size: int) -> int:
-    """Number of points ``(i, j)`` of a ``size``-square with ``i + j < t``."""
-    if t <= size:
-        return t * (t + 1) // 2
-    above = 2 * size - 1 - t  # points with i + j >= t, mirrored by (i, j) -> (last - i, last - j)
-    return size * size - above * (above + 1) // 2
 
 
 class _Frontier(NamedTuple):
@@ -280,7 +251,7 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
         ok = _weigh(w, frontier.f, frontier.r) >= 1.0
     n = int(ok.argmax()) if ok.size else 0
     if n == ok.size or not ok[n]:
-        return OracleResult(False, None, math.inf, None, False, g.size * g.size)
+        return OracleResult(False, None, math.inf, None, False)
     i, j = int(frontier.i[n]), int(frontier.j[n])
     pair = SpringPair(float(frontier.axis[i]), float(frontier.axis[j]))
     return OracleResult(
@@ -289,5 +260,4 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
         best_cost=cost(pair),
         argmin_gap=abs(pair.c1 - pair.c2),
         truncated=j == g.size - 1,
-        points_scanned=_points_below(i + j + 1, g.size),
     )

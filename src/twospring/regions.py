@@ -16,8 +16,8 @@ whatever the weights, so :func:`winner` tests that line itself and returns
 one shared :class:`RegionReport` there, built once at import through the
 kernel path; whether two calls return the same object is not part of the
 contract.  A query builds no ``ReducedSolution``.  Its one value object,
-the :class:`RegionReport`, writes its fields directly from a hand-written
-``__init__`` and stays frozen (see :mod:`twospring.model`).
+the :class:`RegionReport`, is frozen and takes the ``__init__`` that writes
+its fields directly from :mod:`twospring.model`.
 The labels and winners the scalar path returns are module-level aliases
 (``_A`` ... ``_TIE``): looking an enum member up on its class costs
 0.1-0.2 us on Python 3.11, a sizable share of a query.
@@ -38,7 +38,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import Weights
+from .model import Weights, _direct_init
 from .solver import _STRENGTH, _reduced
 
 __all__ = [
@@ -71,6 +71,7 @@ class Winner(enum.Enum):
     BOTH_INFEASIBLE = "infeasible"
 
 
+@_direct_init
 @dataclass(frozen=True)
 class RegionReport:
     """Label, winning topology, and both minimal costs at one weight pair."""
@@ -79,13 +80,6 @@ class RegionReport:
     winner: Winner
     cost_parallel: float
     cost_serial: float
-
-    def __init__(self, label: RegionLabel, winner: Winner, cost_parallel: float, cost_serial: float) -> None:
-        d = self.__dict__
-        d["label"] = label
-        d["winner"] = winner
-        d["cost_parallel"] = cost_parallel
-        d["cost_serial"] = cost_serial
 
 
 # module-level aliases of the enum members the scalar path returns (see the module docstring)

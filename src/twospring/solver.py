@@ -36,8 +36,8 @@ where the test becomes one helper.
 
 A query builds its value objects here: :func:`solve_reduced` its
 :class:`ReducedSolution` and :func:`expand` its :class:`DesignSolution`.
-Both classes write their fields directly from a hand-written ``__init__``
-and stay frozen (see :mod:`twospring.model`).  The strength-bound answer
+Both are frozen and take the ``__init__`` that writes their fields
+directly from :mod:`twospring.model`.  The strength-bound answer
 does not depend on the weights, so it is built once at import: wherever the
 kernel takes the strength branch, :func:`solve_reduced` returns one shared
 solution per wiring, and :func:`expand` of such a shared solution returns
@@ -56,7 +56,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .model import Topology, Weights
+from .model import Topology, Weights, _direct_init
 
 __all__ = [
     "ActiveConstraint",
@@ -86,6 +86,7 @@ class InfeasibleError(ValueError):
     """No design satisfies the constraints for the given weights."""
 
 
+@_direct_init
 @dataclass(frozen=True)
 class ReducedSolution:
     """Outcome of the one-variable problem for a fixed topology.
@@ -99,20 +100,8 @@ class ReducedSolution:
     total_cost: float
     active_constraint: ActiveConstraint | None
 
-    def __init__(
-        self,
-        feasible: bool,
-        x_star: float | None,
-        total_cost: float,
-        active_constraint: ActiveConstraint | None,
-    ) -> None:
-        d = self.__dict__
-        d["feasible"] = feasible
-        d["x_star"] = x_star
-        d["total_cost"] = total_cost
-        d["active_constraint"] = active_constraint
 
-
+@_direct_init
 @dataclass(frozen=True)
 class DesignSolution:
     """Concrete optimal elastic limits for one topology."""
@@ -121,13 +110,6 @@ class DesignSolution:
     c2_star: float
     total_cost: float
     topology: Topology
-
-    def __init__(self, c1_star: float, c2_star: float, total_cost: float, topology: Topology) -> None:
-        d = self.__dict__
-        d["c1_star"] = c1_star
-        d["c2_star"] = c2_star
-        d["total_cost"] = total_cost
-        d["topology"] = topology
 
 
 def _root(a, b, kk, sqrt):

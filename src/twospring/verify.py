@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Topology, Weights
+from .model import Topology, Weights, _direct_init
 from .oracle import GridSpec, oracle_solve
 from .solver import solve_reduced
 
 __all__ = ["VerificationVerdict", "verify_reduction", "verify_campaign"]
 
 
+@_direct_init
 @dataclass(frozen=True)
 class VerificationVerdict:
     """Comparison of the grid scan against the closed form for one instance.
@@ -42,27 +43,6 @@ class VerificationVerdict:
     allowance: float
     argmin_gap: float | None
     beyond_grid: bool
-
-    def __init__(
-        self,
-        agree: bool,
-        status: str,
-        closed_cost: float,
-        oracle_cost: float,
-        cost_gap: float,
-        allowance: float,
-        argmin_gap: float | None,
-        beyond_grid: bool,
-    ) -> None:
-        d = self.__dict__
-        d["agree"] = agree
-        d["status"] = status
-        d["closed_cost"] = closed_cost
-        d["oracle_cost"] = oracle_cost
-        d["cost_gap"] = cost_gap
-        d["allowance"] = allowance
-        d["argmin_gap"] = argmin_gap
-        d["beyond_grid"] = beyond_grid
 
 
 def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> VerificationVerdict:
@@ -109,19 +89,27 @@ def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> Verifi
     )
 
 
+def _uniform_pairs(samples: int, seed: int) -> list[list[float]]:
+    """``samples`` pairs uniform on ``[0, 1.5)^2``: the top 53 bits of each raw
+    word of ``PCG64(seed)``, scaled, as ``default_rng(seed).uniform`` draws
+    them.  numpy keeps only the bit generator's stream stable across
+    releases (NEP 19), so the conversion is written here."""
+    words = np.random.PCG64(seed).random_raw(2 * samples)
+    return ((words >> 11) * 2.0**-53 * 1.5).reshape(samples, 2).tolist()
+
+
 def verify_campaign(samples: int, seed: int, g: GridSpec, tol: float) -> dict:
     """The fields the ``twospring verify`` summary computes, in its key order,
-    for ``samples`` pairs uniform on ``[0, 1.5]^2`` from
-    ``np.random.default_rng(seed)``, each checked parallel then serial.
+    for ``samples`` pairs drawn by :func:`_uniform_pairs`, each checked
+    parallel then serial.
 
     ``failures`` holds the pair, wiring, status and costs of each
     disagreeing verdict, in check order; ``worst_cost_gap`` is the largest
     finite ``|cost_gap|`` of an agreeing one.  ``samples`` and ``seed`` are
     nonnegative, ``tol`` as for :func:`verify_reduction`.
     """
-    points = np.random.default_rng(seed).uniform(0.0, 1.5, size=(samples, 2))
     truncated, worst_gap, failures = 0, 0.0, []
-    for a, b in points.tolist():
+    for a, b in _uniform_pairs(samples, seed):
         w = Weights(a, b)
         for k in (Topology.PARALLEL, Topology.SERIAL):
             verdict = verify_reduction(w, k, g, tol)

@@ -1,9 +1,10 @@
-"""Contract of the frozen value types whose ``__init__`` is written by hand.
+"""Contract of the frozen value types whose ``__init__`` writes the instance ``__dict__``.
 
-Each such class writes its fields straight into the instance ``__dict__``
-instead of through the ``__init__`` that ``@dataclass(frozen=True)`` would
-generate.  :func:`assert_value_contract` checks that it still behaves as that
-generated class would, against a plain frozen-dataclass twin built here.
+Each such class writes its fields straight into the instance ``__dict__``,
+from an ``__init__`` written by hand or by ``model._direct_init``, instead of
+through the ``__init__`` that ``@dataclass(frozen=True)`` would generate.
+:func:`assert_value_contract` checks that it still behaves as that generated
+class would, against a plain frozen-dataclass twin built here.
 """
 
 import copy
@@ -27,6 +28,10 @@ def assert_value_contract(cls):
     """``cls`` keeps the contract of the frozen dataclass its fields declare."""
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
+
+    # the method's own names, as a method defined in the class body has them
+    assert cls.__init__.__qualname__ == cls.__qualname__ + ".__init__"
+    assert cls.__init__.__module__ == cls.__module__
 
     # signature: the field names in order, each with its default
     params = list(inspect.signature(cls.__init__).parameters.values())[1:]
