@@ -713,7 +713,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "verify_reduction", wrong_per_wiring)
         code, out, _ = run_captured(["verify", "--samples", "2", "--seed", "3"])
         assert code == EXIT_DISAGREEMENT
-        pairs = np.random.default_rng(3).uniform(0.0, 1.5, size=(2, 2)).tolist()
+        pairs = verify._uniform_pairs(2, 3)
         assert all(a != b for a, b in pairs)
         failures = json.loads(out)["failures"]
         assert failures == [
