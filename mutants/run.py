@@ -321,6 +321,23 @@ MUTANTS = [
         "@functools.lru_cache(maxsize=1)",
         ("tests/test_oracle.py::TestFrontier::test_each_wiring_builds_its_frontier_once",),
     ),
+    # a head weighing exactly 1 left to the arrays, which answer it alike,
+    # so only the path a call takes shows it
+    Mutant(
+        "oracle-head-strict",
+        "src/twospring/oracle.py",
+        "    if _weigh(w, head_f, head_r) >= 1.0:\n",
+        "    if _weigh(w, head_f, head_r) > 1.0:\n",
+        ("tests/test_oracle.py::TestHead",),
+    ),
+    # the head's result built from the frontier's second point
+    Mutant(
+        "oracle-head-second-point",
+        "src/twospring/oracle.py",
+        "_answer(axis, int(i[0]), int(j[0]), last)",
+        "_answer(axis, int(i[1]), int(j[1]), last)",
+        ("tests/test_oracle.py::TestFullScanParity",),
+    ),
     # the generated __init__ lists its parameters rotated by one, so a
     # positional call stores each field from the next argument; rotating
     # the stores instead breaks solver's import-time build, an error and

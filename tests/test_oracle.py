@@ -14,6 +14,7 @@ from value_contract import assert_value_contract
 from twospring import oracle as oracle_module
 from twospring import verify as verify_module
 from twospring.model import SpringPair, Topology, Weights, _force, _resistance, cost
+from twospring.model import _weigh as model_weigh
 from twospring.oracle import GridSpec, OracleResult, oracle_solve
 from twospring.solver import solve_reduced
 from twospring.verify import VerificationVerdict, verify_reduction
@@ -264,6 +265,57 @@ class TestScanExtremes:
         assert peak < 8 * 2**20
 
 
+def counting_weigh(monkeypatch):
+    """Record the ``(f, r)`` of each ``_weigh`` call the oracle makes, in a
+    list that the caller may clear."""
+    weighed = []
+
+    def counting(w, f, r):
+        weighed.append((f, r))
+        return model_weigh(w, f, r)
+
+    monkeypatch.setattr(oracle_module, "_weigh", counting)
+    return weighed
+
+
+class TestHead:
+    """The head, the frontier's first point, answers a call on floats at
+    and above 1 and leaves the call to the arrays below it."""
+
+    @pytest.mark.parametrize(
+        "w,k,at_head",
+        [
+            # the parallel head (0.5, 0.5): force 1, resistance 1
+            (Weights(1.0, 0.0), P, True),
+            (Weights(math.nextafter(1.0, 0.0), 0.0), P, False),
+            # the serial head (1.0, 1.0): force 1, resistance 2
+            (Weights(0.0, 0.5), S, True),
+            (Weights(0.0, math.nextafter(0.5, 0.0)), S, False),
+            (Weights(math.inf, 0.0), P, True),
+            (Weights(math.inf, 0.0), S, True),
+            (Weights(0.0, math.inf), P, True),
+            (Weights(0.0, math.inf), S, True),
+        ],
+    )
+    def test_boundary_on_default_grid(self, w, k, at_head, monkeypatch):
+        frontier = oracle_module._frontier(DEFAULT_GRID, k)
+        assert (frontier.head_f, frontier.head_r) == (1.0, 1.0 if k is P else 2.0)
+        weighed = counting_weigh(monkeypatch)
+        got = assert_same_as_full_scan(w, k, DEFAULT_GRID)
+        assert (got == frontier.head) == at_head
+        arrays = [f for f, _ in weighed if isinstance(f, np.ndarray)]
+        assert [f is frontier.f for f in arrays] == ([] if at_head else [True])
+
+    def test_empty_frontier_has_no_head(self, monkeypatch):
+        g = GridSpec(0.4, 0.1)  # the parallel force reaches 0.8
+        frontier = oracle_module._frontier(g, P)
+        assert frontier.f.size == 0 and frontier.head is None
+        weighed = counting_weigh(monkeypatch)
+        res = assert_same_as_full_scan(Weights(math.inf, math.inf), P, g)
+        assert not res.feasible
+        assert len([f for f, _ in weighed if isinstance(f, np.ndarray)]) == 1
+
+
 def dominates(f, r, f2, r2):
     """The dominance rule, written out: both terms at least as large, and
     an infinite force only over an infinite force."""
@@ -366,21 +418,26 @@ class TestFrontier:
         assert np.array_equal(serial.i, np.arange(200, 1201)) and np.array_equal(serial.j, serial.i)
 
     def test_each_call_weighs_the_frontier_once(self, monkeypatch):
-        weigh, weighed = oracle_module._weigh, []
-
-        def counting(w, f, r):
-            weighed.append((f, r))
-            return weigh(w, f, r)
-
-        monkeypatch.setattr(oracle_module, "_weigh", counting)
+        """A call whose head, the first frontier point, is feasible weighs
+        no array; every other call weighs the cached arrays once."""
+        weighed = counting_weigh(monkeypatch)
         pairs = np.random.default_rng(0).uniform(0.0, 1.5, (50, 2)).tolist()
         for k in (P, S):
             frontier = oracle_module._frontier(DEFAULT_GRID, k)
+            paths = set()
             for a, b in [*pairs, (0.0, 0.3), (0.1, 0.05)]:
+                w = Weights(a, b)
+                head = model_weigh(w, float(frontier.f[0]), float(frontier.r[0])) >= 1.0
                 weighed.clear()
-                oracle_solve(Weights(a, b), k, DEFAULT_GRID)
-                assert len(weighed) == 1
-                assert weighed[0][0] is frontier.f and weighed[0][1] is frontier.r
+                oracle_solve(w, k, DEFAULT_GRID)
+                arrays = [(f, r) for f, r in weighed if isinstance(f, np.ndarray)]
+                if head:
+                    assert arrays == []
+                else:
+                    assert len(arrays) == 1
+                    assert arrays[0][0] is frontier.f and arrays[0][1] is frontier.r
+                paths.add(head)
+            assert paths == {True, False}
 
     def test_build_memory_is_bounded(self):
         """Both default-grid builds stay within 1.5 MB traced: one chunk of
@@ -399,8 +456,12 @@ class TestFrontier:
     @pytest.mark.parametrize("k", [P, S])
     @pytest.mark.parametrize("g", [DEFAULT_GRID, OVERFLOW_GRID])
     def test_cached_arrays_are_read_only(self, g, k):
-        for array in oracle_module._frontier(g, k):
+        frontier = oracle_module._frontier(g, k)._asdict()
+        arrays = {name: value for name, value in frontier.items() if isinstance(value, np.ndarray)}
+        assert set(arrays) == {"axis", "i", "j", "f", "r"}
+        for array in arrays.values():
             assert not array.flags.writeable
+        assert isinstance(frontier["head"], OracleResult)
 
     def test_each_wiring_builds_its_frontier_once(self):
         """A campaign alternates the wirings on one grid; both frontiers stay cached."""
