@@ -81,6 +81,24 @@ MUTANTS = [
         "        if kk * b > 1.0:\n",
         ("tests/test_solver.py", "tests/test_fast_path.py"),
     ),
+    # a pair on a line left to the kernel, which answers it alike, so only
+    # the path a solve takes shows it
+    Mutant(
+        "solve-shortcut-strict",
+        "src/twospring/solver.py",
+        "    if a + kk * b - 1.0 >= 0.0:\n",
+        "    if a + kk * b - 1.0 > 0.0:\n",
+        ("tests/test_fast_path.py::test_strength_bound_needs_no_kernel",),
+    ),
+    # the parallel shortcut tests the serial line, so band B gets the
+    # parallel strength bound
+    Mutant(
+        "solve-shortcut-serial-line-on-parallel",
+        "src/twospring/solver.py",
+        "    if a + kk * b - 1.0 >= 0.0:\n",
+        "    if a + 2.0 * b - 1.0 >= 0.0:\n",
+        ("tests/test_fast_path.py::test_near_the_lines", "tests/test_fast_path.py::test_inf_and_subnormal_weights"),
+    ),
     # the resistance weighed in at b = 0, where 0 * inf must give 0
     Mutant(
         "weigh-adds-resistance-at-b0",

@@ -16,7 +16,8 @@ the minimizer is either the strength bound ``x = 1`` or the upper root of
 
 One private scalar kernel, :func:`_reduced`, answers one weight pair on
 plain floats and is the reference.  :func:`solve_reduced` wraps its result
-in a :class:`ReducedSolution`; ``regions.winner`` calls it directly, so
+in a :class:`ReducedSolution`, once it has answered the strength bound
+itself; ``regions.winner`` calls the kernel directly, so
 comparing two costs builds no intermediate object, and reads the region
 bands from the active constraints it returns.
 Its array twin for whole weight grids,
@@ -27,25 +28,28 @@ call on one pair (the README gives the measured ratio).
 
 The root formula is written once, in :func:`_root`, which the array twin
 calls with ``np.sqrt``.  The branch test ``a + kk*b - 1.0 < 0.0`` stays
-written out in :func:`_reduced`, ``total_cost_grid`` and ``regions.winner``'s
-band-C shortcut, because a helper call slowed the scalar path: a
-strength-branch :func:`solve_reduced` from 110-113 to 130-138 ns, a band-C
-``winner`` from 55-57 to 80-82 ns (Python 3.11.7, fastest of 7 runs of
-200,000 calls).  An exact sign test would cost far more than a call; that is
-where the test becomes one helper.
+written out in :func:`_reduced` and ``total_cost_grid``, and its negation in
+``regions.winner``'s band-C shortcut and in :func:`solve_reduced`, which
+answers the strength bound before it calls the kernel.  A helper call
+slowed the scalar path: a strength-bound :func:`solve_reduced` takes 70-76 ns
+with the test written out and 93-99 ns through a helper (the kernel call it
+replaced took 107-116 ns), a band-C ``winner`` 55-57 against 80-82 ns
+(Python 3.11.7, fastest of 7 runs of 200,000 calls, three runs).  An exact
+sign test would cost far more than a call; that is where the test becomes
+one helper.
 
 A query builds its value objects here: :func:`solve_reduced` its
 :class:`ReducedSolution` and :func:`expand` its :class:`DesignSolution`.
 Both are frozen and take the ``__init__`` that writes their fields
 directly from :mod:`twospring.model`.  The strength-bound answer
 does not depend on the weights, so it is built once at import: wherever the
-kernel takes the strength branch, :func:`solve_reduced` returns one shared
-solution per wiring, and :func:`expand` of such a shared solution returns
-one shared design per topology.  Every other input, including an equal
-solution built by a caller, takes the general path.  Returned values are
-equal to what the general path would build; whether two calls return the
-same object is not part of the contract.  The enum members the
-scalar path returns or compares against are module-level aliases
+kernel would take the strength branch, :func:`solve_reduced` returns one
+shared solution per wiring without calling it, and :func:`expand` of such a
+shared solution returns one shared design per topology.  Every other input,
+including an equal solution built by a caller, takes the general path.
+Returned values are equal to what the general path would build; whether two
+calls return the same object is not part of the contract.  The enum members
+the scalar path returns or compares against are module-level aliases
 (``_STRENGTH``, ``_ROOT``, ``_PARALLEL``, ``_SERIAL``): looking a member up
 on its class costs 0.1-0.2 us on Python 3.11, a sizable share of a solve.
 """
@@ -149,9 +153,15 @@ def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
     ``feasible`` holds exactly when ``total_cost`` is finite.  Infeasibility
     is reported as a result (cost ``+inf``), never raised.
     """
-    x_star, total, active = _reduced(w.a, w.b, 1.0 if k is _PARALLEL else 2.0)
-    if active is _STRENGTH:
+    a = w.a
+    b = w.b
+    kk = 1.0 if k is _PARALLEL else 2.0
+    # the kernel's strength branches, before the call: for a > 0 its root
+    # test negated; for a = +-0.0 the sum is exactly k*b, and k*b - 1.0 is
+    # exact near 1 (Sterbenz), so the test is the kernel's k*b >= 1.0
+    if a + kk * b - 1.0 >= 0.0:
         return _STRENGTH_PARALLEL if k is _PARALLEL else _STRENGTH_SERIAL
+    x_star, total, active = _reduced(a, b, kk)
     return ReducedSolution(x_star is not None, x_star, total, active)
 
 

@@ -1,7 +1,9 @@
 """The scalar query's fast paths against a kernel-only reference.
 
-``winner`` decides band C before the kernel runs, and ``solve_reduced`` and
-``expand`` return shared values for the strength bound.  The reference here
+``winner`` decides band C and ``solve_reduced`` the strength bound before
+the kernel runs, and both ``solve_reduced`` and ``expand`` return shared
+values for the strength bound.  With the kernel stubbed out, the path tests
+show which path answered, which the values alone cannot.  The reference here
 answers every query through the kernel alone, ``solver._reduced``, and
 labels it with the line predicates as written, so each answer must equal it
 field for field: the same enum members, and costs and limits equal bit for
@@ -158,6 +160,54 @@ def test_band_c_needs_no_kernel(monkeypatch):
     for a, b in BAND_A + BAND_B:
         with pytest.raises(AssertionError, match="kernel"):
             winner(Weights(a, b))
+
+
+# the strength bound: on each wiring's line a + k*b = 1, on the a = 0 axis at
+# k*b = 1 (also at a = -0.0), off the lines, and at the inf edges
+STRENGTH_BOUND = [
+    (0.5, 0.5, P), (0.25, 0.75, P), (0.5, 0.25, S), (0.25, 0.375, S),
+    (0.0, 1.0, P), (0.0, 0.5, S), (-0.0, 1.0, P), (-0.0, 1.0, S), (-0.0, 0.5, S),
+    (0.6, 0.5, P), (0.3, 0.4, S), (1.0, 0.0, P), (1.0, 0.0, S),
+    (math.inf, 0.0, P), (math.inf, 0.0, S), (0.0, math.inf, P), (-0.0, math.inf, S), (math.inf, math.inf, P),
+]  # fmt: skip
+# one ulp below each line (each sum exact, so the test sees the ulp), and
+# root or infeasible pairs
+KERNEL_BOUND = [
+    (0.25, math.nextafter(0.75, 0.0), P), (0.25, math.nextafter(0.375, 0.0), S),
+    (0.0, math.nextafter(1.0, 0.0), P), (0.0, math.nextafter(0.5, 0.0), S), (-0.0, math.nextafter(0.5, 0.0), S),
+    (0.2, 0.2, P), (0.2, 0.2, S), (0.0, 0.3, P), (0.0, 0.3, S), (0.5, 0.25, P), (0.0, 0.5, P), (5e-324, 0.1, S),
+]  # fmt: skip
+
+
+def assert_kernel_runs_only_off_the_strength_bound(monkeypatch, cases):
+    """With the kernel unavailable, solve_reduced answers each case the
+    kernel puts on the strength bound, bit for bit, and reaches the kernel
+    for every other case."""
+    expected = [(a, b, k, ref_solution(a, b, k)) for a, b, k in cases]
+    monkeypatch.setattr(solver, "_reduced", _raises)
+    for a, b, k, ref in expected:
+        if ref[3] is STRENGTH:
+            assert bits(fields(solve_reduced(Weights(a, b), k))) == bits(ref), (a, b, k)
+        else:
+            with pytest.raises(AssertionError, match="kernel"):
+                solve_reduced(Weights(a, b), k)
+    return [ref[3] is STRENGTH for _, _, _, ref in expected]
+
+
+def test_strength_bound_needs_no_kernel(monkeypatch):
+    on_bound = assert_kernel_runs_only_off_the_strength_bound(monkeypatch, STRENGTH_BOUND + KERNEL_BOUND)
+    assert on_bound == [True] * len(STRENGTH_BOUND) + [False] * len(KERNEL_BOUND)
+
+
+PATH_PAIRS = {**NEAR_LINES, "edges": [(a, b) for a in EDGES for b in EDGES]}
+
+
+@pytest.mark.parametrize("pairs", list(PATH_PAIRS.values()), ids=list(PATH_PAIRS))
+def test_only_the_strength_bound_skips_the_kernel(monkeypatch, pairs):
+    cases = [(a, b, k) for a, b in pairs for k in TOPOLOGIES]
+    on_bound = assert_kernel_runs_only_off_the_strength_bound(monkeypatch, cases)
+    # both paths are taken
+    assert len(set(on_bound)) == 2
 
 
 class _NoValue:
