@@ -88,7 +88,7 @@ MUTANTS = [
         "src/twospring/solver.py",
         "    if a + kk * b - 1.0 >= 0.0:\n",
         "    if a + kk * b - 1.0 > 0.0:\n",
-        ("tests/test_fast_path.py::test_strength_bound_needs_no_kernel",),
+        ("tests/test_fast_path.py::test_strength_bound_needs_no_kernel[lines]",),
     ),
     # the parallel shortcut tests the serial line, so band B gets the
     # parallel strength bound

@@ -162,28 +162,25 @@ def test_band_c_needs_no_kernel(monkeypatch):
             winner(Weights(a, b))
 
 
-# the strength bound: on each wiring's line a + k*b = 1, on the a = 0 axis at
-# k*b = 1 (also at a = -0.0), off the lines, and at the inf edges
-STRENGTH_BOUND = [
-    (0.5, 0.5, P), (0.25, 0.75, P), (0.5, 0.25, S), (0.25, 0.375, S),
-    (0.0, 1.0, P), (0.0, 0.5, S), (-0.0, 1.0, P), (-0.0, 1.0, S), (-0.0, 0.5, S),
-    (0.6, 0.5, P), (0.3, 0.4, S), (1.0, 0.0, P), (1.0, 0.0, S),
-    (math.inf, 0.0, P), (math.inf, 0.0, S), (0.0, math.inf, P), (-0.0, math.inf, S), (math.inf, math.inf, P),
+# each wiring's line a + k*b = 1 and the a = 0 axis at k*b = 1 (also at
+# a = -0.0), off the lines, the inf edges, one ulp below each line (each sum
+# exact, so the test sees the ulp), and root or infeasible pairs; each pair
+# runs in both wirings
+LINES = [
+    (0.5, 0.5), (0.25, 0.75), (0.5, 0.25), (0.25, 0.375), (0.0, 1.0), (0.0, 0.5), (-0.0, 1.0), (-0.0, 0.5),
+    (0.6, 0.5), (0.3, 0.4), (1.0, 0.0), (math.inf, 0.0), (0.0, math.inf), (-0.0, math.inf), (math.inf, math.inf),
+    (0.25, math.nextafter(0.75, 0.0)), (0.25, math.nextafter(0.375, 0.0)), (0.0, math.nextafter(1.0, 0.0)),
+    (0.0, math.nextafter(0.5, 0.0)), (-0.0, math.nextafter(0.5, 0.0)), (0.2, 0.2), (0.0, 0.3), (5e-324, 0.1),
 ]  # fmt: skip
-# one ulp below each line (each sum exact, so the test sees the ulp), and
-# root or infeasible pairs
-KERNEL_BOUND = [
-    (0.25, math.nextafter(0.75, 0.0), P), (0.25, math.nextafter(0.375, 0.0), S),
-    (0.0, math.nextafter(1.0, 0.0), P), (0.0, math.nextafter(0.5, 0.0), S), (-0.0, math.nextafter(0.5, 0.0), S),
-    (0.2, 0.2, P), (0.2, 0.2, S), (0.0, 0.3, P), (0.0, 0.3, S), (0.5, 0.25, P), (0.0, 0.5, P), (5e-324, 0.1, S),
-]  # fmt: skip
+PATH_PAIRS = {"lines": LINES, **NEAR_LINES, "edges": [(a, b) for a in EDGES for b in EDGES]}
 
 
-def assert_kernel_runs_only_off_the_strength_bound(monkeypatch, cases):
+@pytest.mark.parametrize("pairs", list(PATH_PAIRS.values()), ids=list(PATH_PAIRS))
+def test_strength_bound_needs_no_kernel(monkeypatch, pairs):
     """With the kernel unavailable, solve_reduced answers each case the
     kernel puts on the strength bound, bit for bit, and reaches the kernel
     for every other case."""
-    expected = [(a, b, k, ref_solution(a, b, k)) for a, b, k in cases]
+    expected = [(a, b, k, ref_solution(a, b, k)) for a, b in pairs for k in TOPOLOGIES]
     monkeypatch.setattr(solver, "_reduced", _raises)
     for a, b, k, ref in expected:
         if ref[3] is STRENGTH:
@@ -191,23 +188,8 @@ def assert_kernel_runs_only_off_the_strength_bound(monkeypatch, cases):
         else:
             with pytest.raises(AssertionError, match="kernel"):
                 solve_reduced(Weights(a, b), k)
-    return [ref[3] is STRENGTH for _, _, _, ref in expected]
-
-
-def test_strength_bound_needs_no_kernel(monkeypatch):
-    on_bound = assert_kernel_runs_only_off_the_strength_bound(monkeypatch, STRENGTH_BOUND + KERNEL_BOUND)
-    assert on_bound == [True] * len(STRENGTH_BOUND) + [False] * len(KERNEL_BOUND)
-
-
-PATH_PAIRS = {**NEAR_LINES, "edges": [(a, b) for a in EDGES for b in EDGES]}
-
-
-@pytest.mark.parametrize("pairs", list(PATH_PAIRS.values()), ids=list(PATH_PAIRS))
-def test_only_the_strength_bound_skips_the_kernel(monkeypatch, pairs):
-    cases = [(a, b, k) for a, b in pairs for k in TOPOLOGIES]
-    on_bound = assert_kernel_runs_only_off_the_strength_bound(monkeypatch, cases)
     # both paths are taken
-    assert len(set(on_bound)) == 2
+    assert len({ref[3] is STRENGTH for _, _, _, ref in expected}) == 2
 
 
 class _NoValue:
