@@ -371,6 +371,16 @@ MUTANTS = [
             "tests/test_oracle.py::test_value_contract",
         ),
     ),
+    # a result type declared without slots; model._direct_init refuses it
+    # when regions loads, which the guard test, importing the modules
+    # inside the test, reports as a failure
+    Mutant(
+        "value-type-without-slots",
+        "src/twospring/regions.py",
+        "@dataclass(frozen=True, slots=True)\nclass RegionReport:\n",
+        "@dataclass(frozen=True)\nclass RegionReport:\n",
+        ("tests/test_value_types.py::test_every_dataclass_is_frozen_with_slots",),
+    ),
     # the campaign's draw keeps 52 bits of each raw word, not 53
     Mutant(
         "verify-draw-52-bits",

@@ -26,15 +26,20 @@ rounding step keeps that order: a grid row whose force is equal at both
 ends has constant force, and the oracle skips every point of it after the
 first, which its predecessor in the row dominates.
 
-The value types are frozen dataclasses built once per query, and the
-``__init__`` a frozen dataclass generates sets every field through
+The value types are frozen dataclasses with slots, built once per query.
+A field read on an instance with no ``__dict__`` takes the interpreter's
+specialized slot path, where one on an instance dict looks the name up.
+The ``__init__`` a frozen dataclass generates sets every field through
 ``object.__setattr__``, which costs more than a closed-form solve.  So each
-writes its fields straight into the instance ``__dict__``, one store per
-field, and ``@dataclass(frozen=True)``, which keeps an ``__init__`` the class
-defines, still gives equality, hashing, ``repr`` and the ``__setattr__`` that
-refuses assignment.  :class:`SpringPair` and :class:`Weights` validate their
-arguments, so their ``__init__`` is written by hand.  The result types of
-``solver``, ``regions``, ``oracle`` and ``verify`` take theirs from
+stores its fields through their slot descriptors, one call of the field's
+``__set__`` per field, which bypasses the frozen ``__setattr__`` as
+``object.__setattr__`` does; ``@dataclass(frozen=True, slots=True)``, which
+keeps an ``__init__`` the class defines, still gives the slots, equality,
+hashing, ``repr``, pickling and the ``__setattr__`` that refuses
+assignment.  :class:`SpringPair` and :class:`Weights` validate their
+arguments, so their ``__init__`` is written by hand, with the setters bound
+as module globals below each class.  The result types of ``solver``,
+``regions``, ``oracle`` and ``verify`` take theirs from
 :func:`_direct_init`, which writes the method's source from the field list
 and compiles it once, when the class is created, as ``dataclasses`` builds
 its own methods.
@@ -69,14 +74,19 @@ class Topology(enum.Enum):
 
 
 def _direct_init(cls):
-    """Give the dataclass ``cls`` an ``__init__`` of its fields, in order,
-    that stores each straight into the instance ``__dict__``.  Stacked
-    above ``@dataclass(frozen=True)``; fields with defaults are not
+    """Give the slotted dataclass ``cls`` an ``__init__`` of its fields, in
+    order, that stores each through its slot descriptor: one call of the
+    field's ``__set__``, bound in the method's globals as ``_set_<field>``.
+    Stacked above ``@dataclass(frozen=True, slots=True)``; a class without
+    slots of its own raises ``TypeError``, and fields with defaults are not
     supported."""
+    if "__slots__" not in vars(cls):
+        raise TypeError(f"{cls.__qualname__} has no __slots__; declare it with @dataclass(frozen=True, slots=True)")
     names = [f.name for f in fields(cls)]
-    stores = "".join(f"\n    d[{name!r}] = {name}" for name in names)
+    setters = {f"_set_{name}": vars(cls)[name].__set__ for name in names}
+    stores = "".join(f"\n    _set_{name}(self, {name})" for name in names)
     namespace = {}
-    exec(f"def __init__(self, {', '.join(names)}):\n    d = self.__dict__{stores}\n", {}, namespace)
+    exec(f"def __init__(self, {', '.join(names)}):{stores}\n", setters, namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__module__ = cls.__module__
@@ -84,7 +94,7 @@ def _direct_init(cls):
     return cls
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpringPair:
     """Elastic limits of the two springs, the design variables of the network."""
 
@@ -94,12 +104,14 @@ class SpringPair:
     def __init__(self, c1: float, c2: float) -> None:
         if not (c1 >= 0.0) or not (c2 >= 0.0):
             raise ValueError(f"elastic limits must be nonnegative, got ({c1!r}, {c2!r})")
-        d = self.__dict__
-        d["c1"] = c1
-        d["c2"] = c2
+        _set_c1(self, c1)
+        _set_c2(self, c2)
 
 
-@dataclass(frozen=True)
+_set_c1, _set_c2 = SpringPair.c1.__set__, SpringPair.c2.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class Weights:
     """Nonnegative weights: ``a`` on force capacity, ``b`` on resistance."""
 
@@ -109,9 +121,11 @@ class Weights:
     def __init__(self, a: float, b: float) -> None:
         if not (a >= 0.0) or not (b >= 0.0):
             raise ValueError(f"weights must be nonnegative, got ({a!r}, {b!r})")
-        d = self.__dict__
-        d["a"] = a
-        d["b"] = b
+        _set_a(self, a)
+        _set_b(self, b)
+
+
+_set_a, _set_b = Weights.a.__set__, Weights.b.__set__
 
 
 def _force(k: Topology, c1, c2, minimum):

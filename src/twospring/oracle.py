@@ -80,6 +80,8 @@ __all__ = [
 ]
 
 
+# read on every call: an enum member read off its class costs about 40 ns on Python 3.11
+_SERIAL = Topology.SERIAL
 # largest square a GridSpec may describe: 10**4 points per side
 MAX_GRID_POINTS = 10**8
 # half-square points a frontier build evaluates at a time, to bound its memory
@@ -109,7 +111,7 @@ def _merged(parts: list[tuple[np.ndarray, ...]]) -> list[tuple[np.ndarray, ...]]
     return [tuple(np.concatenate(column) for column in zip(*parts))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridSpec:
     """Search square ``[0, c_max]^2`` scanned at pitch ``step``.
 
@@ -151,7 +153,7 @@ class GridSpec:
 
 
 @_direct_init
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OracleResult:
     """Cheapest feasible grid point, if any.
 
@@ -195,10 +197,13 @@ def _answer(axis: np.ndarray, i: int, j: int, last: int) -> OracleResult:
 
 
 @functools.lru_cache(maxsize=2)  # one frontier per wiring, for the last grid searched
-def _frontier(g: GridSpec, k: Topology) -> _Frontier:
-    """The frontier of grid ``g`` in wiring ``k``: its points ``(i, j)``,
-    their force ``f`` and resistance ``r``, and the grid's axis, in
-    shared, read-only arrays, and the frontier's head.
+def _frontier(c_max: float, step: float, serial: bool) -> _Frontier:
+    """The frontier of the grid ``GridSpec(c_max, step)`` in the serial
+    wiring, or else the parallel one: its points ``(i, j)``, their force
+    ``f`` and resistance ``r``, and the grid's axis, in shared, read-only
+    arrays, and the frontier's head.  The cache is keyed on two floats and
+    a bool, which hash and compare in C, as a ``GridSpec`` and a
+    ``Topology`` do not.
 
     The diagonal points ``(i, i)`` are built first, each compared with its
     column predecessor by the mirror ``(i - 1, i)``.  Then the points with
@@ -213,6 +218,7 @@ def _frontier(g: GridSpec, k: Topology) -> _Frontier:
     value per row or diagonal; chunks of one size let each reuse the
     memory the last one freed.
     """
+    g, k = GridSpec(c_max, step), Topology.SERIAL if serial else Topology.PARALLEL
     axis = g.axis()
     last = g.size - 1
     diagonal = np.arange(2 * last + 1)
@@ -275,7 +281,7 @@ def oracle_solve(w: Weights, k: Topology, g: GridSpec) -> OracleResult:
     ``i`` with ``2 * i <= s`` on the cheapest feasible diagonal ``s``,
     decided on integer grid indices.
     """
-    axis, i, j, f, r, head_f, head_r, head = _frontier(g, k)
+    axis, i, j, f, r, head_f, head_r, head = _frontier(g.c_max, g.step, k is _SERIAL)
     if _weigh(w, head_f, head_r) >= 1.0:
         return head
     with np.errstate(all="ignore"):  # the one error-state scope of a call

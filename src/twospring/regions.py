@@ -72,7 +72,7 @@ class Winner(enum.Enum):
 
 
 @_direct_init
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionReport:
     """Label, winning topology, and both minimal costs at one weight pair."""
 
@@ -162,7 +162,7 @@ BOUNDARY_CURVES = (
 MAX_SWEEP_CELLS = 4_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSpec:
     """Inclusive rectangular sampling of the weight plane: finite bounds
     and at most ``MAX_SWEEP_CELLS`` samples."""

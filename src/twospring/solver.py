@@ -91,7 +91,7 @@ class InfeasibleError(ValueError):
 
 
 @_direct_init
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedSolution:
     """Outcome of the one-variable problem for a fixed topology.
 
@@ -106,7 +106,7 @@ class ReducedSolution:
 
 
 @_direct_init
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DesignSolution:
     """Concrete optimal elastic limits for one topology."""
 

@@ -27,7 +27,7 @@ __all__ = ["VerificationVerdict", "verify_reduction", "verify_campaign"]
 
 
 @_direct_init
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationVerdict:
     """Comparison of the grid scan against the closed form for one instance.
 

@@ -171,26 +171,20 @@ class TestImportGraph:
             for node in ast.walk(ast.parse((SRC / "oracle.py").read_text()))
         )
 
-    def test_only_the_model_writes_an_instance_dict(self):
-        """The direct-write ``__init__`` of the value types is written in
-        ``model`` alone: by hand where it validates, and otherwise by
-        ``model._direct_init``.  No other module defines an ``__init__``
-        that reads ``self.__dict__``."""
+    def test_no_module_reads_an_instance_dict(self):
+        """The value types keep their fields in slots, so no module reads
+        ``self.__dict__``: a value's ``__init__`` stores through the slot
+        descriptors, by hand or from ``model._direct_init``."""
 
-        def writes_dict(path):
+        def reads_dict(path):
             return any(
-                isinstance(node, ast.FunctionDef)
-                and node.name == "__init__"
-                and any(
-                    isinstance(inner, ast.Attribute)
-                    and inner.attr == "__dict__"
-                    and getattr(inner.value, "id", None) == "self"
-                    for inner in ast.walk(node)
-                )
+                isinstance(node, ast.Attribute)
+                and node.attr == "__dict__"
+                and getattr(node.value, "id", None) == "self"
                 for node in ast.walk(ast.parse(path.read_text()))
             )
 
-        assert {path.stem for path in SRC.glob("*.py") if writes_dict(path)} == {"model"}
+        assert [path.stem for path in SRC.glob("*.py") if reads_dict(path)] == []
 
 
 class TestLazyNames:

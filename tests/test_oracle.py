@@ -28,6 +28,11 @@ OVERFLOW_GRID = GridSpec(1e308, 1e306)
 EDGE_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, 1e308, math.inf])
 
 
+def frontier_of(g, k):
+    """The cached frontier of grid ``g`` in wiring ``k``, by the oracle's cache key."""
+    return oracle_module._frontier(g.c_max, g.step, k is S)
+
+
 def bits(x):
     """The bits of a float array, so that NaN compares equal to itself."""
     return np.asarray(x).view(np.uint64)
@@ -298,7 +303,7 @@ class TestHead:
         ],
     )
     def test_boundary_on_default_grid(self, w, k, at_head, monkeypatch):
-        frontier = oracle_module._frontier(DEFAULT_GRID, k)
+        frontier = frontier_of(DEFAULT_GRID, k)
         assert (frontier.head_f, frontier.head_r) == (1.0, 1.0 if k is P else 2.0)
         weighed = counting_weigh(monkeypatch)
         got = assert_same_as_full_scan(w, k, DEFAULT_GRID)
@@ -308,7 +313,7 @@ class TestHead:
 
     def test_empty_frontier_has_no_head(self, monkeypatch):
         g = GridSpec(0.4, 0.1)  # the parallel force reaches 0.8
-        frontier = oracle_module._frontier(g, P)
+        frontier = frontier_of(g, P)
         assert frontier.f.size == 0 and frontier.head is None
         weighed = counting_weigh(monkeypatch)
         res = assert_same_as_full_scan(Weights(math.inf, math.inf), P, g)
@@ -341,7 +346,7 @@ def assert_frontier_is_complete(g, k):
     with the model's terms, in scan order, and each strong point it leaves
     out is dominated by an earlier frontier point."""
     i, j, f, r = half_square(g, k)
-    frontier = oracle_module._frontier(g, k)
+    frontier = frontier_of(g, k)
     # each frontier point, by its rank in scan order: strong, in the
     # half square, with the model's terms, and in scan order
     rank = np.full((g.size, g.size), -1)
@@ -413,7 +418,7 @@ class TestFrontier:
         """A serial frontier is the strong diagonal points ``(i, i)``; a
         parallel one keeps about two points a strong diagonal, of the
         distinct rounded forces ``c1 + c2`` along it."""
-        parallel, serial = (oracle_module._frontier(DEFAULT_GRID, k) for k in (P, S))
+        parallel, serial = (frontier_of(DEFAULT_GRID, k) for k in (P, S))
         assert (parallel.f.size, serial.f.size) == (4_038, 1_001)
         assert np.array_equal(serial.i, np.arange(200, 1201)) and np.array_equal(serial.j, serial.i)
 
@@ -423,7 +428,7 @@ class TestFrontier:
         weighed = counting_weigh(monkeypatch)
         pairs = np.random.default_rng(0).uniform(0.0, 1.5, (50, 2)).tolist()
         for k in (P, S):
-            frontier = oracle_module._frontier(DEFAULT_GRID, k)
+            frontier = frontier_of(DEFAULT_GRID, k)
             paths = set()
             for a, b in [*pairs, (0.0, 0.3), (0.1, 0.05)]:
                 w = Weights(a, b)
@@ -447,7 +452,7 @@ class TestFrontier:
         tracemalloc.start()
         try:
             for k in (P, S):
-                oracle_module._frontier(DEFAULT_GRID, k)
+                frontier_of(DEFAULT_GRID, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,7 +461,7 @@ class TestFrontier:
     @pytest.mark.parametrize("k", [P, S])
     @pytest.mark.parametrize("g", [DEFAULT_GRID, OVERFLOW_GRID])
     def test_cached_arrays_are_read_only(self, g, k):
-        frontier = oracle_module._frontier(g, k)._asdict()
+        frontier = frontier_of(g, k)._asdict()
         arrays = {name: value for name, value in frontier.items() if isinstance(value, np.ndarray)}
         assert set(arrays) == {"axis", "i", "j", "f", "r"}
         for array in arrays.values():

@@ -1,8 +1,9 @@
-"""Contract of the frozen value types whose ``__init__`` writes the instance ``__dict__``.
+"""Contract of the frozen value types whose ``__init__`` stores through their slots.
 
-Each such class writes its fields straight into the instance ``__dict__``,
-from an ``__init__`` written by hand or by ``model._direct_init``, instead of
-through the ``__init__`` that ``@dataclass(frozen=True)`` would generate.
+Each such class is a ``@dataclass(frozen=True, slots=True)`` that stores
+its fields through their slot descriptors, from an ``__init__`` written by
+hand or by ``model._direct_init``, instead of through the ``__init__`` that
+the decorator would generate.
 :func:`assert_value_contract` checks that it still behaves as that generated
 class would, against a plain frozen-dataclass twin built here.
 """
@@ -46,7 +47,8 @@ def assert_value_contract(cls):
     obj = cls(*args)
     for name, arg in zip(names, args):
         assert getattr(obj, name) is arg, name
-    assert list(vars(obj)) == names
+    assert cls.__slots__ == tuple(names)
+    assert not hasattr(obj, "__dict__")
     assert cls(**dict(zip(names, args))) == obj
 
     for name in names:
@@ -67,8 +69,9 @@ def assert_value_contract(cls):
         assert (obj == cls(*other)) is (twin == twin_cls(*other)) is False, name
         replaced = dataclasses.replace(obj, **{name: other[i]})
         assert type(replaced) is cls and replaced == cls(*other)
-        assert list(vars(replaced)) == names
+        assert [getattr(replaced, n) for n in names] == other
 
     for clone in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
-        assert type(clone) is cls and clone == obj and vars(clone) == vars(obj)
+        assert type(clone) is cls and clone == obj and not hasattr(clone, "__dict__")
+        assert [getattr(clone, name) for name in names] == args
     assert dataclasses.asdict(obj) == dict(zip(names, args))
