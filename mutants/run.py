@@ -197,8 +197,32 @@ MUTANTS = [
     Mutant(
         "chunk-and-newline-one-write",
         "src/twospring/sweep_cli.py",
-        '        fh.write(chunk)\n        fh.write("\\n")\n',
-        '        fh.write(chunk + "\\n")\n',
+        '            fh.write(chunk)\n            fh.write("\\n")\n',
+        '            fh.write(chunk + "\\n")\n',
+        ("tests/test_cli.py",),
+    ),
+    # no check for a closed stdout, so writing to None raises AttributeError
+    Mutant(
+        "closed-stdout-unchecked",
+        "src/twospring/sweep_cli.py",
+        '    if sys.stdout is None:\n        raise OSError(errno.EBADF, "stdout is closed")\n',
+        "",
+        ("tests/test_cli.py",),
+    ),
+    # a failing stderr's OSError left to escape main, which then exits 1
+    Mutant(
+        "stderr-guard-misses-oserror",
+        "src/twospring/sweep_cli.py",
+        "    except (AttributeError, OSError):\n        pass\n",
+        "    except AttributeError:\n        pass\n",
+        ("tests/test_cli.py",),
+    ),
+    # verify's campaign run before _write opens --out or takes stdout
+    Mutant(
+        "verify-campaign-before-open",
+        "src/twospring/sweep_cli.py",
+        "    _write(summary_chunk(), args.out)\n",
+        "    _write(list(summary_chunk()), args.out)\n",
         ("tests/test_cli.py",),
     ),
     # a sweep chunk that ends with its last row's newline, so the writer's

@@ -25,21 +25,26 @@ their memory does not grow with the size of the request.  A chunk is one
 string, its lines joined by newlines; the writer adds the last newline.
 ``boundaries`` computes its samples as Python floats and formats them with
 ``repr``.
-Every command writes through one helper, which turns a reader that closed
-the pipe into exit status 3.  ``verify`` opens its ``--out`` file before
-its campaign, so that a path ``open()`` refuses costs no scan, and the
-helper writes its record through that handle.  ``solve`` and ``classify``
-answer one weight pair through the scalar closed-form kernel,
-``solver._reduced``, which stays the reference the array kernel is tested
-against and is much faster than an array call on one pair (the README
+One function, :func:`_write`, opens ``--out`` or writes to stdout; each
+command hands it its chunks, lazily, once its own checks have passed.  It
+opens the file, or takes stdout, before it asks for the first chunk:
+checks, then the open, then the work.  So a path ``open()`` refuses, or a
+closed stdout, fails before ``verify``'s one chunk runs its campaign.
+``solve`` and ``classify`` answer one weight pair on the scalar path:
+``solve_reduced``'s strength bound and ``winner``'s band C take one
+comparison each, and the closed-form kernel ``solver._reduced`` answers
+the rest.  That kernel stays the reference the array kernel is tested
+against, and is much faster than an array call on one pair (the README
 gives the measured ratio).
 
 A usage error past the parser is a ``ValueError`` that reaches
-:func:`main`, which prints its message on one ``error:`` line and returns
+:func:`main`, which writes its message on one ``error:`` line and returns
 status 2: those of ``Weights``, ``SweepSpec`` and ``oracle.GridSpec``, this
 module's checks of ``boundaries --na`` and ``verify --samples/--seed/--tol``,
 and ``open()``'s for an ``--out`` path it cannot take.  An ``OSError`` is
-status 3.
+status 3 with one ``i/o error:`` line: a path ``open()`` cannot open, a
+failed write, a reader that closed the pipe, or a closed stdout.  A
+closed or failing stderr loses that line but not the status.
 
 This module imports no numpy.  ``sweep`` loads it with
 :mod:`twospring.phase`, and ``verify`` with :mod:`twospring.oracle` and
@@ -51,7 +56,7 @@ never load it, so they start without numpy's import time.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import errno
 import functools
 import itertools
 import json
@@ -59,7 +64,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from typing import TextIO
 
 from .model import Topology, Weights
 from .regions import BOUNDARY_CURVES, SweepSpec, winner
@@ -110,58 +114,43 @@ def _jsonable(value):
     return value
 
 
-def _open(path: str) -> TextIO:
-    """The file ``path``, opened for a command's output."""
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _write(chunks: Iterable[str], out: str | TextIO | None) -> None:
-    """Write each chunk of lines to ``out`` as soon as the chunk is
-    formatted: to the file of that name, to a file the caller opened and
-    closes, or to stdout if it is ``None``.  A chunk is one string of
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write each chunk of lines to the file ``out``, or to stdout if it is
+    ``None``, as soon as the chunk is formatted.  A chunk is one string of
     lines joined by newlines, without the last newline.  Every command's
-    output takes this path.
+    output takes this path.  The file is opened, or stdout taken, before
+    the first chunk is asked for, so a chunk that does a command's work
+    runs only once its output has somewhere to go; a closed stdout
+    (``sys.stdout`` is ``None``) raises ``OSError``.
 
+    Each chunk's last newline is a write of its own.  With unbuffered
+    stdout, a pipe write that a closing reader cuts short is not reported,
+    but the write after it fails; so no part of a chunk is lost unreported.
     When the reader of stdout goes away, the ``BrokenPipeError`` propagates
     (:func:`main` reports it and exits 3), after what is still buffered is
     sent to the null device: else the interpreter's flush at exit fails on
     the same pipe again and prints a second error.
     """
-    if isinstance(out, str):
-        with _open(out) as fh:
-            _write_chunks(chunks, fh)
-        return
+
+    def write_all(fh) -> None:
+        for chunk in chunks:
+            fh.write(chunk)
+            fh.write("\n")
+
     if out is not None:
-        _write_chunks(chunks, out)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            write_all(fh)
         return
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
     try:
-        _write_chunks(chunks, sys.stdout)
+        write_all(sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise
-
-
-def _write_chunks(chunks: Iterable[str], fh) -> None:
-    """Write each chunk of lines to ``fh`` as soon as it is formatted.
-
-    Each chunk's last newline is a write of its own.  With unbuffered
-    stdout, a pipe write that a closing reader cuts short is not reported,
-    but the write after it fails; so no part of a chunk is lost unreported.
-    """
-    for chunk in chunks:
-        fh.write(chunk)
-        fh.write("\n")
-
-
-def _emit(lines: list[str], out: str | TextIO | None) -> None:
-    _write(("\n".join(lines),), out)
-
-
-def _emit_record(record: dict, out: str | TextIO | None) -> None:
-    _emit([json.dumps(_jsonable(record))], out)
 
 
 def _sweep_chunks(spec: SweepSpec) -> Iterator[str]:
@@ -228,7 +217,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         design = expand(sol, k)
         record["c1_star"] = design.c1_star
         record["c2_star"] = design.c2_star
-    _emit_record(record, args.out)
+    _write((json.dumps(_jsonable(record)),), args.out)
     return EXIT_OK
 
 
@@ -243,7 +232,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         "cost_parallel": report.cost_parallel,
         "cost_serial": report.cost_serial,
     }
-    _emit_record(record, args.out)
+    _write((json.dumps(_jsonable(record)),), args.out)
     return EXIT_OK
 
 
@@ -269,11 +258,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import oracle, verify
 
     grid = oracle.GridSpec(args.c_max, args.step)
-    flags = {"samples": args.samples, "seed": args.seed, "c_max": args.c_max, "step": args.step, "tol": args.tol}
-    # --out is opened before the campaign, so that a path open() refuses costs no scan
-    with contextlib.nullcontext() if args.out is None else _open(args.out) as out:
-        summary = {**flags, **verify.verify_campaign(args.samples, args.seed, grid, args.tol)}
-        _emit_record(summary, out)
+    summary = {"samples": args.samples, "seed": args.seed, "c_max": args.c_max, "step": args.step, "tol": args.tol}
+
+    def summary_chunk() -> Iterator[str]:
+        # the campaign runs when _write asks for this chunk, once --out is open
+        summary.update(verify.verify_campaign(args.samples, args.seed, grid, args.tol))
+        yield json.dumps(_jsonable(summary))
+
+    _write(summary_chunk(), args.out)
     return EXIT_OK if not summary["failures"] else EXIT_DISAGREEMENT
 
 
@@ -366,11 +358,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        status, message = EXIT_USAGE, f"error: {exc}\n"
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        status, message = EXIT_IO, f"i/o error: {exc}\n"
+    # as argparse writes its own messages: a closed or failing stderr loses
+    # the line, not the status
+    try:
+        sys.stderr.write(message)
+    except (AttributeError, OSError):
+        pass
+    return status
 
 
 if __name__ == "__main__":

@@ -578,11 +578,6 @@ class TestBoundariesCommand:
         argv = ["boundaries", "--na", str(MAX_BOUNDARY_POINTS + 1)]
         assert_rejected_without_allocating(capsys, argv)
 
-    def test_bad_resolution_writes_no_file(self, tmp_path):
-        out = tmp_path / "boundaries.csv"
-        assert main(["boundaries", "--na", "1", "--out", str(out)]) == EXIT_USAGE
-        assert not out.exists()
-
 
 # digests of the boundaries CSV, recorded before it was streamed
 DEFAULT_BOUNDARIES_SHA256 = "fdbcff7e6ea75ab307be13ef348ff94a0fec4e6c9d2357da2a4fe1472d8000de"
@@ -833,24 +828,121 @@ def test_unopenable_out_path_is_usage_error(monkeypatch, tmp_path, argv, out):
     assert list(tmp_path.iterdir()) == []
 
 
+# per command, a call that the parser accepts but the command's own checks
+# refuse with a usage error
+USAGE_ERROR_ARGVS = [
+    ["solve", "--a", "-1", "--b", "0.2", "--topology", "serial"],
+    ["classify", "--a", "0.2", "--b", "nan"],
+    ["sweep", "--na", "1", "--nb", "3"],
+    ["boundaries", "--na", "1"],
+    ["verify", "--samples", "1", "--tol", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERROR_ARGVS, ids=lambda argv: argv[0])
+def test_usage_error_writes_no_file(tmp_path, argv):
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_captured([*argv, "--out", str(out)])
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def forbid_work(monkeypatch, command):
+    """Make the work of ``command`` fail the test: ``verify``'s campaign,
+    ``sweep``'s rows, or ``boundaries``' curves.  ``solve`` and
+    ``classify`` answer one pair before they write, and are left as they are."""
+
+    def work(*args):
+        raise AssertionError(f"{command} did its work before its output was opened")
+
+    if command == "verify":
+        monkeypatch.setattr(verify, "verify_campaign", work)
+    elif command == "sweep":
+        monkeypatch.setattr(phase, "sweep_rows", work)
+    elif command == "boundaries":
+        curves = tuple((name, start, stop, work) for name, start, stop, _ in regions.BOUNDARY_CURVES)
+        monkeypatch.setattr(sweep_cli, "BOUNDARY_CURVES", curves)
+
+
 @pytest.mark.parametrize(
     "out,status",
-    [*((path, EXIT_USAGE) for path in UNOPENABLE_PATHS), ("/nonexistent-dir/x.json", EXIT_IO)],
+    [*((path, EXIT_USAGE) for path in UNOPENABLE_PATHS), ("/nonexistent-dir/x.out", EXIT_IO)],
     ids=["null-byte", "lone-surrogate", "missing-dir"],
 )
-def test_verify_opens_out_before_its_campaign(monkeypatch, tmp_path, out, status):
-    """An --out path open() refuses fails before a scan: at the largest
-    --samples the campaign would take minutes."""
-
-    def no_campaign(*args):
-        raise AssertionError("the campaign ran before --out was opened")
-
-    monkeypatch.setattr(verify, "verify_campaign", no_campaign)
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--samples", str(MAX_VERIFY_SAMPLES)], ["sweep", "--na", "2000", "--nb", "2000"], ["boundaries"]],
+    ids=lambda argv: argv[0],
+)
+def test_out_is_opened_before_the_work(monkeypatch, tmp_path, argv, out, status):
+    """An --out path open() refuses fails before the command's work: at the
+    largest --samples, verify's campaign would take minutes."""
+    forbid_work(monkeypatch, argv[0])
     monkeypatch.chdir(tmp_path)
-    code, stdout, err = run_captured(["verify", "--samples", str(MAX_VERIFY_SAMPLES), "--out", out])
+    code, stdout, err = run_captured([*argv, "--out", out])
     assert (code, stdout) == (status, "")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_closed_stdout_is_io_error(monkeypatch, argv):
+    """With no stdout (``sys.stdout`` is ``None``, as when the process starts
+    with descriptor 1 closed), a command exits 3 before its work."""
+    forbid_work(monkeypatch, argv[0])
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(argv) == EXIT_IO
+    assert err.getvalue() == "i/o error: [Errno 9] stdout is closed\n"
+
+
+class FullStream(io.StringIO):
+    """A stream whose every write fails, as on ``/dev/full``."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+# a post-parse usage error and an I/O error, with their statuses
+FAILED_CALLS = [
+    (["solve", "--a", "-1", "--b", "0.2", "--topology", "serial"], EXIT_USAGE),
+    (["sweep", "--na", "2", "--nb", "2", "--out", "/nonexistent-dir/x.csv"], EXIT_IO),
+]
+
+
+@pytest.mark.parametrize("stderr", [None, FullStream()], ids=["closed", "full"])
+@pytest.mark.parametrize("argv,status", FAILED_CALLS, ids=["usage", "io"])
+def test_unwritable_stderr_keeps_the_status(monkeypatch, argv, status, stderr):
+    """The error line is lost, not the status, and it does not go to stdout."""
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == status
+    assert out.getvalue() == ""
+
+
+def run_cli(argv, redirect):
+    """``twospring argv`` in a subprocess, its descriptors redirected by the
+    shell's ``redirect`` (``>&-`` closes stdout): (status, stdout, stderr)."""
+    src = Path(sweep_cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = f'exec "$0" -m twospring.sweep_cli "$@" {redirect}'
+    proc = subprocess.run(["sh", "-c", script, sys.executable, *argv], capture_output=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_closed_stdout_exits_3_in_a_fresh_process(argv):
+    code, _, err = run_cli(argv, redirect=">&-")
+    assert (code, err) == (EXIT_IO, "i/o error: [Errno 9] stdout is closed\n")
+
+
+@pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"], ids=["full", "closed"])
+@pytest.mark.parametrize("argv,status", FAILED_CALLS, ids=["usage", "io"])
+def test_unwritable_stderr_keeps_the_status_in_a_fresh_process(argv, status, redirect):
+    assert run_cli(argv, redirect=redirect) == (status, "", "")
 
 
 EDGE_VALUES = ("-1", "0", "nan", "inf", "-inf", "1e-320", "abc")
