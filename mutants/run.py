@@ -73,12 +73,23 @@ MUTANTS = [
         "        return _STRENGTH_DESIGNS[sol.total_cost == 2.0][k is _SERIAL]\n",
         ("tests/test_fast_path.py",),
     ),
-    # the a = 0 feasibility test of the scalar kernel
+    # the scalar kernel's strength test made strict, so the root branch is
+    # taken on the line a + k*b = 1, and the a = 0 axis at k*b = 1 is
+    # infeasible; the kernel's first line and solve_reduced's shortcut have
+    # the same text, so each snippet takes the line after it as well
     Mutant(
-        "kernel-a0-strict",
+        "kernel-strength-strict",
         "src/twospring/solver.py",
-        "        if kk * b >= 1.0:\n",
-        "        if kk * b > 1.0:\n",
+        "    if a + kk * b - 1.0 >= 0.0:\n        # x = 1 already meets the performance constraint\n",
+        "    if a + kk * b - 1.0 > 0.0:\n        # x = 1 already meets the performance constraint\n",
+        ("tests/test_solver.py", "tests/test_fast_path.py"),
+    ),
+    # the scalar kernel's a = 0 guard dropped, so the root divides by zero
+    Mutant(
+        "kernel-a0-guard-dropped",
+        "src/twospring/solver.py",
+        "    if a == 0.0:\n        # the performance constraint caps x at k*b < 1\n        return None, math.inf, None\n",
+        "",
         ("tests/test_solver.py", "tests/test_fast_path.py"),
     ),
     # a pair on a line left to the kernel, which answers it alike, so only
@@ -86,8 +97,8 @@ MUTANTS = [
     Mutant(
         "solve-shortcut-strict",
         "src/twospring/solver.py",
-        "    if a + kk * b - 1.0 >= 0.0:\n",
-        "    if a + kk * b - 1.0 > 0.0:\n",
+        "    if a + kk * b - 1.0 >= 0.0:\n        return _STRENGTH_PARALLEL",
+        "    if a + kk * b - 1.0 > 0.0:\n        return _STRENGTH_PARALLEL",
         ("tests/test_fast_path.py::test_strength_bound_needs_no_kernel[lines]",),
     ),
     # the parallel shortcut tests the serial line, so band B gets the
@@ -95,8 +106,8 @@ MUTANTS = [
     Mutant(
         "solve-shortcut-serial-line-on-parallel",
         "src/twospring/solver.py",
-        "    if a + kk * b - 1.0 >= 0.0:\n",
-        "    if a + 2.0 * b - 1.0 >= 0.0:\n",
+        "    if a + kk * b - 1.0 >= 0.0:\n        return _STRENGTH_PARALLEL",
+        "    if a + 2.0 * b - 1.0 >= 0.0:\n        return _STRENGTH_PARALLEL",
         ("tests/test_fast_path.py::test_near_the_lines", "tests/test_fast_path.py::test_inf_and_subnormal_weights"),
     ),
     # the resistance weighed in at b = 0, where 0 * inf must give 0
@@ -217,6 +228,15 @@ MUTANTS = [
         "    except AttributeError:\n        pass\n",
         ("tests/test_cli.py",),
     ),
+    # help printed by argparse, which drops a failed write to stdout and
+    # prints on stderr when stdout is closed
+    Mutant(
+        "help-bypasses-the-writer",
+        "src/twospring/sweep_cli.py",
+        "    def print_help(self, file=None):\n",
+        "    def _unused_print_help(self, file=None):\n",
+        ("tests/test_cli.py::test_help_to_an_unusable_stdout_is_io_error",),
+    ),
     # verify's campaign run before _write opens --out or takes stdout
     Mutant(
         "verify-campaign-before-open",
@@ -243,14 +263,6 @@ MUTANTS = [
         "a_run[: a.size]",
         ("tests/test_cli.py::TestSweepParity",),
     ),
-    # the scalar kernel's root branch taken on the line a + k*b = 1 as well
-    Mutant(
-        "kernel-root-test-loose",
-        "src/twospring/solver.py",
-        "    if a + kk * b - 1.0 < 0.0:\n",
-        "    if a + kk * b - 1.0 <= 0.0:\n",
-        ("tests/test_solver.py", "tests/test_fast_path.py"),
-    ),
     # the array kernel's B2 test taken at a parallel cost of exactly 2
     Mutant(
         "winner-grid-b2-loose",
@@ -259,12 +271,22 @@ MUTANTS = [
         "cost_p >= 2.0]",
         ("tests/test_regions.py", "tests/test_cli.py"),
     ),
-    # the array kernel's root branch taken on the line a + k*b = 1 as well
+    # the array kernel's strength test made strict, so the root branch is
+    # taken on the line a + k*b = 1 as well
     Mutant(
-        "cost-grid-root-test-loose",
+        "cost-grid-strength-strict",
         "src/twospring/phase.py",
-        "root = ~zero & (a + kk * b - 1.0 < 0.0)",
-        "root = ~zero & (a + kk * b - 1.0 <= 0.0)",
+        "strength = a + kk * b - 1.0 >= 0.0",
+        "strength = a + kk * b - 1.0 > 0.0",
+        ("tests/test_regions.py", "tests/test_cli.py"),
+    ),
+    # the array kernel's a = 0 guard dropped: at a = +0.0 the root is inf,
+    # as the infeasible cost is, but at a = -0.0 it is -inf
+    Mutant(
+        "cost-grid-a0-guard-dropped",
+        "src/twospring/phase.py",
+        "root = ~strength & (a != 0.0)",
+        "root = ~strength",
         ("tests/test_regions.py", "tests/test_cli.py"),
     ),
     # the lower root of the performance quadratic in the formula both kernels
@@ -292,8 +314,8 @@ MUTANTS = [
     Mutant(
         "cost-grid-strength-ignores-infeasible",
         "src/twospring/phase.py",
-        "    return cost, ~(infeasible | root)\n",
-        "    return cost, ~root\n",
+        "    return cost, strength\n",
+        "    return cost, strength | (a == 0.0)\n",
         ("tests/test_regions.py", "tests/test_cli.py"),
     ),
     # the array kernel's bands read from the other wiring's strength branch
@@ -415,6 +437,14 @@ MUTANTS = [
             "tests/test_oracle.py::test_campaign_pairs_come_from_the_raw_pcg64_stream",
             "tests/test_cli.py::TestVerifyCommand::test_default_summary_bytes_are_pinned",
         ),
+    ),
+    # the campaign's whole draw in one chunk
+    Mutant(
+        "verify-draw-one-chunk",
+        "src/twospring/verify.py",
+        "_DRAW_PAIRS = 4_096\n",
+        "_DRAW_PAIRS = 1_000_000\n",
+        ("tests/test_oracle.py::test_campaign_draw_memory_is_bounded",),
     ),
 ]
 

@@ -4,19 +4,19 @@ The scalar modules :mod:`twospring.solver` and :mod:`twospring.regions`
 answer one weight pair on Python floats and are the reference; this module
 answers whole weight grids with numpy, for ``twospring sweep``, its only
 caller.  :func:`total_cost_grid` is the array twin of the scalar kernel
-``solver._reduced``: it makes the same branch tests in the same order and
-takes the root from the same formula, ``solver._root``, called with
-``np.sqrt``, so every cost it returns equals the scalar one bit for bit
-(``math.sqrt`` and ``np.sqrt`` are both correctly rounded, and numpy does
-not fuse multiply-adds).
-:func:`winner_grid`, built on it, is the array twin of
+``solver._reduced``: it makes the same branch tests in the same order (the
+strength bound, then ``a == 0``, then the root) and takes the root from
+the same formula, ``solver._root``, called with ``np.sqrt``, so every cost
+it returns equals the scalar one bit for bit (``math.sqrt`` and
+``np.sqrt`` are both correctly rounded, and numpy does not fuse
+multiply-adds).  :func:`winner_grid`, built on it, is the array twin of
 :func:`~twospring.regions.winner`, with the same predicates in the same
 order, so it reports the same labels, winners and costs: its bands, like
-the scalar ones, are read from the kernel's strength branches, which
-:func:`total_cost_grid` returns with the costs.  The kernel silences
-numpy's floating-point errors in one ``np.errstate(all="ignore")`` scope,
-so overflow saturates to ``inf`` as in Python floats, whatever error state
-the caller set.
+the scalar ones, are read from the kernel's first test, the strength bound
+``a + k*b - 1 >= 0``, whose mask :func:`total_cost_grid` returns with the
+costs.  The kernel silences numpy's floating-point errors in one
+``np.errstate(all="ignore")`` scope, so overflow saturates to ``inf`` as in
+Python floats, whatever error state the caller set.
 
 :func:`sweep_rows` computes and formats the rows of a sweep a chunk at a
 time: one :func:`winner_grid` call per chunk, and one ``"".join`` that
@@ -58,21 +58,19 @@ def total_cost_grid(a: np.ndarray, b: np.ndarray, k: Topology) -> tuple[np.ndarr
     at every pair of two equal-shape float64 arrays of nonnegative weights.
 
     Returns ``(cost, strength)``.  Branches exactly as :func:`_reduced`, its
-    scalar reference: ``a == 0`` first, then the sign of ``a + k*b - 1``;
-    the root is computed only where that branch is taken, by the scalar
-    kernel's own ``_root``.
+    scalar reference: the strength test ``a + k*b - 1 >= 0`` first, whose
+    mask is ``strength``, then ``a == 0`` (infeasible), then the root,
+    computed only where that branch is taken, by the scalar kernel's own
+    ``_root``.
     """
     kk = float(k.k)
-    cost = np.full(a.shape, kk)
     # overflow to inf (huge b, subnormal a) and underflow are silent, as in Python floats
     with np.errstate(all="ignore"):
-        zero = a == 0.0
-        infeasible = zero & ~(kk * b >= 1.0)
-        cost[infeasible] = math.inf
-        root = ~zero & (a + kk * b - 1.0 < 0.0)
-        ar, br = a[root], b[root]
-        cost[root] = kk * _root(ar, br, kk, np.sqrt)
-    return cost, ~(infeasible | root)
+        strength = a + kk * b - 1.0 >= 0.0
+        cost = np.where(strength, kk, math.inf)
+        root = ~strength & (a != 0.0)
+        cost[root] = kk * _root(a[root], b[root], kk, np.sqrt)
+    return cost, strength
 
 
 def winner_grid(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

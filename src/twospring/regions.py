@@ -6,18 +6,18 @@ locus where the minimal parallel cost equals the fixed serial cost of 2; the
 serial wiring is strictly cheaper exactly on the sub-band B2, the parallel
 wiring everywhere else (up to ties on the dividing locus itself).
 
-:func:`winner` answers one weight pair and is the reference.  The bands
-come from the branches of the solver's scalar kernel, ``solver._reduced``:
-band A is where the serial wiring is off its strength bound (the kernel's
-test ``a + 2b - 1 < 0``), band C where the parallel wiring is on it
-(``a + b - 1 >= 0``), and band B splits on the parallel cost.  In band C
-both wirings sit at the strength bound (costs 1 and 2, parallel wins)
-whatever the weights, so :func:`winner` tests that line itself and returns
-one shared :class:`RegionReport` there, built once at import through the
-kernel path; whether two calls return the same object is not part of the
-contract.  A query builds no ``ReducedSolution``.  Its one value object,
-the :class:`RegionReport`, is frozen and takes the ``__init__`` that writes
-its fields directly from :mod:`twospring.model`.
+:func:`winner` answers one weight pair and is the reference.  The bands come
+from the first test of the solver's scalar kernel, ``solver._reduced``, the
+strength bound ``a + k*b - 1 >= 0``: band A is where the serial wiring
+fails it (``a + 2b - 1 >= 0`` does not hold), band C where the parallel
+wiring passes it (``a + b - 1 >= 0``), and band B splits on the parallel
+cost.  In band C both wirings sit at the strength bound (costs 1 and 2,
+parallel wins) whatever the weights, so :func:`winner` tests that line
+itself and returns one shared :class:`RegionReport` there, built once at
+import through the kernel path; whether two calls return the same object is
+not part of the contract.  A query builds no ``ReducedSolution``.  Its one
+value object, the :class:`RegionReport`, is frozen and takes the
+``__init__`` that writes its fields directly from :mod:`twospring.model`.
 The labels and winners the scalar path returns are module-level aliases
 (``_A`` ... ``_TIE``): looking an enum member up on its class costs
 0.1-0.2 us on Python 3.11, a sizable share of a query.
@@ -129,7 +129,7 @@ _BAND_C = _report(1.0, 1.0)
 def winner(w: Weights) -> RegionReport:
     """Report both minimal costs, the region label, and the strict-argmin winner."""
     a, b = w.a, w.b
-    # the parallel kernel's strength test, written out so that band C, about
+    # the parallel kernel's first line, written out so that band C, about
     # two thirds of the benchmark's queries, needs no kernel call; asking
     # the parallel kernel first instead was slower per query
     if a + b - 1.0 >= 0.0:

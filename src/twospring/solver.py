@@ -26,17 +26,18 @@ it, so this module imports only the standard library and the model.  A
 single query stays on the scalar path, which is much faster than an array
 call on one pair (the README gives the measured ratio).
 
-The root formula is written once, in :func:`_root`, which the array twin
-calls with ``np.sqrt``.  The branch test ``a + kk*b - 1.0 < 0.0`` stays
-written out in :func:`_reduced` and ``total_cost_grid``, and its negation in
-``regions.winner``'s band-C shortcut and in :func:`solve_reduced`, which
-answers the strength bound before it calls the kernel.  A helper call
-slowed the scalar path: a strength-bound :func:`solve_reduced` takes 70-76 ns
-with the test written out and 93-99 ns through a helper (the kernel call it
-replaced took 107-116 ns), a band-C ``winner`` 55-57 against 80-82 ns
-(Python 3.11.7, fastest of 7 runs of 200,000 calls, three runs).  An exact
-sign test would cost far more than a call; that is where the test becomes
-one helper.
+Both kernels ask, in order: the strength bound ``a + kk*b - 1.0 >= 0.0``,
+then ``a == 0`` (infeasible), then the root of :func:`_root`, the one root
+formula, which the array twin calls with ``np.sqrt``.  At ``a = +-0.0`` the
+sum is exactly ``kk*b``, and ``x - 1.0 >= 0.0`` holds exactly when ``x >=
+1.0`` for any double but NaN, which ``Weights`` refuses; so the first test
+decides the ``a = 0`` axis too.  :func:`solve_reduced` makes the same test
+before it calls the kernel, and ``regions.winner``'s band-C shortcut makes
+it with ``kk = 1``.  Each is written out, since a helper call costs: a
+strength-bound :func:`solve_reduced` takes 70-76 ns inline and 93-99 ns
+through a helper, a band-C ``winner`` 55-57 against 80-82 ns (Python
+3.11.7, fastest of 7 runs of 200,000 calls, three runs).  An exact sign test
+would cost far more than a call; that is where the test becomes one helper.
 
 A query builds its value objects here: :func:`solve_reduced` its
 :class:`ReducedSolution` and :func:`expand` its :class:`DesignSolution`.
@@ -126,21 +127,20 @@ def _reduced(a: float, b: float, kk: float) -> tuple[float | None, float, Active
     """``(x_star, total_cost, active_constraint)`` at weights ``(a, b)`` for
     the topology tag ``kk`` (1.0 or 2.0), as :func:`solve_reduced` reports
     them; ``x_star`` is ``None`` exactly when the cost is ``+inf``."""
+    if a + kk * b - 1.0 >= 0.0:
+        # x = 1 already meets the performance constraint
+        return 1.0, kk, _STRENGTH
     if a == 0.0:
-        if kk * b >= 1.0:
-            return 1.0, kk, _STRENGTH
+        # the performance constraint caps x at k*b < 1
         return None, math.inf, None
-    if a + kk * b - 1.0 < 0.0:
-        # a + k*b < 1 forces 4*k*a*b < 1 (AM-GM), and left-to-right float
-        # evaluation keeps the computed product below 1 as well
-        x_star = _root(a, b, kk, math.sqrt)
-        total = kk * x_star
-        if not math.isfinite(total):
-            # a below about 1e-308: the optimum is not representable
-            return None, math.inf, None
-        return x_star, total, _ROOT
-    # x = 1 already meets the performance constraint
-    return 1.0, kk, _STRENGTH
+    # a + k*b < 1 forces 4*k*a*b < 1 (AM-GM), and left-to-right float
+    # evaluation keeps the computed product below 1 as well
+    x_star = _root(a, b, kk, math.sqrt)
+    total = kk * x_star
+    if not math.isfinite(total):
+        # a below about 1e-308: the optimum is not representable
+        return None, math.inf, None
+    return x_star, total, _ROOT
 
 
 def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
@@ -156,9 +156,7 @@ def solve_reduced(w: Weights, k: Topology) -> ReducedSolution:
     a = w.a
     b = w.b
     kk = 1.0 if k is _PARALLEL else 2.0
-    # the kernel's strength branches, before the call: for a > 0 its root
-    # test negated; for a = +-0.0 the sum is exactly k*b, and k*b - 1.0 is
-    # exact near 1 (Sterbenz), so the test is the kernel's k*b >= 1.0
+    # the kernel's first line, before the call
     if a + kk * b - 1.0 >= 0.0:
         return _STRENGTH_PARALLEL if k is _PARALLEL else _STRENGTH_SERIAL
     x_star, total, active = _reduced(a, b, kk)

@@ -43,8 +43,9 @@ status 2: those of ``Weights``, ``SweepSpec`` and ``oracle.GridSpec``, this
 module's checks of ``boundaries --na`` and ``verify --samples/--seed/--tol``,
 and ``open()``'s for an ``--out`` path it cannot take.  An ``OSError`` is
 status 3 with one ``i/o error:`` line: a path ``open()`` cannot open, a
-failed write, a reader that closed the pipe, or a closed stdout.  A
-closed or failing stderr loses that line but not the status.
+failed write, a reader that closed the pipe, or a closed stdout, for help
+as for a command's output.  A closed or failing stderr loses that line but
+not the status.
 
 This module imports no numpy.  ``sweep`` loads it with
 :mod:`twospring.phase`, and ``verify`` with :mod:`twospring.oracle` and
@@ -269,13 +270,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not summary["failures"] else EXIT_DISAGREEMENT
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser``, and so each command's parser, whose help takes
+    :func:`_write`: argparse's own drops a failed write to stdout, and
+    writes to stderr when stdout is closed."""
+
+    def print_help(self, file=None):
+        if file is None:
+            # format_help ends in exactly one newline, which _write adds back
+            _write((self.format_help()[:-1],), None)
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser of the ``twospring`` command line; :func:`main` builds one per process.
 
     Its ``commands`` attribute maps each command name to the parser of its
     arguments: the ``choices`` of the sub-command action.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twospring",
         description="Cost-optimal two-spring network design: solve, classify, sweep, verify.",
     )
@@ -353,10 +367,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
+        return args.handler(args)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return args.handler(args)
     except ValueError as exc:
         status, message = EXIT_USAGE, f"error: {exc}\n"
     except OSError as exc:

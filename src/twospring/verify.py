@@ -15,6 +15,7 @@ wirings and counts the verdicts.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ from .oracle import GridSpec, oracle_solve
 from .solver import solve_reduced
 
 __all__ = ["VerificationVerdict", "verify_reduction", "verify_campaign"]
+
+# most pairs the campaign draws and converts at a time
+_DRAW_PAIRS = 4_096
 
 
 @_direct_init
@@ -89,13 +93,19 @@ def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> Verifi
     )
 
 
-def _uniform_pairs(samples: int, seed: int) -> list[list[float]]:
+def _uniform_pairs(samples: int, seed: int) -> Iterator[list[float]]:
     """``samples`` pairs uniform on ``[0, 1.5)^2``: the top 53 bits of each raw
     word of ``PCG64(seed)``, scaled, as ``default_rng(seed).uniform`` draws
     them.  numpy keeps only the bit generator's stream stable across
-    releases (NEP 19), so the conversion is written here."""
-    words = np.random.PCG64(seed).random_raw(2 * samples)
-    return ((words >> 11) * 2.0**-53 * 1.5).reshape(samples, 2).tolist()
+    releases (NEP 19), so the conversion is written here.
+
+    The words are drawn ``_DRAW_PAIRS`` pairs at a time, so the draw's
+    memory does not grow with ``samples``; successive ``random_raw`` calls
+    continue one stream, so the pairs are those of a single draw."""
+    bit_generator = np.random.PCG64(seed)
+    for start in range(0, samples, _DRAW_PAIRS):
+        words = bit_generator.random_raw(2 * min(_DRAW_PAIRS, samples - start))
+        yield from ((words >> 11) * 2.0**-53 * 1.5).reshape(-1, 2).tolist()
 
 
 def verify_campaign(samples: int, seed: int, g: GridSpec, tol: float) -> dict:

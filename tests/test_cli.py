@@ -19,6 +19,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from exact_reference import exact_decision
+from pinned import DIGESTS
 
 from twospring import oracle, phase, regions, sweep_cli, verify
 from twospring.model import Topology, Weights
@@ -148,7 +149,7 @@ def test_single_pair_bytes_are_pinned(capsys):
             assert main([*argv, "--a", a, "--b", b]) == EXIT_OK
             out.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
-    assert digest == "57e71826946e091f8e01f1a7ee0baefa97770a2f46f1e856a04d7e082b26b5d0"
+    assert digest == DIGESTS["single.txt"]
 
 
 class TestSweepCommand:
@@ -219,7 +220,7 @@ class TestSweepCommand:
         assert "Traceback" not in captured.err
 
 
-DEFAULT_SWEEP_SHA256 = "c0dc3e156f802170910603fd40ecbbda6ef46da26fa6a8de11966c7db569a19e"
+DEFAULT_SWEEP_SHA256 = DIGESTS["s.csv"]
 
 # rows of the default sweep whose float label or winner differs from the
 # exact decision on the row's own doubles (tests/exact_reference.py): all lie
@@ -338,6 +339,7 @@ class TestSweepParity:
         "spec",
         [
             SweepSpec(0.0, 0.0, 0.0, 1.5, 2, 61),  # the a = 0 column, a_min == a_max
+            SweepSpec(0.0, -0.0, 0.0, 1.5, 3, 61),  # its last a sample is -0.0
             SweepSpec(1.0 / 3.0, 3.0 / 7.0, 2.0 / 7.0, 2.0 / 3.0, 41, 37),  # the B2 pocket
             SweepSpec(0.0, 1.0, 0.0, 0.5, 11, 11),  # samples on a + 2b = 1
             SweepSpec(0.0, 1.0, 0.0, 1.0, 11, 11),  # samples on a + b = 1
@@ -580,7 +582,7 @@ class TestBoundariesCommand:
 
 
 # digests of the boundaries CSV, recorded before it was streamed
-DEFAULT_BOUNDARIES_SHA256 = "fdbcff7e6ea75ab307be13ef348ff94a0fec4e6c9d2357da2a4fe1472d8000de"
+DEFAULT_BOUNDARIES_SHA256 = DIGESTS["b.csv"]
 BOUNDARIES_20000_SHA256 = "512e8c1f300d55d52b0ccbf9e025d2fddf6192f7b177e53e9228a389d8814588"
 
 
@@ -708,7 +710,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "verify_reduction", wrong_per_wiring)
         code, out, _ = run_captured(["verify", "--samples", "2", "--seed", "3"])
         assert code == EXIT_DISAGREEMENT
-        pairs = verify._uniform_pairs(2, 3)
+        pairs = list(verify._uniform_pairs(2, 3))
         assert all(a != b for a, b in pairs)
         failures = json.loads(out)["failures"]
         assert failures == [
@@ -789,7 +791,14 @@ class TestVerifyCommand:
         out = tmp_path / "verify.json"
         assert main(["verify", "--out", str(out)]) == EXIT_OK
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "ddf2f4a344ea11d8242ba50fdfe64618475af3788b01b9b01324a8e8d300dae4"
+        assert digest == DIGESTS["v.json"]
+
+    def test_20000_sample_summary_bytes_are_pinned(self, tmp_path):
+        # 40,000 checks: the draw spans several chunks, and the oracle answers
+        # both from the frontier's head and from its arrays
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--samples", "20000", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["v20k.json"]
 
 
 def assert_rejected_without_allocating(capsys, argv):
@@ -905,6 +914,36 @@ class FullStream(io.StringIO):
         raise OSError(28, "No space left on device")
 
 
+# help of the whole command line and of one command
+HELP_ARGVS = [["--help"], ["solve", "--help"]]
+# an unusable stdout, in process and in a fresh process, and its error line
+UNUSABLE_STDOUTS = {
+    "closed": (lambda: None, ">&-", "i/o error: [Errno 9] stdout is closed\n"),
+    "full": (FullStream, ">/dev/full", "i/o error: [Errno 28] No space left on device\n"),
+}
+
+
+@pytest.mark.parametrize("stdout", list(UNUSABLE_STDOUTS))
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=lambda argv: argv[0])
+def test_help_to_an_unusable_stdout_is_io_error(monkeypatch, argv, stdout):
+    """Help takes the rule of every command's output: exit 3 with one
+    ``i/o error:`` line, and no help on stderr instead."""
+    make_stdout, _, message = UNUSABLE_STDOUTS[stdout]
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", make_stdout())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(argv) == EXIT_IO
+    assert err.getvalue() == message
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=lambda argv: argv[0])
+def test_help_to_stdout_keeps_its_bytes(argv):
+    """Help to a working stdout is argparse's own text, with status 0."""
+    parser = sweep_cli.build_parser()
+    expected = (parser if argv == ["--help"] else parser.commands[argv[0]]).format_help()
+    assert run_captured(argv) == (EXIT_OK, expected, "")
+
+
 # a post-parse usage error and an I/O error, with their statuses
 FAILED_CALLS = [
     (["solve", "--a", "-1", "--b", "0.2", "--topology", "serial"], EXIT_USAGE),
@@ -937,6 +976,13 @@ def run_cli(argv, redirect):
 def test_closed_stdout_exits_3_in_a_fresh_process(argv):
     code, _, err = run_cli(argv, redirect=">&-")
     assert (code, err) == (EXIT_IO, "i/o error: [Errno 9] stdout is closed\n")
+
+
+@pytest.mark.parametrize("stdout", list(UNUSABLE_STDOUTS))
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=lambda argv: argv[0])
+def test_help_to_an_unusable_stdout_exits_3_in_a_fresh_process(argv, stdout):
+    _, redirect, message = UNUSABLE_STDOUTS[stdout]
+    assert run_cli(argv, redirect=redirect) == (EXIT_IO, "", message)
 
 
 @pytest.mark.parametrize("redirect", ["2>/dev/full", "2>&-"], ids=["full", "closed"])

@@ -17,12 +17,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from pinned import DIGESTS
 
 import twospring
 from twospring import sweep_cli
 
 SRC = Path(twospring.__file__).resolve().parent
-DEFAULT_BOUNDARIES_SHA256 = "fdbcff7e6ea75ab307be13ef348ff94a0fec4e6c9d2357da2a4fe1472d8000de"
 
 # runs main(argv) with its output captured, then reports the exit status,
 # the digest of stdout and whether numpy was loaded
@@ -63,7 +63,7 @@ class TestCommandsWithoutNumpy:
 
     def test_default_boundaries(self):
         got = run_fresh(_MAIN, "boundaries")
-        assert (got["code"], got["numpy"], got["sha256"]) == (sweep_cli.EXIT_OK, False, DEFAULT_BOUNDARIES_SHA256)
+        assert (got["code"], got["numpy"], got["sha256"]) == (sweep_cli.EXIT_OK, False, DIGESTS["b.csv"])
 
     @pytest.mark.parametrize(
         "argv",

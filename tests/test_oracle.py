@@ -662,6 +662,28 @@ def test_campaign_pairs_come_from_the_raw_pcg64_stream():
     words = [14276969152011380360, 8095878257575067585, 15838336090824644132, 12864169557245331597]
     assert np.random.PCG64(42).random_raw(4).tolist() == words
     pairs = [[1.160934072833945, 0.6583176596280784], [1.2878968798670738, 1.046052043589046]]
-    assert verify_module._uniform_pairs(2, 42) == pairs
+    assert list(verify_module._uniform_pairs(2, 42)) == pairs
     assert [[(u >> 11) * 2.0**-53 * 1.5, (v >> 11) * 2.0**-53 * 1.5] for u, v in zip(words[::2], words[1::2])] == pairs
-    assert verify_module._uniform_pairs(0, 42) == []
+    assert list(verify_module._uniform_pairs(0, 42)) == []
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_campaign_draw_is_one_stream_at_any_chunk_size(chunk, monkeypatch):
+    """Drawn in chunks, the pairs are those of one draw of all the words."""
+    words = np.random.PCG64(7).random_raw(2 * 10_000)
+    expected = ((words >> 11) * 2.0**-53 * 1.5).reshape(10_000, 2).tolist()
+    monkeypatch.setattr(verify_module, "_DRAW_PAIRS", chunk)
+    assert list(verify_module._uniform_pairs(10_000, 7)) == expected
+
+
+def test_campaign_draw_memory_is_bounded():
+    """The draw holds one chunk of pairs at a time, about 1.4 MB traced;
+    these 60,000 pairs as one list take about 9 MB."""
+    tracemalloc.start()
+    try:
+        drawn = sum(1 for _ in verify_module._uniform_pairs(60_000, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn == 60_000
+    assert peak < 2 * 2**20

@@ -313,6 +313,8 @@ def test_winner_grid_matches_scalar_reports():
         (0.0, 0.3), (0.0, 0.7), (0.0, 1.2), (0.4, b2_boundary(0.4)), (0.5, 0.5), (0.2, 0.4),
         (B2_SEGMENT_A_MIN, 2.0 / 3.0), (B2_SEGMENT_A_MAX, 2.0 / 7.0),
         (0.36, 0.56 - 1e-6), (0.36, 0.56 + 1e-6),
+        # a = -0.0, where np.linspace(0.0, -0.0, n) ends
+        (-0.0, 0.3), (-0.0, 0.5), (-0.0, 0.7), (-0.0, 1.0), (-0.0, 1.2),
     ]
     # within 4 ulps of a + b = 1, a + 2b = 1 and a = 0, where rounding picks the side
     edges += [pair for pairs in NEAR_LINES.values() for pair in pairs]
