@@ -360,12 +360,22 @@ MUTANTS = [
         "i = np.maximum(s - last, 0) + (flat - starts[s])",
         ("tests/test_oracle.py::TestFrontier",),
     ),
-    # the column predecessor taken at j + 1, a later point
+    # each point compared with the points after it in scan order, so a
+    # point is dropped for a later one that the frontier may not keep
     Mutant(
-        "frontier-predecessor-after",
+        "frontier-neighbour-after",
         "src/twospring/oracle.py",
-        "c2 = axis[j - 1]",
-        "c2 = axis[np.minimum(j + 1, last)]",
+        "keep[d:] &= ~_dominates(f[:-d], r[:-d], f[d:], r[d:])",
+        "keep[:-d] &= ~_dominates(f[d:], r[d:], f[:-d], r[:-d])",
+        ("tests/test_oracle.py::TestFrontier",),
+    ),
+    # a diagonal point of force exactly 1 left out as weak, such as the
+    # default grid's serial head (1.0, 1.0)
+    Mutant(
+        "frontier-diagonal-strict",
+        "src/twospring/oracle.py",
+        "(i,) = (f >= 1.0).nonzero()",
+        "(i,) = (f > 1.0).nonzero()",
         ("tests/test_oracle.py::TestFrontier",),
     ),
     # the row rule applied to every row, whatever its force at its ends

@@ -34,17 +34,19 @@ of its 200 serial ones.
 A frontier depends on the grid and the wiring alone, so it is built once;
 one per wiring is kept, for the last grid searched.  The build need not
 find every dominated point, since one it keeps costs a call a little work,
-not a wrong answer.  It drops each point that its column predecessor
-``(i, j - 1)`` or one of the ``_NEIGHBOURS`` points just before it in
-scan order dominates, and then each point whose force and resistance
-equal an earlier one's.  Force is non-decreasing and resistance non-increasing
-in each limit, in rounded arithmetic (the model's monotonicity contract),
-so a row whose force is equal at both ends has constant force, and each of
-its points after ``(i, i)`` is dominated by its column predecessor; the
-build evaluates none of them.  Every serial row is such a row, so a serial
-build evaluates a few points a row, and a parallel one the whole half
-square, ``_CHUNK`` points at a time: beyond the frontier itself, its
-memory is bounded by one chunk and a few values a row.
+not a wrong answer.  It drops each point that one of the ``_NEIGHBOURS``
+points just before it in scan order dominates, and then each point whose
+force and resistance equal an earlier one's.  Force is non-decreasing and
+resistance non-increasing in each limit, in rounded arithmetic (the model's
+monotonicity contract), so a row whose force is equal at both ends has
+constant force, and each of its points after ``(i, i)`` is dominated by
+``(i, i)``; the build evaluates none of them.  Every serial row is such a
+row, so a serial build evaluates a few points a row, and a parallel one
+the whole half square, ``_CHUNK`` points at a time, each point once:
+beyond the frontier itself, its memory is bounded by one chunk and a few
+values a row.  The build does not compare a point with its column
+predecessor ``(i, j - 1)``: along a row of rising force, the predecessor's
+force is the smaller, so it dominates nothing there.
 
 The constraints are evaluated on numpy arrays by the scalar spec's own
 formulas, the private ``_force``, ``_resistance`` and ``_weigh`` of
@@ -205,13 +207,12 @@ def _frontier(c_max: float, step: float, serial: bool) -> _Frontier:
     a bool, which hash and compare in C, as a ``GridSpec`` and a
     ``Topology`` do not.
 
-    The diagonal points ``(i, i)`` are built first, each compared with its
-    column predecessor by the mirror ``(i - 1, i)``.  Then the points with
-    ``j > i`` of the rows whose force differs at their two ends, from the
-    first such row's diagonals to the last one's, in chunks of ``_CHUNK``
-    points of the half square laid out in scan order.  A chunk evaluates
-    its points and the ``_NEIGHBOURS`` before them, compares each of its
-    points with its column predecessor and with those before it, and keeps
+    The strong diagonal points ``(i, i)`` are built first.  Then the
+    points with ``j > i`` of the rows whose force differs at their two
+    ends, from the first such row's diagonals to the last one's, in chunks
+    of ``_CHUNK`` points of the half square laid out in scan order.  A
+    chunk evaluates its points and the ``_NEIGHBOURS`` before them, each
+    once, compares each of its points with those before it, and keeps
     the first of its survivors with equal terms.  The parts are merged in
     scan order, and again only the first point of equal terms is kept.
     Beyond the frontier, the build holds one chunk and a few arrays of one
@@ -227,10 +228,7 @@ def _frontier(c_max: float, step: float, serial: bool) -> _Frontier:
     starts = ends - counts
     with np.errstate(all="ignore"):  # the one error-state scope of a build
         f, r = _force(k, axis, axis, np.minimum), _resistance(k, axis, axis)
-        keep = f >= 1.0
-        mirror = _force(k, axis[:-1], axis[1:], np.minimum), _resistance(k, axis[:-1], axis[1:])  # (i - 1, i)
-        keep[1:] &= ~_dominates(*mirror, f[1:], r[1:])
-        (i,) = keep.nonzero()
+        (i,) = (f >= 1.0).nonzero()
         parts = [(i, i, f[i], r[i])]
         live = f != _force(k, axis, axis[last], np.minimum)  # rows whose force is not constant
         (rows,) = live.nonzero()
@@ -246,10 +244,8 @@ def _frontier(c_max: float, step: float, serial: bool) -> _Frontier:
             j = np.subtract(s, i, out=s)  # s is not needed again
             c1, c2 = axis[i], axis[j]
             f, r = _force(k, c1, c2, np.minimum), _resistance(k, c1, c2)
-            c2 = axis[j - 1]  # the column predecessor's
             keep = (f >= 1.0) & (j > i) & live[i]
             keep[: a - flat[0]] = False  # the previous chunk's
-            keep &= ~_dominates(_force(k, c1, c2, np.minimum), _resistance(k, c1, c2), f, r)
             for d in range(1, _NEIGHBOURS + 1):  # the point d places earlier in scan order
                 keep[d:] &= ~_dominates(f[:-d], r[:-d], f[d:], r[d:])
             (t,) = keep.nonzero()

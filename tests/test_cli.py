@@ -19,7 +19,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from exact_reference import exact_decision
-from pinned import DIGESTS
+from pinned import DIGESTS, SINGLE_PAIR_EDGES
 
 from twospring import oracle, phase, regions, sweep_cli, verify
 from twospring.model import Topology, Weights
@@ -125,20 +125,6 @@ class TestClassifyCommand:
         assert code == EXIT_OK
         assert rec["cost_parallel"] == "inf"
         assert rec["cost_serial"] == 2.0
-
-
-# (a, b) on every branch edge of the closed form: the a = 0 axis on either
-# side of b = 1/k, subnormal and tiny a, the tie, the three dividing lines,
-# a huge b and an infinite weight
-SINGLE_PAIR_EDGES = [
-    ("0", "0.3"), ("0", "0.49999999999999994"), ("0", "0.5"), ("0", "0.7"),
-    ("0", "0.9999999999999999"), ("0", "1"), ("0", "1.2"),
-    ("5e-324", "0.1"), ("1e-308", "0.1"), ("0.4", "0.4"),
-    ("0.2", "0.4"), ("0.42857142857142855", "0.2857142857142857"),  # a + 2b = 1
-    ("0.5", "0.5"), ("0.3", "0.7"),  # a + b = 1
-    ("0.36", "0.56"), ("0.3333333333333333", "0.6666666666666667"),  # b = 2 - 4a
-    ("0", "1e308"), ("0.5", "1e308"), ("inf", "0.5"), ("0.5", "inf"), ("0", "inf"),
-]  # fmt: skip
 
 
 def test_single_pair_bytes_are_pinned(capsys):

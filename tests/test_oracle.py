@@ -459,6 +459,27 @@ class TestFrontier:
         assert peak < 1.5 * 2**20
 
     @pytest.mark.parametrize("k", [P, S])
+    def test_build_evaluates_each_point_once(self, monkeypatch, k):
+        """A default-grid build passes ``_force`` at most the half square's
+        points once each, the ``_NEIGHBOURS`` each chunk reads again, and
+        two passes of one value a row; a serial build skips every row and
+        makes the two passes alone."""
+        evaluated = []
+
+        def counting(wiring, c1, c2, minimum):
+            evaluated.append(np.broadcast(c1, c2).size)
+            return _force(wiring, c1, c2, minimum)
+
+        monkeypatch.setattr(oracle_module, "_force", counting)
+        oracle_module._frontier.cache_clear()
+        frontier_of(DEFAULT_GRID, k)
+        size = DEFAULT_GRID.size
+        half = size * (size + 1) // 2
+        chunks = -(-half // oracle_module._CHUNK)
+        rows = half + oracle_module._NEIGHBOURS * chunks if k is P else 0
+        assert sum(evaluated) <= rows + 2 * size
+
+    @pytest.mark.parametrize("k", [P, S])
     @pytest.mark.parametrize("g", [DEFAULT_GRID, OVERFLOW_GRID])
     def test_cached_arrays_are_read_only(self, g, k):
         frontier = frontier_of(g, k)._asdict()
