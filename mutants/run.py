@@ -448,13 +448,47 @@ MUTANTS = [
             "tests/test_cli.py::TestVerifyCommand::test_default_summary_bytes_are_pinned",
         ),
     ),
-    # the campaign's whole draw in one chunk
+    # the campaign's whole draw in one chunk: a 60,000-pair draw now takes
+    # the pure-Python path, which holds all its words and pairs at once
     Mutant(
         "verify-draw-one-chunk",
         "src/twospring/verify.py",
         "_DRAW_PAIRS = 4_096\n",
         "_DRAW_PAIRS = 1_000_000\n",
         ("tests/test_oracle.py::test_campaign_draw_memory_is_bounded",),
+    ),
+    # the pure-Python PCG64 output rotated left instead of right
+    Mutant(
+        "verify-stream-rotates-left",
+        "src/twospring/verify.py",
+        "(word >> rot | word << 64 - rot)",
+        "(word << rot | word >> 64 - rot)",
+        ("tests/test_oracle.py::test_python_stream_is_numpys_pcg64",),
+    ),
+    # the pure-Python PCG64 seeding with an even increment
+    Mutant(
+        "verify-seeding-even-increment",
+        "src/twospring/verify.py",
+        "inc = (initseq << 1 | 1) & _MASK128\n",
+        "inc = (initseq << 1) & _MASK128\n",
+        ("tests/test_oracle.py::test_python_stream_is_numpys_pcg64",),
+    ),
+    # a draw of exactly _DRAW_PAIRS pairs sent to numpy's PCG64
+    Mutant(
+        "verify-switch-strict",
+        "src/twospring/verify.py",
+        "    if samples <= _DRAW_PAIRS:\n",
+        "    if samples < _DRAW_PAIRS:\n",
+        ("tests/test_oracle.py::test_short_draw_builds_no_numpy_pcg64",),
+    ),
+    # --out written with one os.write per buffer, dropping what a short
+    # write leaves over
+    Mutant(
+        "out-write-once",
+        "src/twospring/sweep_cli.py",
+        "    while view:\n",
+        "    if view:\n",
+        ("tests/test_cli.py::test_out_survives_short_writes",),
     ),
 ]
 

@@ -28,8 +28,9 @@ string, its lines joined by newlines; the writer adds the last newline.
 One function, :func:`_write`, opens ``--out`` or writes to stdout; each
 command hands it its chunks, lazily, once its own checks have passed.  It
 opens the file, or takes stdout, before it asks for the first chunk:
-checks, then the open, then the work.  So a path ``open()`` refuses, or a
-closed stdout, fails before ``verify``'s one chunk runs its campaign.
+checks, then the open, then the work.  So a path ``os.open()`` refuses, or
+a closed stdout, fails before ``verify``'s one chunk runs its campaign.
+``--out`` is written through its file descriptor (see :func:`_write`).
 ``solve`` and ``classify`` answer one weight pair on the scalar path:
 ``solve_reduced``'s strength bound and ``winner``'s band C take one
 comparison each, and the closed-form kernel ``solver._reduced`` answers
@@ -41,8 +42,8 @@ A usage error past the parser is a ``ValueError`` that reaches
 :func:`main`, which writes its message on one ``error:`` line and returns
 status 2: those of ``Weights``, ``SweepSpec`` and ``oracle.GridSpec``, this
 module's checks of ``boundaries --na`` and ``verify --samples/--seed/--tol``,
-and ``open()``'s for an ``--out`` path it cannot take.  An ``OSError`` is
-status 3 with one ``i/o error:`` line: a path ``open()`` cannot open, a
+and ``os.open()``'s for an ``--out`` path it cannot take.  An ``OSError``
+is status 3 with one ``i/o error:`` line: a path ``os.open()`` cannot open, a
 failed write, a reader that closed the pipe, or a closed stdout, for help
 as for a command's output.  A closed or failing stderr loses that line but
 not the status.
@@ -51,7 +52,9 @@ This module imports no numpy.  ``sweep`` loads it with
 :mod:`twospring.phase`, and ``verify`` with :mod:`twospring.oracle` and
 :mod:`twospring.verify` once its flags have passed the checks that need
 only the standard library; ``solve``, ``classify`` and ``boundaries``
-never load it, so they start without numpy's import time.
+never load it, so they start without numpy's import time.  A ``verify``
+campaign of at most ``verify._DRAW_PAIRS`` pairs does not load
+``numpy.random`` either.
 """
 
 from __future__ import annotations
@@ -103,6 +106,9 @@ MAX_BOUNDARY_POINTS = 1_000_000
 CHUNK_LINES = 4_096
 # most weight pairs that ``verify --samples`` accepts
 MAX_VERIFY_SAMPLES = 1_000_000
+# how ``--out`` is opened: for writing, created or truncated, and on Windows
+# in binary mode, so the bytes written are the bytes stdout gets
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 def _jsonable(value):
@@ -115,6 +121,14 @@ def _jsonable(value):
     return value
 
 
+def _write_fd(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to the descriptor ``fd``, however many writes
+    it takes: ``os.write`` may write only part of it."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
 def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write each chunk of lines to the file ``out``, or to stdout if it is
     ``None``, as soon as the chunk is formatted.  A chunk is one string of
@@ -123,6 +137,12 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
     the first chunk is asked for, so a chunk that does a command's work
     runs only once its output has somewhere to go; a closed stdout
     (``sys.stdout`` is ``None``) raises ``OSError``.
+
+    The file is opened with ``os.open`` (``_OUT_FLAGS``, mode ``0o666``
+    less the umask, as ``open()`` creates it) and written through its
+    descriptor, without a buffer: each chunk is encoded as UTF-8 and
+    written whole by :func:`_write_fd`.  That skips ``open()``'s buffered
+    text layers, which cost more than the write itself for a small output.
 
     Each chunk's last newline is a write of its own.  With unbuffered
     stdout, a pipe write that a closing reader cuts short is not reported,
@@ -139,8 +159,13 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
             fh.write("\n")
 
     if out is not None:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            write_all(fh)
+        fd = os.open(out, _OUT_FLAGS, 0o666)
+        try:
+            for chunk in chunks:
+                _write_fd(fd, chunk.encode())
+                _write_fd(fd, b"\n")
+        finally:
+            os.close(fd)
         return
     if sys.stdout is None:
         raise OSError(errno.EBADF, "stdout is closed")

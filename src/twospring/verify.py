@@ -9,7 +9,11 @@ checks.
 
 :func:`verify_campaign` runs the randomized campaign of ``twospring
 verify``: it draws the weight pairs from a seed, checks each in both
-wirings and counts the verdicts.
+wirings and counts the verdicts.  A campaign of at most ``_DRAW_PAIRS``
+pairs draws them in pure Python, with numpy's own ``SeedSequence`` and
+``PCG64`` algorithms written out on Python ints, and so never imports
+``numpy.random``; a longer one draws them with numpy's ``PCG64``.  Both
+give the same pairs.
 """
 
 from __future__ import annotations
@@ -26,8 +30,21 @@ from .solver import solve_reduced
 
 __all__ = ["VerificationVerdict", "verify_reduction", "verify_campaign"]
 
-# most pairs the campaign draws and converts at a time
+# most pairs the campaign draws and converts at a time, and most it draws in
+# pure Python: there a pair costs seven to nine times what it does with
+# numpy, but a short draw skips importing numpy.random and building its PCG64
 _DRAW_PAIRS = 4_096
+
+# numpy's SeedSequence: hash and mix constants, 32-bit words, a 4-word pool
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_POOL_WORDS = 4
+# PCG64: a 128-bit LCG with numpy's default multiplier, XSL-RR output
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 
 
 @_direct_init
@@ -93,19 +110,93 @@ def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> Verifi
     )
 
 
-def _uniform_pairs(samples: int, seed: int) -> Iterator[list[float]]:
-    """``samples`` pairs uniform on ``[0, 1.5)^2``: the top 53 bits of each raw
-    word of ``PCG64(seed)``, scaled, as ``default_rng(seed).uniform`` draws
-    them.  numpy keeps only the bit generator's stream stable across
-    releases (NEP 19), so the conversion is written here.
+def _pcg64_seeded(seed: int) -> tuple[int, int]:
+    """The 128-bit ``(state, inc)`` of ``numpy.random.PCG64(seed)`` on Python
+    ints: ``SeedSequence(seed).generate_state(4, uint64)``, then PCG64's
+    seeding (O'Neill 2014).  ``seed`` is nonnegative.
 
-    The words are drawn ``_DRAW_PAIRS`` pairs at a time, so the draw's
-    memory does not grow with ``samples``; successive ``random_raw`` calls
-    continue one stream, so the pairs are those of a single draw."""
+    The hash is written inline, as it runs for every short campaign.  Each
+    hash xors in a hash constant, advances the constant, multiplies by it
+    and folds the high half into the low; a mix folds a hashed word into a
+    pool word."""
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    # the first words of entropy, zero-padded, hashed into the pool ...
+    h = _INIT_A
+    pool = []
+    for value in (words + [0] * _POOL_WORDS)[:_POOL_WORDS]:
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        pool.append(value ^ value >> 16)
+    # ... each pool word hashed and mixed into every other, then each further
+    # entropy word, kept past the pool, into every pool word
+    pool += words[_POOL_WORDS:]
+    for src in range(len(pool)):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                value = pool[src] ^ h
+                h = h * _MULT_A & _MASK32
+                value = value * h & _MASK32
+                value = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16) & _MASK32
+                pool[dst] = value ^ value >> 16
+    # generate_state(4, uint64): eight hashed 32-bit words, paired little-endian
+    h, state32 = _INIT_B, []
+    for value in pool[:_POOL_WORDS] * 2:
+        value ^= h
+        h = h * _MULT_B & _MASK32
+        value = value * h & _MASK32
+        state32.append(value ^ value >> 16)
+    s0, s1, s2, s3, s4, s5, s6, s7 = state32
+    initstate = (s1 << 32 | s0) << 64 | s3 << 32 | s2
+    initseq = (s5 << 32 | s4) << 64 | s7 << 32 | s6
+    # PCG64's seeding: from state 0, step, add initstate, step
+    inc = (initseq << 1 | 1) & _MASK128
+    state = (inc + initstate) & _MASK128
+    return (state * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _pcg64_words(seed: int, count: int) -> list[int]:
+    """The first ``count`` words of ``numpy.random.PCG64(seed).random_raw``:
+    each steps the LCG, then rotates the xor of the state's halves right by
+    the state's top 6 bits."""
+    state, inc = _pcg64_seeded(seed)
+    words = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        word = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        words.append((word >> rot | word << 64 - rot) & _MASK64)
+    return words
+
+
+def _uniform(words):
+    """Raw 64-bit words, an int or a uint64 array, as floats on ``[0, 1.5)``:
+    their top 53 bits, scaled, as ``Generator.uniform(0.0, 1.5)`` draws."""
+    return (words >> 11) * 2.0**-53 * 1.5
+
+
+def _uniform_pairs(samples: int, seed: int) -> Iterator[list[float]]:
+    """``samples`` pairs uniform on ``[0, 1.5)^2``: the raw words of
+    ``PCG64(seed)``, two a pair, through :func:`_uniform`, as
+    ``default_rng(seed).uniform`` draws them.  numpy keeps only the bit
+    generator's stream stable across releases (NEP 19), so the conversion is
+    written here.
+
+    At most ``_DRAW_PAIRS`` pairs are drawn in pure Python
+    (:func:`_pcg64_words`), without importing ``numpy.random``.  More are
+    drawn with numpy's ``PCG64``, ``_DRAW_PAIRS`` pairs at a time, so the
+    draw's memory does not grow with ``samples``; successive ``random_raw``
+    calls continue one stream, so the pairs are those of a single draw."""
+    if samples <= _DRAW_PAIRS:
+        words = iter(_pcg64_words(seed, 2 * samples))
+        yield from ([_uniform(u), _uniform(v)] for u, v in zip(words, words))
+        return
     bit_generator = np.random.PCG64(seed)
     for start in range(0, samples, _DRAW_PAIRS):
         words = bit_generator.random_raw(2 * min(_DRAW_PAIRS, samples - start))
-        yield from ((words >> 11) * 2.0**-53 * 1.5).reshape(-1, 2).tolist()
+        yield from _uniform(words).reshape(-1, 2).tolist()
 
 
 def verify_campaign(samples: int, seed: int, g: GridSpec, tol: float) -> dict:

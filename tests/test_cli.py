@@ -486,25 +486,18 @@ class TestSweepStreaming:
         expected = "\n".join(reference_sweep_lines(spec)) + "\n"
         monkeypatch.setattr(sweep_cli, "CHUNK_LINES", 10)
 
-        class DiskFull:
-            """A file that fails every write once the header and one chunk are in."""
+        write, lines = os.write, 0
 
-            def __init__(self, fh):
-                self.fh, self.lines = fh, 0
+        def disk_full(fd, data):
+            """``os.write`` that fails once the header and one chunk are in."""
+            nonlocal lines
+            if lines >= 11:
+                raise OSError(28, "No space left on device")
+            written = write(fd, data)
+            lines += bytes(data[:written]).count(b"\n")
+            return written
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                if self.lines >= 11:
-                    raise OSError(28, "No space left on device")
-                self.lines += text.count("\n")
-                return self.fh.write(text)
-
-        monkeypatch.setattr(sweep_cli, "open", lambda *a, **kw: DiskFull(open(*a, **kw)), raising=False)
+        monkeypatch.setattr(os, "write", disk_full)
         out = tmp_path / "sweep.csv"
         assert main([*sweep_argv(spec), "--out", str(out)]) == EXIT_IO
         captured = capsys.readouterr()
@@ -786,6 +779,14 @@ class TestVerifyCommand:
         assert main(["verify", "--samples", "20000", "--seed", "1", "--out", str(out)]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS["v20k.json"]
 
+    @pytest.mark.parametrize("samples", [4096, 4097])
+    def test_summary_bytes_at_the_draw_switch_are_pinned(self, tmp_path, samples):
+        # the largest campaign drawn in pure Python and the smallest drawn
+        # with numpy's PCG64; both digests were recorded with numpy's draw
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--samples", str(samples), "--seed", "7", "--out", str(out)]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[f"v{samples}.json"]
+
 
 def assert_rejected_without_allocating(capsys, argv):
     """``main(argv)`` exits 2 with one error line and no traceback.  That it
@@ -807,7 +808,7 @@ COMMAND_ARGVS = [
     ["boundaries"],
     ["verify", "--samples", "1", "--step", "0.5"],
 ]
-# --out paths that open() refuses with a ValueError: an embedded null byte,
+# --out paths that os.open() refuses with a ValueError: an embedded null byte,
 # and a lone surrogate, which the file system encoding cannot encode
 UNOPENABLE_PATHS = ["x\x00y", "\ud800"]
 
@@ -821,6 +822,33 @@ def test_unopenable_out_path_is_usage_error(monkeypatch, tmp_path, argv, out):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_out_survives_short_writes(monkeypatch, tmp_path, argv):
+    """With ``os.write`` writing at most 7 bytes a call, ``--out`` still
+    holds exactly the command's stdout bytes, over a longer file that was
+    there before."""
+    code, stdout, _ = run_captured(argv)
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"x" * (len(stdout) + 100))
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+    assert run_captured([*argv, "--out", str(out)]) == (code, "", "")
+    assert out.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+def test_out_file_mode_follows_the_umask(tmp_path, argv):
+    """``--out`` creates its file with mode ``0o666`` less the umask, as
+    ``open()`` does: ``0o644`` under ``umask 022``."""
+    out = tmp_path / "out.txt"
+    umask = os.umask(0o022)
+    try:
+        run_captured([*argv, "--out", str(out)])
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o644
 
 
 # per command, a call that the parser accepts but the command's own checks
@@ -871,7 +899,7 @@ def forbid_work(monkeypatch, command):
     ids=lambda argv: argv[0],
 )
 def test_out_is_opened_before_the_work(monkeypatch, tmp_path, argv, out, status):
-    """An --out path open() refuses fails before the command's work: at the
+    """An --out path os.open() refuses fails before the command's work: at the
     largest --samples, verify's campaign would take minutes."""
     forbid_work(monkeypatch, argv[0])
     monkeypatch.chdir(tmp_path)
@@ -986,7 +1014,7 @@ def _flag(*valid):
 
 
 # an --out path: a file in the example's temporary directory, a path whose
-# directory does not exist, or one that open() refuses
+# directory does not exist, or one that os.open() refuses
 OUT_PATHS = st.sampled_from(["out.txt", "/nonexistent-dir/x.out", *UNOPENABLE_PATHS])
 # per subcommand, the values each flag is drawn from; sizes sit around the
 # caps that the fuzz test patches in (3 verify samples, 8 boundary points,

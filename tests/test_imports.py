@@ -25,7 +25,7 @@ from twospring import sweep_cli
 SRC = Path(twospring.__file__).resolve().parent
 
 # runs main(argv) with its output captured, then reports the exit status,
-# the digest of stdout and whether numpy was loaded
+# the digest of stdout and whether numpy and numpy.random were loaded
 _MAIN = """
 import contextlib, hashlib, io, json, sys
 from twospring.sweep_cli import main
@@ -33,7 +33,8 @@ out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = main(sys.argv[1:])
 digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "sha256": digest, "err": err.getvalue()}))
+loaded = {"numpy": "numpy" in sys.modules, "numpy.random": "numpy.random" in sys.modules}
+print(json.dumps({"code": code, **loaded, "sha256": digest, "err": err.getvalue()}))
 """
 
 
@@ -87,6 +88,22 @@ class TestCommandsWithoutNumpy:
         """The guard can see numpy: the two array commands load it."""
         assert run_fresh(_MAIN, "sweep", "--na", "2", "--nb", "2")["numpy"]
         assert run_fresh(_MAIN, "verify", "--samples", "1", "--step", "0.5")["numpy"]
+
+
+class TestShortVerifyWithoutNumpyRandom:
+    """A campaign of at most ``verify._DRAW_PAIRS`` pairs draws them in pure
+    Python, so it loads numpy but not ``numpy.random``; a longer one does."""
+
+    def test_short_campaign(self):
+        if run_fresh("import json, sys, numpy; print(json.dumps('numpy.random' in sys.modules))"):
+            pytest.skip("this numpy loads numpy.random when numpy loads")
+        got = run_fresh(_MAIN, "verify", "--samples", "2")
+        assert (got["code"], got["numpy"], got["numpy.random"]) == (sweep_cli.EXIT_OK, True, False)
+
+    def test_long_campaign_does_load_it(self):
+        """The guard can see ``numpy.random``: the draw past the switch loads it."""
+        got = run_fresh(_MAIN, "verify", "--samples", "4097", "--step", "0.5")
+        assert (got["code"], got["numpy.random"]) == (sweep_cli.EXIT_OK, True)
 
 
 def imports(path, module_level_only):

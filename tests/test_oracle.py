@@ -688,18 +688,63 @@ def test_campaign_pairs_come_from_the_raw_pcg64_stream():
     assert list(verify_module._uniform_pairs(0, 42)) == []
 
 
+def reference_pairs(samples, seed):
+    """The first ``samples`` pairs of ``PCG64(seed)``, by numpy's own stream."""
+    words = np.random.PCG64(seed).random_raw(2 * samples)
+    return ((words >> 11) * 2.0**-53 * 1.5).reshape(samples, 2).tolist()
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 4096])
 def test_campaign_draw_is_one_stream_at_any_chunk_size(chunk, monkeypatch):
     """Drawn in chunks, the pairs are those of one draw of all the words."""
-    words = np.random.PCG64(7).random_raw(2 * 10_000)
-    expected = ((words >> 11) * 2.0**-53 * 1.5).reshape(10_000, 2).tolist()
     monkeypatch.setattr(verify_module, "_DRAW_PAIRS", chunk)
-    assert list(verify_module._uniform_pairs(10_000, 7)) == expected
+    assert list(verify_module._uniform_pairs(10_000, 7)) == reference_pairs(10_000, 7)
+
+
+# seeds of 1 to 8 32-bit words, the edges of each word count among them
+WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96, 2**128 - 1, 2**128, 2**200 + 3, 2**256 - 1]
+
+
+@pytest.mark.parametrize("seed", WIDE_SEEDS)
+def test_python_stream_is_numpys_pcg64(seed):
+    """The pure-Python ``SeedSequence`` and ``PCG64`` give numpy's raw words,
+    and from them its pairs, whatever the seed's width."""
+    assert verify_module._pcg64_words(seed, 16) == np.random.PCG64(seed).random_raw(16).tolist()
+    assert list(verify_module._uniform_pairs(8, seed)) == reference_pairs(8, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**256))
+def test_python_stream_is_numpys_pcg64_on_any_seed(seed):
+    assert verify_module._pcg64_words(seed, 4) == np.random.PCG64(seed).random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2, 200, 4096, 4097])
+def test_draw_meets_one_reference_on_both_sides_of_the_switch(samples):
+    """Up to ``_DRAW_PAIRS`` pairs are drawn in Python, more with numpy;
+    either way they are numpy's pairs."""
+    assert verify_module._DRAW_PAIRS == 4096
+    assert list(verify_module._uniform_pairs(samples, 11)) == reference_pairs(samples, 11)
+
+
+def test_short_draw_builds_no_numpy_pcg64(monkeypatch):
+    """A draw of at most ``_DRAW_PAIRS`` pairs never builds numpy's
+    ``PCG64``, so a short campaign needs no ``numpy.random``; one pair more does."""
+
+    def forbidden(seed):
+        raise AssertionError("numpy's PCG64 was built")
+
+    monkeypatch.setattr(np.random, "PCG64", forbidden)
+    pairs = verify_module._DRAW_PAIRS
+    assert sum(1 for _ in verify_module._uniform_pairs(pairs, 5)) == pairs
+    with pytest.raises(AssertionError, match="PCG64 was built"):
+        next(verify_module._uniform_pairs(pairs + 1, 5))
 
 
 def test_campaign_draw_memory_is_bounded():
-    """The draw holds one chunk of pairs at a time, about 1.4 MB traced;
-    these 60,000 pairs as one list take about 9 MB."""
+    """Past ``_DRAW_PAIRS`` pairs, the draw holds one chunk of pairs at a
+    time, about 1.4 MB traced; these 60,000 pairs as one list take about
+    9 MB."""
     tracemalloc.start()
     try:
         drawn = sum(1 for _ in verify_module._uniform_pairs(60_000, 0))
