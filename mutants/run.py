@@ -441,20 +441,20 @@ MUTANTS = [
     Mutant(
         "verify-draw-52-bits",
         "src/twospring/verify.py",
-        "(words >> 11)",
-        "(words >> 12)",
+        "(word >> 11)",
+        "(word >> 12)",
         (
             "tests/test_oracle.py::test_campaign_pairs_come_from_the_raw_pcg64_stream",
             "tests/test_cli.py::TestVerifyCommand::test_default_summary_bytes_are_pinned",
         ),
     ),
-    # the campaign's whole draw in one chunk: a 60,000-pair draw now takes
-    # the pure-Python path, which holds all its words and pairs at once
+    # the campaign's pairs drawn all at once, before the first is checked:
+    # the 60,000 pairs of the memory test are held together
     Mutant(
-        "verify-draw-one-chunk",
+        "verify-draw-held-whole",
         "src/twospring/verify.py",
-        "_DRAW_PAIRS = 4_096\n",
-        "_DRAW_PAIRS = 1_000_000\n",
+        "    return ([u, v] for _, u, v in zip(range(samples), words, words))\n",
+        "    return iter([[u, v] for _, u, v in zip(range(samples), words, words)])\n",
         ("tests/test_oracle.py::test_campaign_draw_memory_is_bounded",),
     ),
     # the pure-Python PCG64 output rotated left instead of right
@@ -472,14 +472,6 @@ MUTANTS = [
         "inc = (initseq << 1 | 1) & _MASK128\n",
         "inc = (initseq << 1) & _MASK128\n",
         ("tests/test_oracle.py::test_python_stream_is_numpys_pcg64",),
-    ),
-    # a draw of exactly _DRAW_PAIRS pairs sent to numpy's PCG64
-    Mutant(
-        "verify-switch-strict",
-        "src/twospring/verify.py",
-        "    if samples <= _DRAW_PAIRS:\n",
-        "    if samples < _DRAW_PAIRS:\n",
-        ("tests/test_oracle.py::test_short_draw_builds_no_numpy_pcg64",),
     ),
     # --out written with one os.write per buffer, dropping what a short
     # write leaves over

@@ -52,9 +52,9 @@ This module imports no numpy.  ``sweep`` loads it with
 :mod:`twospring.phase`, and ``verify`` with :mod:`twospring.oracle` and
 :mod:`twospring.verify` once its flags have passed the checks that need
 only the standard library; ``solve``, ``classify`` and ``boundaries``
-never load it, so they start without numpy's import time.  A ``verify``
-campaign of at most ``verify._DRAW_PAIRS`` pairs does not load
-``numpy.random`` either.
+never load it, so they start without numpy's import time.  ``verify``
+draws its pairs in pure Python, so it does not load ``numpy.random``
+either.
 """
 
 from __future__ import annotations

@@ -9,11 +9,9 @@ checks.
 
 :func:`verify_campaign` runs the randomized campaign of ``twospring
 verify``: it draws the weight pairs from a seed, checks each in both
-wirings and counts the verdicts.  A campaign of at most ``_DRAW_PAIRS``
-pairs draws them in pure Python, with numpy's own ``SeedSequence`` and
-``PCG64`` algorithms written out on Python ints, and so never imports
-``numpy.random``; a longer one draws them with numpy's ``PCG64``.  Both
-give the same pairs.
+wirings and counts the verdicts.  It draws them one pair at a time with
+numpy's own ``SeedSequence`` and ``PCG64`` algorithms written out on
+Python ints, so it gives numpy's pairs but never imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -22,18 +20,11 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import Topology, Weights, _direct_init
 from .oracle import GridSpec, oracle_solve
 from .solver import solve_reduced
 
 __all__ = ["VerificationVerdict", "verify_reduction", "verify_campaign"]
-
-# most pairs the campaign draws and converts at a time, and most it draws in
-# pure Python: there a pair costs seven to nine times what it does with
-# numpy, but a short draw skips importing numpy.random and building its PCG64
-_DRAW_PAIRS = 4_096
 
 # numpy's SeedSequence: hash and mix constants, 32-bit words, a 4-word pool
 _MASK32 = 0xFFFF_FFFF
@@ -113,12 +104,15 @@ def verify_reduction(w: Weights, k: Topology, g: GridSpec, tol: float) -> Verifi
 def _pcg64_seeded(seed: int) -> tuple[int, int]:
     """The 128-bit ``(state, inc)`` of ``numpy.random.PCG64(seed)`` on Python
     ints: ``SeedSequence(seed).generate_state(4, uint64)``, then PCG64's
-    seeding (O'Neill 2014).  ``seed`` is nonnegative.
+    seeding (O'Neill 2014).  A negative ``seed`` raises ``ValueError``, as
+    ``SeedSequence`` does.
 
-    The hash is written inline, as it runs for every short campaign.  Each
-    hash xors in a hash constant, advances the constant, multiplies by it
-    and folds the high half into the low; a mix folds a hashed word into a
-    pool word."""
+    The hash is written inline, as it runs for every campaign.  Each hash
+    xors in a hash constant, advances the constant, multiplies by it and
+    folds the high half into the low; a mix folds a hashed word into a pool
+    word."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
     words = [seed & _MASK32]
     while seed := seed >> 32:
         words.append(seed & _MASK32)
@@ -157,24 +151,21 @@ def _pcg64_seeded(seed: int) -> tuple[int, int]:
     return (state * _PCG_MULT + inc) & _MASK128, inc
 
 
-def _pcg64_words(seed: int, count: int) -> list[int]:
-    """The first ``count`` words of ``numpy.random.PCG64(seed).random_raw``:
-    each steps the LCG, then rotates the xor of the state's halves right by
-    the state's top 6 bits."""
-    state, inc = _pcg64_seeded(seed)
-    words = []
-    for _ in range(count):
+def _pcg64_words(state: int, inc: int) -> Iterator[int]:
+    """The raw words of a PCG64 from its ``(state, inc)``, endlessly, as
+    ``random_raw`` gives them: each steps the LCG, then rotates the xor of
+    the state's halves right by the state's top 6 bits."""
+    while True:
         state = (state * _PCG_MULT + inc) & _MASK128
         word = (state >> 64 ^ state) & _MASK64
         rot = state >> 122
-        words.append((word >> rot | word << 64 - rot) & _MASK64)
-    return words
+        yield (word >> rot | word << 64 - rot) & _MASK64
 
 
-def _uniform(words):
-    """Raw 64-bit words, an int or a uint64 array, as floats on ``[0, 1.5)``:
-    their top 53 bits, scaled, as ``Generator.uniform(0.0, 1.5)`` draws."""
-    return (words >> 11) * 2.0**-53 * 1.5
+def _uniform(word: int) -> float:
+    """A raw 64-bit word as a float on ``[0, 1.5)``: its top 53 bits,
+    scaled, as ``Generator.uniform(0.0, 1.5)`` draws."""
+    return (word >> 11) * 2.0**-53 * 1.5
 
 
 def _uniform_pairs(samples: int, seed: int) -> Iterator[list[float]]:
@@ -184,19 +175,14 @@ def _uniform_pairs(samples: int, seed: int) -> Iterator[list[float]]:
     generator's stream stable across releases (NEP 19), so the conversion is
     written here.
 
-    At most ``_DRAW_PAIRS`` pairs are drawn in pure Python
-    (:func:`_pcg64_words`), without importing ``numpy.random``.  More are
-    drawn with numpy's ``PCG64``, ``_DRAW_PAIRS`` pairs at a time, so the
-    draw's memory does not grow with ``samples``; successive ``random_raw``
-    calls continue one stream, so the pairs are those of a single draw."""
-    if samples <= _DRAW_PAIRS:
-        words = iter(_pcg64_words(seed, 2 * samples))
-        yield from ([_uniform(u), _uniform(v)] for u, v in zip(words, words))
-        return
-    bit_generator = np.random.PCG64(seed)
-    for start in range(0, samples, _DRAW_PAIRS):
-        words = bit_generator.random_raw(2 * min(_DRAW_PAIRS, samples - start))
-        yield from _uniform(words).reshape(-1, 2).tolist()
+    The seed is hashed when this is called, so a negative one raises here;
+    the pairs are drawn one at a time as they are taken, so the draw's
+    memory does not grow with ``samples``.  A pair costs about 1 µs, seven
+    times what numpy's ``PCG64`` takes, but no campaign imports
+    ``numpy.random`` or builds its ``PCG64``."""
+    words = map(_uniform, _pcg64_words(*_pcg64_seeded(seed)))
+    # zip asks range first, so it draws no word past the last pair
+    return ([u, v] for _, u, v in zip(range(samples), words, words))
 
 
 def verify_campaign(samples: int, seed: int, g: GridSpec, tol: float) -> dict:
@@ -207,7 +193,8 @@ def verify_campaign(samples: int, seed: int, g: GridSpec, tol: float) -> dict:
     ``failures`` holds the pair, wiring, status and costs of each
     disagreeing verdict, in check order; ``worst_cost_gap`` is the largest
     finite ``|cost_gap|`` of an agreeing one.  ``samples`` and ``seed`` are
-    nonnegative, ``tol`` as for :func:`verify_reduction`.
+    nonnegative (a negative ``seed`` raises ``ValueError``), ``tol`` as for
+    :func:`verify_reduction`.
     """
     truncated, worst_gap, failures = 0, 0.0, []
     for a, b in _uniform_pairs(samples, seed):

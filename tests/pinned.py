@@ -7,9 +7,6 @@ commands below, so CI checks the same digests with ``sha256sum --check``:
 - ``s.csv``: ``twospring sweep``;
 - ``b.csv``: ``twospring boundaries``;
 - ``v20k.json``: ``twospring verify --samples 20000 --seed 1``;
-- ``v4096.json`` and ``v4097.json``: ``twospring verify --samples 4096
-  --seed 7`` and ``--samples 4097 --seed 7``, the last campaign whose pairs
-  are drawn in pure Python and the first drawn with numpy's ``PCG64``;
 - ``single.txt``: ``solve`` for both wirings and ``classify`` over
   ``SINGLE_PAIR_EDGES`` below, in its order.
 

@@ -90,19 +90,20 @@ class TestCommandsWithoutNumpy:
         assert run_fresh(_MAIN, "verify", "--samples", "1", "--step", "0.5")["numpy"]
 
 
-class TestShortVerifyWithoutNumpyRandom:
-    """A campaign of at most ``verify._DRAW_PAIRS`` pairs draws them in pure
-    Python, so it loads numpy but not ``numpy.random``; a longer one does."""
+class TestVerifyWithoutNumpyRandom:
+    """``verify`` draws its pairs in pure Python, so it loads numpy but not
+    ``numpy.random``, however many pairs it draws."""
 
-    def test_short_campaign(self):
+    @pytest.mark.parametrize("samples", ["2", "5000"])
+    def test_campaign(self, samples):
         if run_fresh("import json, sys, numpy; print(json.dumps('numpy.random' in sys.modules))"):
             pytest.skip("this numpy loads numpy.random when numpy loads")
-        got = run_fresh(_MAIN, "verify", "--samples", "2")
+        got = run_fresh(_MAIN, "verify", "--samples", samples, "--step", "0.5")
         assert (got["code"], got["numpy"], got["numpy.random"]) == (sweep_cli.EXIT_OK, True, False)
 
-    def test_long_campaign_does_load_it(self):
-        """The guard can see ``numpy.random``: the draw past the switch loads it."""
-        got = run_fresh(_MAIN, "verify", "--samples", "4097", "--step", "0.5")
+    def test_guard_can_see_it(self):
+        """The guard reports ``numpy.random`` once something has loaded it."""
+        got = run_fresh("import numpy.random\n" + _MAIN, "verify", "--samples", "2", "--step", "0.5")
         assert (got["code"], got["numpy.random"]) == (sweep_cli.EXIT_OK, True)
 
 

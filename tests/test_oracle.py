@@ -1,6 +1,7 @@
 """Tests for the brute-force grid oracle and the agreement checker."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -694,57 +695,49 @@ def reference_pairs(samples, seed):
     return ((words >> 11) * 2.0**-53 * 1.5).reshape(samples, 2).tolist()
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 4096])
-def test_campaign_draw_is_one_stream_at_any_chunk_size(chunk, monkeypatch):
-    """Drawn in chunks, the pairs are those of one draw of all the words."""
-    monkeypatch.setattr(verify_module, "_DRAW_PAIRS", chunk)
-    assert list(verify_module._uniform_pairs(10_000, 7)) == reference_pairs(10_000, 7)
-
-
 # seeds of 1 to 8 32-bit words, the edges of each word count among them
 WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96, 2**128 - 1, 2**128, 2**200 + 3, 2**256 - 1]
+
+
+def python_words(seed, count):
+    """The first ``count`` words of the pure-Python ``PCG64(seed)``."""
+    return list(itertools.islice(verify_module._pcg64_words(*verify_module._pcg64_seeded(seed)), count))
 
 
 @pytest.mark.parametrize("seed", WIDE_SEEDS)
 def test_python_stream_is_numpys_pcg64(seed):
     """The pure-Python ``SeedSequence`` and ``PCG64`` give numpy's raw words,
     and from them its pairs, whatever the seed's width."""
-    assert verify_module._pcg64_words(seed, 16) == np.random.PCG64(seed).random_raw(16).tolist()
+    assert python_words(seed, 16) == np.random.PCG64(seed).random_raw(16).tolist()
     assert list(verify_module._uniform_pairs(8, seed)) == reference_pairs(8, seed)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**256))
 def test_python_stream_is_numpys_pcg64_on_any_seed(seed):
-    assert verify_module._pcg64_words(seed, 4) == np.random.PCG64(seed).random_raw(4).tolist()
+    assert python_words(seed, 4) == np.random.PCG64(seed).random_raw(4).tolist()
 
 
-@pytest.mark.parametrize("samples", [0, 1, 2, 200, 4096, 4097])
-def test_draw_meets_one_reference_on_both_sides_of_the_switch(samples):
-    """Up to ``_DRAW_PAIRS`` pairs are drawn in Python, more with numpy;
-    either way they are numpy's pairs."""
-    assert verify_module._DRAW_PAIRS == 4096
+@pytest.mark.parametrize("samples", [0, 1, 2, 200, 4096, 4097, 10_000])
+def test_draw_is_numpys_pairs(samples):
+    """However many pairs are drawn, they are numpy's pairs."""
     assert list(verify_module._uniform_pairs(samples, 11)) == reference_pairs(samples, 11)
 
 
-def test_short_draw_builds_no_numpy_pcg64(monkeypatch):
-    """A draw of at most ``_DRAW_PAIRS`` pairs never builds numpy's
-    ``PCG64``, so a short campaign needs no ``numpy.random``; one pair more does."""
-
-    def forbidden(seed):
-        raise AssertionError("numpy's PCG64 was built")
-
-    monkeypatch.setattr(np.random, "PCG64", forbidden)
-    pairs = verify_module._DRAW_PAIRS
-    assert sum(1 for _ in verify_module._uniform_pairs(pairs, 5)) == pairs
-    with pytest.raises(AssertionError, match="PCG64 was built"):
-        next(verify_module._uniform_pairs(pairs + 1, 5))
+@pytest.mark.parametrize("samples", [0, 1, 10_000])
+def test_negative_seed_is_refused(samples):
+    """A negative seed raises ``ValueError`` when the draw is asked for, as
+    numpy's ``SeedSequence`` does, however few pairs are drawn; its 32-bit
+    split would otherwise never end."""
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        verify_module._uniform_pairs(samples, -1)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        verify_module.verify_campaign(samples, -(2**70), GridSpec(1.0, 0.5), 0.01)
 
 
 def test_campaign_draw_memory_is_bounded():
-    """Past ``_DRAW_PAIRS`` pairs, the draw holds one chunk of pairs at a
-    time, about 1.4 MB traced; these 60,000 pairs as one list take about
-    9 MB."""
+    """The draw holds one pair at a time; these 60,000 pairs as one list
+    take about 9 MB traced."""
     tracemalloc.start()
     try:
         drawn = sum(1 for _ in verify_module._uniform_pairs(60_000, 0))
