@@ -356,9 +356,21 @@ MUTANTS = [
     Mutant(
         "frontier-diagonal-ascending",
         "src/twospring/oracle.py",
-        "i = s // 2 - (flat - starts[s])",
-        "i = np.maximum(s - last, 0) + (flat - starts[s])",
+        "i = s // 2 + starts[s] - np.arange(starts[first], ends[stop - 1])",
+        "i = np.maximum(s - last, 0) - starts[s] + np.arange(starts[first], ends[stop - 1])",
         ("tests/test_oracle.py::TestFrontier",),
+    ),
+    # each run of the build laid out without its last diagonal, which no
+    # run then evaluates; every small grid is one run at the default
+    # _CHUNK, so only the runs of a few points show it
+    Mutant(
+        "frontier-run-skips-last-diagonal",
+        "src/twospring/oracle.py",
+        "s = np.repeat(diagonal[first:stop], counts[first:stop])\n"
+        "            i = s // 2 + starts[s] - np.arange(starts[first], ends[stop - 1])",
+        "s = np.repeat(diagonal[first : stop - 1], counts[first : stop - 1])\n"
+        "            i = s // 2 + starts[s] - np.arange(starts[first], ends[stop - 2])",
+        ("tests/test_oracle.py::TestFrontier::test_runs_of_few_points_build_the_same_frontier",),
     ),
     # each point compared with the points after it in scan order, so a
     # point is dropped for a later one that the frontier may not keep

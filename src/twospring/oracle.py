@@ -35,18 +35,18 @@ A frontier depends on the grid and the wiring alone, so it is built once;
 one per wiring is kept, for the last grid searched.  The build need not
 find every dominated point, since one it keeps costs a call a little work,
 not a wrong answer.  It drops each point that one of the ``_NEIGHBOURS``
-points just before it in scan order dominates, and then each point whose
+points just before it in its run dominates, and then each point whose
 force and resistance equal an earlier one's.  Force is non-decreasing and
 resistance non-increasing in each limit, in rounded arithmetic (the model's
 monotonicity contract), so a row whose force is equal at both ends has
 constant force, and each of its points after ``(i, i)`` is dominated by
 ``(i, i)``; the build evaluates none of them.  Every serial row is such a
 row, so a serial build evaluates a few points a row, and a parallel one
-the whole half square, ``_CHUNK`` points at a time, each point once:
-beyond the frontier itself, its memory is bounded by one chunk and a few
-values a row.  The build does not compare a point with its column
-predecessor ``(i, j - 1)``: along a row of rising force, the predecessor's
-force is the smaller, so it dominates nothing there.
+the whole half square in runs of whole diagonals of at most ``_CHUNK``
+points, each point once: beyond the frontier, its memory is one run and a
+few values a row.  The build compares no point with its column predecessor
+``(i, j - 1)``: along a row of rising force, that point's force is the
+smaller, so it dominates nothing there.
 
 The constraints are evaluated on numpy arrays by the scalar spec's own
 formulas, the private ``_force``, ``_resistance`` and ``_weigh`` of
@@ -86,9 +86,9 @@ __all__ = [
 _SERIAL = Topology.SERIAL
 # largest square a GridSpec may describe: 10**4 points per side
 MAX_GRID_POINTS = 10**8
-# half-square points a frontier build evaluates at a time, to bound its memory
+# most half-square points a frontier build evaluates at a time, to bound its memory
 _CHUNK = 2**13
-# points just before it in scan order that a build compares each point with
+# points just before it in its run that a build compares each point with
 _NEIGHBOURS = 2
 
 
@@ -209,15 +209,14 @@ def _frontier(c_max: float, step: float, serial: bool) -> _Frontier:
 
     The strong diagonal points ``(i, i)`` are built first.  Then the
     points with ``j > i`` of the rows whose force differs at their two
-    ends, from the first such row's diagonals to the last one's, in chunks
-    of ``_CHUNK`` points of the half square laid out in scan order.  A
-    chunk evaluates its points and the ``_NEIGHBOURS`` before them, each
-    once, compares each of its points with those before it, and keeps
-    the first of its survivors with equal terms.  The parts are merged in
-    scan order, and again only the first point of equal terms is kept.
-    Beyond the frontier, the build holds one chunk and a few arrays of one
-    value per row or diagonal; chunks of one size let each reuse the
-    memory the last one freed.
+    ends, from the first such row's diagonals to the last one's, in runs
+    of whole diagonals ``i + j = s`` of the half square, each as many as
+    fit in ``_CHUNK`` points, one at least.  A run evaluates its points,
+    each once, compares each with the ``_NEIGHBOURS`` before it in the
+    run, and keeps the first of its survivors with equal terms.  The parts
+    are merged in scan order, and again only the first point of equal
+    terms is kept.  Beyond the frontier, the build holds one run and a few
+    arrays of one value per row or diagonal.
     """
     g, k = GridSpec(c_max, step), Topology.SERIAL if serial else Topology.PARALLEL
     axis = g.axis()
@@ -232,27 +231,25 @@ def _frontier(c_max: float, step: float, serial: bool) -> _Frontier:
         parts = [(i, i, f[i], r[i])]
         live = f != _force(k, axis, axis[last], np.minimum)  # rows whose force is not constant
         (rows,) = live.nonzero()
-        # from the first such row's points with j > i, after diagonal 2 * i, to the last row's
-        lo, hi = (ends[2 * rows[0]], ends[rows[-1] + last]) if rows.size else (0, 0)
-        for a in range(lo, hi, _CHUNK):
-            # the chunk's points, after the _NEIGHBOURS points before them
-            flat = np.arange(max(lo, a - _NEIGHBOURS), min(hi, a + _CHUNK))
-            first, final = np.searchsorted(ends, [flat[0], flat[-1]], side="right")  # their diagonals
-            span = slice(first, final + 1)
-            s = np.repeat(diagonal[span], np.minimum(ends[span], flat[-1] + 1) - np.maximum(starts[span], flat[0]))
-            i = s // 2 - (flat - starts[s])  # descending along each diagonal
+        # the diagonals from the first such row's first point with j > i to the last row's last point
+        first, hi = (2 * rows[0] + 1, rows[-1] + last + 1) if rows.size else (0, 0)
+        while first < hi:
+            # a run of whole diagonals [first, stop): as many as fit in _CHUNK points, one at least
+            stop = min(hi, max(first + 1, np.searchsorted(ends, starts[first] + _CHUNK, side="right")))
+            s = np.repeat(diagonal[first:stop], counts[first:stop])
+            i = s // 2 + starts[s] - np.arange(starts[first], ends[stop - 1])  # descending along each diagonal
             j = np.subtract(s, i, out=s)  # s is not needed again
             c1, c2 = axis[i], axis[j]
             f, r = _force(k, c1, c2, np.minimum), _resistance(k, c1, c2)
             keep = (f >= 1.0) & (j > i) & live[i]
-            keep[: a - flat[0]] = False  # the previous chunk's
             for d in range(1, _NEIGHBOURS + 1):  # the point d places earlier in scan order
                 keep[d:] &= ~_dominates(f[:-d], r[:-d], f[d:], r[d:])
             (t,) = keep.nonzero()
             t = t[_first_of_equal(f[t], r[t])]
             parts.append((i[t], j[t], f[t], r[t]))
-            if len(parts) == 64:  # a few arrays, not one a chunk
+            if len(parts) == 64:  # a few arrays, not one a run
                 parts = _merged(parts)
+            first = stop
     ((i, j, f, r),) = _merged(parts)
     order = np.lexsort((-i, i + j))
     order = order[_first_of_equal(f[order], r[order])]

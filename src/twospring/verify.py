@@ -193,9 +193,11 @@ def verify_campaign(samples: int, seed: int, g: GridSpec, tol: float) -> dict:
     ``failures`` holds the pair, wiring, status and costs of each
     disagreeing verdict, in check order; ``worst_cost_gap`` is the largest
     finite ``|cost_gap|`` of an agreeing one.  ``samples`` and ``seed`` are
-    nonnegative (a negative ``seed`` raises ``ValueError``), ``tol`` as for
+    nonnegative (a negative one raises ``ValueError``), ``tol`` as for
     :func:`verify_reduction`.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples!r}")
     truncated, worst_gap, failures = 0, 0.0, []
     for a, b in _uniform_pairs(samples, seed):
         w = Weights(a, b)

@@ -462,8 +462,8 @@ class TestFrontier:
     @pytest.mark.parametrize("k", [P, S])
     def test_build_evaluates_each_point_once(self, monkeypatch, k):
         """A default-grid build passes ``_force`` at most the half square's
-        points once each, the ``_NEIGHBOURS`` each chunk reads again, and
-        two passes of one value a row; a serial build skips every row and
+        points once each and two passes of one value a row, and no call
+        more than ``_CHUNK`` points; a serial build skips every row and
         makes the two passes alone."""
         evaluated = []
 
@@ -475,10 +475,30 @@ class TestFrontier:
         oracle_module._frontier.cache_clear()
         frontier_of(DEFAULT_GRID, k)
         size = DEFAULT_GRID.size
-        half = size * (size + 1) // 2
-        chunks = -(-half // oracle_module._CHUNK)
-        rows = half + oracle_module._NEIGHBOURS * chunks if k is P else 0
+        rows = size * (size + 1) // 2 if k is P else 0
         assert sum(evaluated) <= rows + 2 * size
+        assert max(evaluated) <= oracle_module._CHUNK
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("k", [P, S])
+    @pytest.mark.parametrize("g", SMALL_GRIDS, ids=lambda g: f"{g.c_max!r}-{g.step!r}")
+    def test_runs_of_few_points_build_the_same_frontier(self, g, k, chunk, monkeypatch):
+        """Every small grid fits in one run at the default ``_CHUNK``; at
+        a few points a run, the frontier is still complete, still gives
+        the full scan's answers, and is the one-run frontier bit for bit."""
+        oracle_module._frontier.cache_clear()
+        whole = frontier_of(g, k)
+        monkeypatch.setattr(oracle_module, "_CHUNK", chunk)
+        oracle_module._frontier.cache_clear()
+        try:
+            runs = frontier_of(g, k)
+            assert_frontier_is_complete(g, k)
+            for w in FIXED_WEIGHTS:
+                assert_same_as_full_scan(w, k, g)
+        finally:
+            oracle_module._frontier.cache_clear()  # no later test reads these runs' frontier
+        assert np.array_equal(runs.i, whole.i) and np.array_equal(runs.j, whole.j)
+        assert np.array_equal(bits(runs.f), bits(whole.f)) and np.array_equal(bits(runs.r), bits(whole.r))
 
     @pytest.mark.parametrize("k", [P, S])
     @pytest.mark.parametrize("g", [DEFAULT_GRID, OVERFLOW_GRID])
@@ -733,6 +753,14 @@ def test_negative_seed_is_refused(samples):
         verify_module._uniform_pairs(samples, -1)
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         verify_module.verify_campaign(samples, -(2**70), GridSpec(1.0, 0.5), 0.01)
+
+
+@pytest.mark.parametrize("samples", [-1, -3])
+def test_negative_samples_are_refused(samples):
+    """A negative sample count raises ``ValueError``, as a negative seed
+    does, and no campaign reports negative counts."""
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        verify_module.verify_campaign(samples, 1, GridSpec(6.0, 0.005), 0.01)
 
 
 def test_campaign_draw_memory_is_bounded():
